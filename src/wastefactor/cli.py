@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import config as cfg
-from .components import build_ru, build_ue, end_to_end, stage_of
+from .components import build_ru, build_ue, end_to_end, ru_devices, stage_of
 from .core import Stage, power_flow
 from .estimate import fit_waste_factor, load_power_log
 from .metrics import ee_bs
@@ -59,13 +59,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         stages, source_w = cfg.stages_from_config(doc)
     elif doc.has_section("ru"):
         spec = cfg.ru_spec_from_config(doc)
-        stages = [
-            stage_of(spec.dac).stage,
-            stage_of(spec.mixer).stage,
-            stage_of(spec.phase_shifter).stage,
-            stage_of(spec.pa).stage,
-            stage_of(spec.antenna).stage,
-        ]
+        stages = [stage_of(device).stage for device in ru_devices(spec)]
         source_w = 1.0
     else:
         raise cfg.ConfigError(f"{doc.path}: need a [cascade] or [ru] section")

@@ -392,22 +392,26 @@ class UeSpec:
             raise ValueError("LO power must be >= 0 W")
 
 
+# The first two RU devices (DAC, mixer) feed all n_tx transmit chains.
+_RU_SHARED_DEVICES = 2
+
+
+def ru_devices(spec: RuSpec) -> tuple[DeviceSpec, ...]:
+    """The RU's devices source first: DAC > mixer > PS > PA > antenna."""
+    return (spec.dac, spec.mixer, spec.phase_shifter, spec.pa, spec.antenna)
+
+
 def build_ru(spec: RuSpec) -> ConvertedDevice:
     """Composite RU stage: identical parallel transmit chains collapse, so the
-    result equals the plain source-first cascade DAC > mixer > PS > PA > antenna.
+    result equals the plain source-first cascade of :func:`ru_devices`.
     Per-chain non-path contributions scale with n_tx."""
-    dac = stage_of(spec.dac)
-    mixer = stage_of(spec.mixer)
-    ps = stage_of(spec.phase_shifter)
-    pa = stage_of(spec.pa)
-    antenna = stage_of(spec.antenna)
-    stage = cascade(
-        [dac.stage, mixer.stage, ps.stage, pa.stage, antenna.stage], label="ru"
-    )
+    devices = [stage_of(device) for device in ru_devices(spec)]
+    stage = cascade([device.stage for device in devices], label="ru")
+    shared = devices[:_RU_SHARED_DEVICES]
+    per_chain = devices[_RU_SHARED_DEVICES:]
     non_path = (
-        dac.non_path_w
-        + mixer.non_path_w
-        + spec.n_tx * (ps.non_path_w + pa.non_path_w + antenna.non_path_w)
+        sum(device.non_path_w for device in shared)
+        + spec.n_tx * sum(device.non_path_w for device in per_chain)
         + spec.lo_power_w
     )
     return ConvertedDevice(stage, non_path)

@@ -3,30 +3,28 @@
 Sections: ``[cascade]``, ``[ru]``, ``[ue]``, ``[channel]``, ``[scenario]``,
 ``[sweep]``, ``[metrics]``. Keys mirror the spec/scenario field names in
 snake_case with units in the suffix (``_db``, ``_dbm``, ``_w``, ``_ghz``,
-``_m``, ...). Unknown sections or keys are rejected with their location.
-Every key has a default drawn from the reference parameter tables, so an
-empty ``[ru]``, ``[ue]`` or ``[scenario]`` section reproduces the
-reference setup.
+``_m``, ...). Unknown sections or keys, and non-finite numbers (``nan``,
+``inf``), are rejected with their location.
+
+Defaults are not restated here. A key left out of ``[scenario]`` keeps the
+:class:`~wastefactor.netsim.Scenario` default, one left out of ``[ru]`` or
+``[ue]`` keeps the value of :func:`~wastefactor.components.reference_ru_spec`
+or :func:`~wastefactor.components.reference_ue_spec`, and one left out of
+``[sweep]`` keeps the :class:`~wastefactor.netsim.CampaignSpec` default, so
+empty sections reproduce the reference setup. The ``[scenario]``, ``[ru]``
+and ``[ue]`` schemas are derived from those dataclasses' fields.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
-from .components import (
-    Adc,
-    Antenna,
-    Dac,
-    Lna,
-    Mixer,
-    PhaseShifter,
-    PowerAmplifier,
-    RuSpec,
-    UeSpec,
-)
+from .components import Adc, RuSpec, UeSpec, reference_ru_spec, reference_ue_spec
 from .core import Stage
 from .metrics import EquipmentReading
 from .netsim import CampaignSpec, Scenario
@@ -50,7 +48,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
 
 def _parse_int(raw: str) -> int:
     return int(raw, 10)
@@ -62,7 +63,7 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(part) for part in items)
+    return tuple(_parse_float(part) for part in items)
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
@@ -80,80 +81,105 @@ def _parse_multiline(raw: str) -> tuple[str, ...]:
     return tuple(line.strip() for line in raw.splitlines() if line.strip())
 
 
+_PARSER_BY_TYPE: dict[type, Callable[[str], Any]] = {
+    float: _parse_float,
+    int: _parse_int,
+    bool: _parse_bool,
+    str: _parse_str,
+}
+
+
+@functools.cache
+def _type_hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _leaf_type(cls: type, path: str) -> type:
+    """Type of the field at a dotted path into a dataclass; ``X | None`` reads as X."""
+    for name in path.split("."):
+        hint = _type_hints(cls)[name]
+        args = [arg for arg in get_args(hint) if arg is not type(None)]
+        cls = args[0] if len(args) == 1 else hint
+    return cls
+
+
+def _scenario_keys() -> dict[str, tuple[str, float | None]]:
+    """[scenario] key -> (Scenario field, factor from the key's unit to the
+    field's, or None). Keys are the field names where the units agree."""
+    units = {"frequency_hz": ("frequency_ghz", 1e9), "bandwidth_hz": ("bandwidth_mhz", 1e6)}
+    keys: dict[str, tuple[str, float | None]] = {}
+    for f in fields(Scenario):
+        key, factor = units.get(f.name, (f.name, None))
+        keys[key] = (f.name, factor)
+    return keys
+
+
+_SCENARIO_KEYS = _scenario_keys()
+
+# [ru]/[ue] key -> field path into RuSpec/UeSpec.
+_RU_KEYS = {
+    "dac_efficiency": "dac.efficiency",
+    "mixer_conversion_loss_db": "mixer.conversion_loss_db",
+    "mixer_insertion_loss_db": "mixer.insertion_loss_db",
+    "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
+    "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
+    "phase_shifter_vswr": "phase_shifter.vswr",
+    "pa_pae": "pa.pae",
+    "pa_gain_db": "pa.gain_db",
+    "pa_quiescent_w": "pa.quiescent_w",
+    "antenna_efficiency": "antenna.radiation_efficiency",
+    "antenna_vswr": "antenna.vswr",
+    "include_mismatch": "antenna.include_mismatch",
+    "n_tx": "n_tx",
+    "lo_power_w": "lo_power_w",
+}
+_UE_KEYS = {
+    "antenna_efficiency": "antenna.radiation_efficiency",
+    "antenna_vswr": "antenna.vswr",
+    "include_mismatch": "antenna.include_mismatch",
+    "lna_gain_db": "lna.gain_db",
+    "lna_quiescent_w": "lna.quiescent_w",
+    "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
+    "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
+    "mixer_conversion_loss_db": "mixer.conversion_loss_db",
+    "mixer_insertion_loss_db": "mixer.insertion_loss_db",
+    "adc_fom_j": "adc.fom_j",
+    "adc_sample_rate_hz": "adc.sample_rate_hz",
+    "adc_bits": "adc.bits",
+    "n_rx": "n_rx",
+    "lo_power_w": "lo_power_w",
+}
+
+# The reference UE has no ADC; an [ue] adc_fom_j adds one with these values.
+_ADC_FALLBACK = {"sample_rate_hz": 1.0e9, "bits": 10}
+
+# [sweep] key -> CampaignSpec field, for the keys that need no unit change.
+_SWEEP_FIELDS = {
+    "antenna_modes": "antenna_modes",
+    "n_bs": "n_bs_values",
+    "seeds": "n_seeds",
+    "omni_per_link_cap_dbm": "omni_per_link_cap_dbm",
+}
+
+
 # section -> key -> parser
 _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     "cascade": {
         "source_power_w": _parse_float,
         "stages": _parse_multiline,
     },
-    "ru": {
-        "dac_efficiency": _parse_float,
-        "mixer_conversion_loss_db": _parse_float,
-        "mixer_insertion_loss_db": _parse_float,
-        "phase_shifter_insertion_loss_db": _parse_float,
-        "phase_shifter_reflection_loss_db": _parse_float,
-        "phase_shifter_vswr": _parse_float,
-        "pa_pae": _parse_float,
-        "pa_gain_db": _parse_float,
-        "pa_quiescent_w": _parse_float,
-        "antenna_efficiency": _parse_float,
-        "antenna_vswr": _parse_float,
-        "include_mismatch": _parse_bool,
-        "n_tx": _parse_int,
-        "lo_power_w": _parse_float,
-    },
-    "ue": {
-        "antenna_efficiency": _parse_float,
-        "antenna_vswr": _parse_float,
-        "include_mismatch": _parse_bool,
-        "lna_gain_db": _parse_float,
-        "lna_quiescent_w": _parse_float,
-        "phase_shifter_insertion_loss_db": _parse_float,
-        "phase_shifter_reflection_loss_db": _parse_float,
-        "mixer_conversion_loss_db": _parse_float,
-        "mixer_insertion_loss_db": _parse_float,
-        "adc_fom_j": _parse_float,
-        "adc_sample_rate_hz": _parse_float,
-        "adc_bits": _parse_int,
-        "n_rx": _parse_int,
-        "lo_power_w": _parse_float,
-    },
+    "ru": {key: _PARSER_BY_TYPE[_leaf_type(RuSpec, path)] for key, path in _RU_KEYS.items()},
+    "ue": {key: _PARSER_BY_TYPE[_leaf_type(UeSpec, path)] for key, path in _UE_KEYS.items()},
     "channel": {
         "frequency_ghz": _parse_float,
         "ple": _parse_float,
-        "sigma_db": _parse_float,
         "distance_m": _parse_float,
         "g_tx_db": _parse_float,
         "g_rx_db": _parse_float,
     },
     "scenario": {
-        "frequency_ghz": _parse_float,
-        "antenna_mode": _parse_str,
-        "n_bs": _parse_int,
-        "n_ue": _parse_int,
-        "region_radius_m": _parse_float,
-        "bs_height_m": _parse_float,
-        "ue_height_m": _parse_float,
-        "min_bs_separation_m": _parse_float,
-        "serving_radius_m": _parse_float,
-        "bandwidth_mhz": _parse_float,
-        "target_snr_db": _parse_float,
-        "ue_noise_figure_db": _parse_float,
-        "per_link_cap_dbm": _parse_float,
-        "per_bs_budget_dbm": _parse_float,
-        "w_bs": _parse_float,
-        "g_bs_db": _parse_float,
-        "w_ue": _parse_float,
-        "g_ue_db": _parse_float,
-        "p_non_path_bs_w": _parse_float,
-        "p_non_path_ue_w": _parse_float,
-        "ple": _parse_float,
-        "sigma_db": _parse_float,
-        "apply_shadowing": _parse_bool,
-        "fallback_nearest": _parse_bool,
-        "power_allocation": _parse_str,
-        "scale_non_path_per_area": _parse_bool,
-        "seed": _parse_int,
+        key: _PARSER_BY_TYPE[_leaf_type(Scenario, name)]
+        for key, (name, _) in _SCENARIO_KEYS.items()
     },
     "sweep": {
         "frequencies_ghz": _parse_float_list,
@@ -227,108 +253,53 @@ def _section_getter(doc: ConfigDocument, section: str):
     return get
 
 
+def _override(spec: Any, keys: dict[str, str], values: dict[str, Any]) -> Any:
+    """Copy of ``spec`` with each given value set at its key's field path."""
+    top: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    for key, value in values.items():
+        head, _, leaf = keys[key].partition(".")
+        if leaf:
+            nested.setdefault(head, {})[leaf] = value
+        else:
+            top[head] = value
+    for head, changes in nested.items():
+        top[head] = replace(getattr(spec, head), **changes)
+    return replace(spec, **top)
+
+
 def ru_spec_from_config(doc: ConfigDocument) -> RuSpec:
-    """RU spec from [ru]; missing keys fall back to the reference table."""
-    get = _section_getter(doc, "ru")
+    """RU spec from [ru]; missing keys keep the reference RU's values."""
     try:
-        return RuSpec(
-            dac=Dac(efficiency=get("dac_efficiency", 0.91)),
-            mixer=Mixer(
-                conversion_loss_db=get("mixer_conversion_loss_db", 8.2),
-                insertion_loss_db=get("mixer_insertion_loss_db", 0.0),
-            ),
-            phase_shifter=PhaseShifter(
-                insertion_loss_db=get("phase_shifter_insertion_loss_db", 3.5),
-                reflection_loss_db=get("phase_shifter_reflection_loss_db", 14.0),
-                vswr=get("phase_shifter_vswr", 1.5),
-            ),
-            pa=PowerAmplifier(
-                pae=get("pa_pae", 0.48),
-                gain_db=get("pa_gain_db", 50.0),
-                quiescent_w=get("pa_quiescent_w", 0.0),
-            ),
-            antenna=Antenna(
-                radiation_efficiency=get("antenna_efficiency", 0.6),
-                vswr=get("antenna_vswr", 1.5),
-                include_mismatch=get("include_mismatch", True),
-            ),
-            n_tx=get("n_tx", 1),
-            lo_power_w=get("lo_power_w", 0.0),
-        )
+        return _override(reference_ru_spec(), _RU_KEYS, doc.sections.get("ru", {}))
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [ru]: {exc}") from exc
 
 
 def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
-    """UE spec from [ue]; missing keys fall back to the reference table."""
-    get = _section_getter(doc, "ue")
+    """UE spec from [ue]; missing keys keep the reference UE's values."""
+    values = doc.sections.get("ue", {})
     try:
-        adc = None
-        if get("adc_fom_j") is not None:
-            adc = Adc(
-                fom_j=get("adc_fom_j", 0.0),
-                sample_rate_hz=get("adc_sample_rate_hz", 1.0e9),
-                bits=get("adc_bits", 10),
-            )
-        return UeSpec(
-            antenna=Antenna(
-                radiation_efficiency=get("antenna_efficiency", 0.7),
-                vswr=get("antenna_vswr", 1.5),
-                include_mismatch=get("include_mismatch", True),
-            ),
-            lna=Lna(
-                gain_db=get("lna_gain_db", 20.0),
-                quiescent_w=get("lna_quiescent_w", 0.0),
-            ),
-            phase_shifter=PhaseShifter(
-                insertion_loss_db=get("phase_shifter_insertion_loss_db", 6.0),
-                reflection_loss_db=get("phase_shifter_reflection_loss_db", 0.0),
-            ),
-            mixer=Mixer(
-                conversion_loss_db=get("mixer_conversion_loss_db", 6.7),
-                insertion_loss_db=get("mixer_insertion_loss_db", 0.0),
-            ),
-            adc=adc,
-            n_rx=get("n_rx", 1),
-            lo_power_w=get("lo_power_w", 0.0),
-        )
+        base = reference_ue_spec()
+        if "adc_fom_j" in values:
+            base = replace(base, adc=Adc(fom_j=values["adc_fom_j"], **_ADC_FALLBACK))
+        elif any(key.startswith("adc_") for key in values):
+            raise ValueError("adc_sample_rate_hz and adc_bits need adc_fom_j")
+        return _override(base, _UE_KEYS, values)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [ue]: {exc}") from exc
 
 
 def scenario_from_config(doc: ConfigDocument, seed_override: int | None = None) -> Scenario:
-    get = _section_getter(doc, "scenario")
-    seed = seed_override if seed_override is not None else get("seed", 0)
+    """Scenario from [scenario]; missing keys keep the Scenario defaults."""
+    kwargs: dict[str, Any] = {}
+    for key, value in doc.sections.get("scenario", {}).items():
+        name, factor = _SCENARIO_KEYS[key]
+        kwargs[name] = value if factor is None else value * factor
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
     try:
-        return Scenario(
-            frequency_hz=get("frequency_ghz", 3.5) * 1e9,
-            antenna_mode=get("antenna_mode", "directional"),
-            n_bs=get("n_bs", 1),
-            n_ue=get("n_ue", 1024),
-            region_radius_m=get("region_radius_m", 1000.0),
-            bs_height_m=get("bs_height_m", 15.0),
-            ue_height_m=get("ue_height_m", 1.5),
-            min_bs_separation_m=get("min_bs_separation_m", 200.0),
-            serving_radius_m=get("serving_radius_m", 200.0),
-            bandwidth_hz=get("bandwidth_mhz", 400.0) * 1e6,
-            target_snr_db=get("target_snr_db", 10.0),
-            ue_noise_figure_db=get("ue_noise_figure_db", 5.0),
-            per_link_cap_dbm=get("per_link_cap_dbm", 10.0),
-            per_bs_budget_dbm=get("per_bs_budget_dbm", 50.0),
-            w_bs=get("w_bs", 15.0),
-            g_bs_db=get("g_bs_db", 30.0),
-            w_ue=get("w_ue", 33.0),
-            g_ue_db=get("g_ue_db", 11.0),
-            p_non_path_bs_w=get("p_non_path_bs_w", 140.0),
-            p_non_path_ue_w=get("p_non_path_ue_w", 1.0),
-            ple=get("ple", None),
-            sigma_db=get("sigma_db", None),
-            apply_shadowing=get("apply_shadowing", False),
-            fallback_nearest=get("fallback_nearest", True),
-            power_allocation=get("power_allocation", "equal"),
-            scale_non_path_per_area=get("scale_non_path_per_area", True),
-            seed=seed,
-        )
+        return Scenario(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [scenario]: {exc}") from exc
 
@@ -338,24 +309,21 @@ def campaign_from_config(
     seeds_override: int | None = None,
     base_seed_override: int | None = None,
 ) -> CampaignSpec:
-    get = _section_getter(doc, "sweep")
-    n_seeds = seeds_override if seeds_override is not None else get("seeds", 20)
-    base_seed = (
-        base_seed_override
-        if base_seed_override is not None
-        else doc.get("scenario", "seed", 0)
-    )
+    """Campaign grid from [sweep]; missing keys keep the CampaignSpec defaults.
+    The base seed is [scenario] seed unless overridden."""
+    sweep = doc.sections.get("sweep", {})
+    kwargs: dict[str, Any] = {
+        name: sweep[key] for key, name in _SWEEP_FIELDS.items() if key in sweep
+    }
+    if "frequencies_ghz" in sweep:
+        kwargs["frequencies_hz"] = tuple(f * 1e9 for f in sweep["frequencies_ghz"])
+    if seeds_override is not None:
+        kwargs["n_seeds"] = seeds_override
+    base_seed = doc.get("scenario", "seed") if base_seed_override is None else base_seed_override
+    if base_seed is not None:
+        kwargs["base_seed"] = base_seed
     try:
-        return CampaignSpec(
-            frequencies_hz=tuple(
-                f * 1e9 for f in get("frequencies_ghz", (3.5, 17.0, 28.0))
-            ),
-            antenna_modes=get("antenna_modes", ("omni", "directional")),
-            n_bs_values=get("n_bs", (1, 5, 10, 15, 20)),
-            n_seeds=n_seeds,
-            base_seed=base_seed,
-            omni_per_link_cap_dbm=get("omni_per_link_cap_dbm", 30.0),
-        )
+        return CampaignSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc
 
@@ -366,7 +334,9 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
     from .netsim import BAND_PRESETS
 
     get = _section_getter(doc, "channel")
-    frequency_hz = get("frequency_ghz", 3.5) * 1e9
+    frequency_ghz = get("frequency_ghz")
+    # Without a frequency the link sits in the simulator's reference band.
+    frequency_hz = Scenario.frequency_hz if frequency_ghz is None else frequency_ghz * 1e9
     ple = get("ple")
     if ple is None:
         if frequency_hz not in BAND_PRESETS:
@@ -431,7 +401,7 @@ def stages_from_config(doc: ConfigDocument) -> tuple[list[Stage], float]:
 def _parse_stage_line(doc: ConfigDocument, line: str) -> Stage:
     parts = line.split()
     label = parts[0]
-    fields: dict[str, float] = {}
+    values: dict[str, float] = {}
     for token in parts[1:]:
         if "=" not in token:
             raise ConfigError(
@@ -445,22 +415,22 @@ def _parse_stage_line(doc: ConfigDocument, line: str) -> Stage:
                 f"known keys: {', '.join(sorted(known))}"
             )
         try:
-            fields[key] = float(raw)
+            values[key] = _parse_float(raw)
         except ValueError:
             raise ConfigError(
                 f"{doc.path}: stage {label!r}: bad number {raw!r} for {key!r}"
             ) from None
     try:
-        if "loss_db" in fields:
-            if len(fields) > 1:
+        if "loss_db" in values:
+            if len(values) > 1:
                 raise ValueError("loss_db cannot be combined with other keys")
-            return Stage.from_loss_db(fields["loss_db"], label=label)
-        w = fields.get("w")
-        if w is None and "w_db" in fields:
-            w = 10.0 ** (fields["w_db"] / 10.0)
-        g = fields.get("g")
-        if g is None and "gain_db" in fields:
-            g = 10.0 ** (fields["gain_db"] / 10.0)
+            return Stage.from_loss_db(values["loss_db"], label=label)
+        w = values.get("w")
+        if w is None and "w_db" in values:
+            w = 10.0 ** (values["w_db"] / 10.0)
+        g = values.get("g")
+        if g is None and "gain_db" in values:
+            g = 10.0 ** (values["gain_db"] / 10.0)
         if w is None or g is None:
             raise ValueError("need w (or w_db) and g (or gain_db), or loss_db alone")
         return Stage(w=w, g=g, label=label)
@@ -497,7 +467,7 @@ def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReadin
                     f"known keys: {', '.join(sorted(_READING_KEYS))}"
                 )
             try:
-                kwargs[key] = float(raw)
+                kwargs[key] = _parse_float(raw)
             except ValueError:
                 raise ConfigError(
                     f"{doc.path}: reading {name!r}: bad number {raw!r} for {key!r}"

@@ -34,13 +34,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
+from .parallel import mino_compose
 from .units import db_to_linear, dbm_to_watts
 
 OMNI = "omni"
@@ -105,6 +106,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _SCENARIO_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.antenna_mode not in (OMNI, DIRECTIONAL):
             raise ValueError(
                 f"antenna_mode must be {OMNI!r} or {DIRECTIONAL!r}, got {self.antenna_mode!r}"
@@ -170,6 +175,12 @@ class Scenario:
     @property
     def target_rx_power_w(self) -> float:
         return self.noise_power_w * db_to_linear(self.target_snr_db)
+
+
+# Scenario's float fields, once: campaigns build thousands of scenarios.
+_SCENARIO_FLOAT_FIELDS = tuple(
+    f.name for f in fields(Scenario) if f.type in ("float", "float | None")
+)
 
 
 @dataclass(frozen=True)
@@ -377,7 +388,7 @@ def evaluate_links(
     consumed_per_ue = (pc.p_rx_link_w * w_cascade).sum(axis=1)
     w_mino1 = consumed_per_ue.sum() / total_rx
     g_ue = db_to_linear(scenario.g_ue_db)
-    w_system = scenario.w_ue + (w_mino1 - 1.0) / g_ue
+    w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
 
     p_system_out = g_ue * total_rx
     p_path = w_system * p_system_out

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wastefactor import cli
+from wastefactor.components import Adc, reference_ru_spec, reference_ue_spec
 from wastefactor.config import (
     ConfigError,
     campaign_from_config,
@@ -16,8 +19,40 @@ from wastefactor.config import (
     ue_spec_from_config,
     wf_c_sweep_from_config,
 )
+from wastefactor.netsim import CampaignSpec, Scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# One non-default [scenario] line per Scenario field, and the value it gives.
+SCENARIO_SETTINGS = {
+    "frequency_hz": ("frequency_ghz = 28", 28e9),
+    "antenna_mode": ("antenna_mode = omni", "omni"),
+    "n_bs": ("n_bs = 7", 7),
+    "n_ue": ("n_ue = 64", 64),
+    "region_radius_m": ("region_radius_m = 800", 800.0),
+    "bs_height_m": ("bs_height_m = 25", 25.0),
+    "ue_height_m": ("ue_height_m = 2", 2.0),
+    "min_bs_separation_m": ("min_bs_separation_m = 150", 150.0),
+    "serving_radius_m": ("serving_radius_m = 300", 300.0),
+    "bandwidth_hz": ("bandwidth_mhz = 100", 100e6),
+    "target_snr_db": ("target_snr_db = 5", 5.0),
+    "ue_noise_figure_db": ("ue_noise_figure_db = 7", 7.0),
+    "per_link_cap_dbm": ("per_link_cap_dbm = 20", 20.0),
+    "per_bs_budget_dbm": ("per_bs_budget_dbm = 40", 40.0),
+    "w_bs": ("w_bs = 10", 10.0),
+    "g_bs_db": ("g_bs_db = 20", 20.0),
+    "w_ue": ("w_ue = 20", 20.0),
+    "g_ue_db": ("g_ue_db = 6", 6.0),
+    "p_non_path_bs_w": ("p_non_path_bs_w = 100", 100.0),
+    "p_non_path_ue_w": ("p_non_path_ue_w = 0.5", 0.5),
+    "ple": ("ple = 2.5", 2.5),
+    "sigma_db": ("sigma_db = 3", 3.0),
+    "apply_shadowing": ("apply_shadowing = yes", True),
+    "fallback_nearest": ("fallback_nearest = off", False),
+    "power_allocation": ("power_allocation = proportional", "proportional"),
+    "scale_non_path_per_area": ("scale_non_path_per_area = false", False),
+    "seed": ("seed = 9", 9),
+}
 
 
 def run_cli(capsys, *argv):
@@ -67,7 +102,12 @@ class TestConfigParsing:
 
     def test_empty_sections_give_reference_setup(self, tmp_path):
         path = tmp_path / "empty.ini"
-        path.write_text("[ru]\n[ue]\n[scenario]\n")
+        path.write_text("[ru]\n[ue]\n[scenario]\n[sweep]\n")
+        doc = load_config(path)
+        assert ru_spec_from_config(doc) == reference_ru_spec()
+        assert ue_spec_from_config(doc) == reference_ue_spec()
+        assert scenario_from_config(doc) == Scenario()
+        assert campaign_from_config(doc) == CampaignSpec()
         doc = load_config(path)
         ru = ru_spec_from_config(doc)
         assert ru.pa.pae == 0.48
@@ -79,6 +119,15 @@ class TestConfigParsing:
         assert scenario.n_ue == 1024
         assert scenario.w_bs == 15.0
         assert scenario.bandwidth_hz == 400e6
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+    def test_every_scenario_field_settable(self, tmp_path, field):
+        line, expected = SCENARIO_SETTINGS[field]
+        assert getattr(Scenario(), field) != expected
+        path = tmp_path / "sc.ini"
+        path.write_text(f"[scenario]\n{line}\n")
+        scenario = scenario_from_config(load_config(path))
+        assert scenario == dataclasses.replace(Scenario(), **{field: expected})
 
     def test_scenario_overrides(self, tmp_path):
         path = tmp_path / "sc.ini"
@@ -103,6 +152,40 @@ class TestConfigParsing:
         assert campaign.n_seeds == 4
         overridden = campaign_from_config(load_config(path), seeds_override=2)
         assert overridden.n_seeds == 2
+
+    def test_ue_adc_from_fom(self, tmp_path):
+        path = tmp_path / "ue.ini"
+        path.write_text("[ue]\nadc_fom_j = 1e-15\n")
+        assert ue_spec_from_config(load_config(path)).adc == Adc(1e-15, 1.0e9, 10)
+        path.write_text("[ue]\nadc_fom_j = 1e-15\nadc_sample_rate_hz = 2e9\nadc_bits = 8\n")
+        assert ue_spec_from_config(load_config(path)).adc == Adc(1e-15, 2.0e9, 8)
+
+    @pytest.mark.parametrize("line", ["adc_sample_rate_hz = 2e9", "adc_bits = 8"])
+    def test_ue_adc_keys_need_fom(self, tmp_path, line):
+        path = tmp_path / "ue.ini"
+        path.write_text(f"[ue]\n{line}\n")
+        with pytest.raises(ConfigError, match=r"invalid \[ue\].*adc_fom_j"):
+            ue_spec_from_config(load_config(path))
+
+    def test_channel_sigma_db_is_unknown(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[channel]\nsigma_db = 4\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'sigma_db' in \[channel\]"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[ru]\npa_pae = nan\n", "pa_pae"),
+            ("[sweep]\nfrequencies_ghz = 28, inf\n", "frequencies_ghz"),
+            ("[channel]\ndistance_m = -inf\n", "distance_m"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, text, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            load_config(path)
 
     def test_stage_lines(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -164,6 +247,42 @@ class TestConfigParsing:
             wf_c_sweep_from_config(load_config(path))
         path.write_text("[channel]\nfrequency_ghz = 60\nple = 2.1\n")
         assert len(wf_c_sweep_from_config(load_config(path))) == 1
+
+
+class TestNonFiniteInput:
+    """Inputs that once got through: ``w_bs = nan`` wrote NaN rows,
+    ``target_snr_db = nan`` crashed with an IndexError, ``per_bs_budget_dbm
+    = nan`` switched the BS budget off and ``bandwidth_mhz = inf`` gave a
+    -inf mean SNR."""
+
+    @pytest.mark.parametrize(
+        "key, raw, field",
+        [
+            ("w_bs", "nan", "w_bs"),
+            ("target_snr_db", "nan", "target_snr_db"),
+            ("per_bs_budget_dbm", "nan", "per_bs_budget_dbm"),
+            ("bandwidth_mhz", "inf", "bandwidth_hz"),
+        ],
+    )
+    def test_rejected_by_scenario_and_simulate(self, capsys, tmp_path, key, raw, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(**{field: float(raw)})
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            f"[scenario]\nn_ue = 16\n{key} = {raw}\n"
+            "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 1\n"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", str(path), "--jobs", "1", "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"{key!r} in [scenario]" in err
+
+    @pytest.mark.parametrize("field", ["ple", "sigma_db"])
+    def test_optional_floats_must_be_finite_when_set(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(**{field: math.inf})
 
 
 class TestCascadeCommand:
