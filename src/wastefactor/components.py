@@ -25,7 +25,7 @@ from functools import singledispatch
 from typing import NamedTuple, Union
 
 from .core import Stage, cascade
-from .units import db_to_linear
+from .units import db_to_linear, require_finite
 
 
 def reflection_coefficient(vswr: float) -> float:
@@ -57,6 +57,7 @@ class Mixer:
     insertion_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.conversion_loss_db < 0.0 or self.insertion_loss_db < 0.0:
             raise ValueError("mixer losses must be >= 0 dB")
 
@@ -76,6 +77,7 @@ class PhaseShifter:
     vswr: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.insertion_loss_db < 0.0 or self.reflection_loss_db < 0.0:
             raise ValueError("phase shifter losses must be >= 0 dB")
         if self.vswr is not None and self.vswr < 1.0:
@@ -96,6 +98,7 @@ class Antenna:
     include_mismatch: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 < self.radiation_efficiency <= 1.0:
             raise ValueError(
                 f"radiation efficiency must be in (0, 1], got {self.radiation_efficiency}"
@@ -116,6 +119,7 @@ class PowerAmplifier:
     quiescent_w: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         by_pae = self.pae is not None
         powers = (self.p_dc_w, self.p_in_w, self.p_out_w)
         by_power = any(p is not None for p in powers)
@@ -159,6 +163,7 @@ class Lna:
     quiescent_w: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
         if self.fom is None:
@@ -184,6 +189,7 @@ class Dac:
     efficiency: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"DAC efficiency must be in (0, 1], got {self.efficiency}")
 
@@ -197,6 +203,7 @@ class Adc:
     bits: int
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.fom_j < 0.0:
             raise ValueError("ADC figure of merit must be >= 0 J/step")
         if self.sample_rate_hz <= 0.0:
@@ -219,6 +226,7 @@ class GenericActive:
     quiescent_w: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.p_dc_w <= 0.0 or self.p_in_w <= 0.0 or self.p_out_w <= 0.0:
             raise ValueError("active device powers must be > 0 W")
         if self.p_out_w >= self.p_dc_w + self.p_in_w:
@@ -234,6 +242,7 @@ class GenericPassive:
     loss_db: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.loss_db < 0.0:
             raise ValueError(f"passive loss must be >= 0 dB, got {self.loss_db}")
 
@@ -367,6 +376,7 @@ class RuSpec:
     lo_power_w: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_tx < 1:
             raise ValueError(f"n_tx must be >= 1, got {self.n_tx}")
         if self.lo_power_w < 0.0:
@@ -386,6 +396,7 @@ class UeSpec:
     lo_power_w: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_rx < 1:
             raise ValueError(f"n_rx must be >= 1, got {self.n_rx}")
         if self.lo_power_w < 0.0:

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
 from .parallel import mino_compose
-from .units import db_to_linear, dbm_to_watts
+from .units import db_to_linear, dbm_to_watts, require_finite
 
 OMNI = "omni"
 DIRECTIONAL = "directional"
@@ -106,10 +105,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in _SCENARIO_FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self)
         if self.antenna_mode not in (OMNI, DIRECTIONAL):
             raise ValueError(
                 f"antenna_mode must be {OMNI!r} or {DIRECTIONAL!r}, got {self.antenna_mode!r}"
@@ -177,16 +173,15 @@ class Scenario:
         return self.noise_power_w * db_to_linear(self.target_snr_db)
 
 
-# Scenario's float fields, once: campaigns build thousands of scenarios.
-_SCENARIO_FLOAT_FIELDS = tuple(
-    f.name for f in fields(Scenario) if f.type in ("float", "float | None")
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     bs_xy_m: np.ndarray  # (n_bs, 2)
     ue_xy_m: np.ndarray  # (n_ue, 2)
+    distance_m: np.ndarray = field(init=False, repr=False)  # (n_ue, n_bs), horizontal
+
+    def __post_init__(self) -> None:
+        delta = self.ue_xy_m[:, None, :] - self.bs_xy_m[None, :, :]
+        object.__setattr__(self, "distance_m", np.sqrt(np.sum(delta ** 2, axis=2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,32 +238,16 @@ def generate_layout(scenario: Scenario) -> Layout:
     return Layout(bs_xy_m=np.array(accepted), ue_xy_m=ue_xy)
 
 
-def horizontal_distance_matrix(layout: Layout) -> np.ndarray:
-    delta = layout.ue_xy_m[:, None, :] - layout.bs_xy_m[None, :, :]
-    return np.sqrt(np.sum(delta ** 2, axis=2))
-
-
 def assign_serving_sets(
     layout: Layout, serving_radius_m: float, fallback_nearest: bool = True
-) -> list[np.ndarray]:
-    """Per-UE serving BS indices: everything within the radius (horizontal
-    distance); a UE covered by none gets its nearest BS when the fallback
-    is enabled, otherwise an empty set."""
-    distance = horizontal_distance_matrix(layout)
-    nearest = np.argmin(distance, axis=1)
-    sets = []
-    for i in range(distance.shape[0]):
-        inside = np.flatnonzero(distance[i] <= serving_radius_m)
-        if inside.size == 0 and fallback_nearest:
-            inside = np.array([nearest[i]])
-        sets.append(inside)
-    return sets
-
-
-def _serving_mask(serving: Sequence[np.ndarray], n_ue: int, n_bs: int) -> np.ndarray:
-    mask = np.zeros((n_ue, n_bs), dtype=bool)
-    for i, indices in enumerate(serving):
-        mask[i, indices] = True
+) -> np.ndarray:
+    """Boolean ``(n_ue, n_bs)`` serving mask: every BS within the radius
+    (horizontal distance); a UE covered by none gets its nearest BS when
+    the fallback is enabled, otherwise an empty row."""
+    mask = layout.distance_m <= serving_radius_m
+    if fallback_nearest:
+        uncovered = np.flatnonzero(~mask.any(axis=1))
+        mask[uncovered, np.argmin(layout.distance_m[uncovered], axis=1)] = True
     return mask
 
 
@@ -279,9 +258,8 @@ def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarra
     draw, minus both endpoint antenna gains. Returns the loss matrix and
     the count of links that hit the clamp.
     """
-    d_horizontal = horizontal_distance_matrix(layout)
     height_delta = scenario.bs_height_m - scenario.ue_height_m
-    d3 = np.sqrt(d_horizontal ** 2 + height_delta ** 2)
+    d3 = np.sqrt(layout.distance_m ** 2 + height_delta ** 2)
     pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.resolved_ple * np.log10(
         np.maximum(d3, 1.0)
     )
@@ -353,15 +331,17 @@ def power_control(
 
 def evaluate_links(
     scenario: Scenario,
-    serving: Sequence[np.ndarray],
+    serving: np.ndarray | Sequence[np.ndarray],
     l_eff_w: np.ndarray,
     n_clamped_links: int = 0,
     keep_per_ue: bool = False,
 ) -> DropResult:
-    """Score an explicit link realization (serving sets + effective losses).
+    """Score an explicit link realization (serving + effective losses).
 
-    This is the composition core behind :func:`evaluate_drop`; driving it
-    directly with hand-built links gives deterministic reference cases.
+    ``serving`` is the boolean ``(n_ue, n_bs)`` mask of
+    :func:`assign_serving_sets`, or one array of BS indices per UE. This is
+    the composition core behind :func:`evaluate_drop`; driving it directly
+    with hand-built links gives deterministic reference cases.
     """
     n_ue, n_bs = l_eff_w.shape
     if (n_ue, n_bs) != (scenario.n_ue, scenario.n_bs):
@@ -369,9 +349,18 @@ def evaluate_links(
             f"loss matrix is {n_ue}x{n_bs} but the scenario declares "
             f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
         )
-    if len(serving) != n_ue:
-        raise ValueError(f"got {len(serving)} serving sets for {n_ue} UEs")
-    mask = _serving_mask(serving, n_ue, n_bs)
+    if isinstance(serving, np.ndarray) and serving.dtype == bool:
+        if serving.shape != (n_ue, n_bs):
+            raise ValueError(
+                f"serving mask has shape {serving.shape} but the loss matrix is {n_ue}x{n_bs}"
+            )
+        mask = serving
+    else:
+        if len(serving) != n_ue:
+            raise ValueError(f"got {len(serving)} serving sets for {n_ue} UEs")
+        mask = np.zeros((n_ue, n_bs), dtype=bool)
+        for i, indices in enumerate(serving):
+            mask[i, indices] = True
     pc = power_control(l_eff_w, mask, scenario)
 
     # Branch cascade per link: effective channel stage plus the BS stage
@@ -523,6 +512,9 @@ def run_campaign(
     if jobs <= 1 or len(scenarios) == 1:
         results = [evaluate_drop(s) for s in scenarios]
     else:
+        # Imported here: multiprocessing costs every serial run its import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(scenarios) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(evaluate_drop, scenarios, chunksize=chunksize))

@@ -7,6 +7,8 @@ printing, and the convenience accessors on domain types.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 
@@ -40,3 +42,18 @@ def watts_to_dbw(value_w: float) -> float:
     if value_w <= 0.0:
         raise ValueError(f"power must be > 0 W to express in dBW, got {value_w}")
     return 10.0 * math.log10(value_w)
+
+
+@functools.cache
+def _float_fields(cls: type) -> tuple[str, ...]:
+    # Field types are strings under ``from __future__ import annotations``.
+    return tuple(f.name for f in dataclasses.fields(cls) if f.type in ("float", "float | None"))
+
+
+def require_finite(instance) -> None:
+    """Raise ValueError naming the first float field of a dataclass instance
+    that holds NaN or infinity; fields set to None pass."""
+    for name in _float_fields(type(instance)):
+        value = getattr(instance, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")

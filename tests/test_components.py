@@ -30,6 +30,22 @@ from wastefactor.core import Stage
 from wastefactor.units import db_to_linear
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Mixer(conversion_loss_db=math.nan),
+        lambda: PowerAmplifier(pae=0.5, gain_db=math.nan),
+        lambda: Lna(gain_db=math.nan),
+        lambda: PhaseShifter(insertion_loss_db=math.inf),
+    ],
+    ids=["mixer", "pa", "lna", "phase_shifter"],
+)
+def test_device_specs_reject_non_finite_numbers(build):
+    # Each of these once built and failed only later, inside stage_of.
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 class TestVswrHelpers:
     def test_reflection_coefficient(self):
         assert reflection_coefficient(1.0) == 0.0

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +481,22 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "WF_SEED" in err
+
+
+class TestImportCost:
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # The pool's multiprocessing import is paid only by --jobs > 1 runs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys, wastefactor.cli; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestCliSurface:

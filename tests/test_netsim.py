@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
@@ -24,7 +26,6 @@ from wastefactor.netsim import (
     generate_layout,
     power_control,
     run_campaign,
-    _serving_mask,
 )
 from wastefactor.units import dbm_to_watts, watts_to_dbm
 
@@ -133,21 +134,84 @@ class TestServingSets:
             bs_xy_m=np.array([[0.0, 0.0], [150.0, 0.0], [1000.0, 0.0]]),
             ue_xy_m=np.array([[100.0, 0.0]]),
         )
-        sets = assign_serving_sets(layout, 200.0)
-        assert list(sets[0]) == [0, 1]
+        mask = assign_serving_sets(layout, 200.0)
+        assert list(np.flatnonzero(mask[0])) == [0, 1]
 
     def test_fallback_to_nearest(self):
         layout = Layout(
             bs_xy_m=np.array([[600.0, 0.0], [900.0, 0.0]]),
             ue_xy_m=np.array([[0.0, 0.0]]),
         )
-        assert list(assign_serving_sets(layout, 200.0)[0]) == [0]
-        assert list(assign_serving_sets(layout, 200.0, fallback_nearest=False)[0]) == []
+        assert list(np.flatnonzero(assign_serving_sets(layout, 200.0)[0])) == [0]
+        no_fallback = assign_serving_sets(layout, 200.0, fallback_nearest=False)
+        assert list(np.flatnonzero(no_fallback[0])) == []
 
     def test_single_bs_serves_everyone(self):
         layout = generate_layout(dataclasses.replace(SMALL, n_bs=1))
-        sets = assign_serving_sets(layout, 200.0)
-        assert all(list(s) == [0] for s in sets)
+        mask = assign_serving_sets(layout, 200.0)
+        assert all(list(np.flatnonzero(row)) == [0] for row in mask)
+
+
+@st.composite
+def layouts_and_radii(draw):
+    """Up to 12 UEs and 6 BSs on a 1 km square, coordinates partly on a
+    10 m grid so distance ties occur, and a serving radius that is often
+    exactly one of the UE-BS distances."""
+    n_ue = draw(st.integers(1, 12))
+    n_bs = draw(st.integers(1, 6))
+    coords = st.one_of(
+        st.floats(-500.0, 500.0), st.integers(-50, 50).map(lambda k: 10.0 * k)
+    )
+    layout = Layout(
+        bs_xy_m=draw(arrays(np.float64, (n_bs, 2), elements=coords)),
+        ue_xy_m=draw(arrays(np.float64, (n_ue, 2), elements=coords)),
+    )
+    radii = st.floats(1.0, 800.0)
+    distances = layout.distance_m[layout.distance_m > 0.0]
+    if distances.size:
+        radii = st.one_of(radii, st.sampled_from(distances.tolist()))
+    return layout, draw(radii)
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+class TestServingProperties:
+    @PROPERTY_SETTINGS
+    @given(case=layouts_and_radii())
+    def test_mask_is_radius_test_without_fallback(self, case):
+        layout, radius = case
+        mask = assign_serving_sets(layout, radius, fallback_nearest=False)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, layout.distance_m <= radius)
+
+    @PROPERTY_SETTINGS
+    @given(case=layouts_and_radii())
+    def test_fallback_adds_only_the_nearest_bs(self, case):
+        layout, radius = case
+        inside = layout.distance_m <= radius
+        mask = assign_serving_sets(layout, radius)
+        covered = inside.any(axis=1)
+        assert np.array_equal(mask[covered], inside[covered])
+        for i in np.flatnonzero(~covered):
+            assert list(np.flatnonzero(mask[i])) == [np.argmin(layout.distance_m[i])]
+
+    @PROPERTY_SETTINGS
+    @given(case=layouts_and_radii(), shadowing=st.booleans())
+    def test_mask_and_index_arrays_score_alike(self, case, shadowing):
+        layout, radius = case
+        n_ue, n_bs = layout.distance_m.shape
+        sc = Scenario(
+            n_ue=n_ue, n_bs=n_bs, frequency_hz=28e9, serving_radius_m=radius,
+            apply_shadowing=shadowing,
+        )
+        mask = assign_serving_sets(layout, radius)
+        l_eff, n_clamped = effective_loss_matrix(sc, layout)
+        from_mask = evaluate_links(sc, mask, l_eff, n_clamped_links=n_clamped)
+        from_sets = evaluate_links(
+            sc, [np.flatnonzero(row) for row in mask], l_eff, n_clamped_links=n_clamped
+        )
+        assert scalar_fields(from_mask) == scalar_fields(from_sets)
 
 
 class TestShadowing:
@@ -270,11 +334,10 @@ class TestEvaluateLinks:
             SMALL, n_ue=16, n_bs=3, apply_shadowing=True, seed=11
         )
         layout = generate_layout(sc)
-        serving = assign_serving_sets(layout, sc.serving_radius_m)
+        mask = assign_serving_sets(layout, sc.serving_radius_m)
         l_eff, n_clamped = effective_loss_matrix(sc, layout)
-        result = evaluate_links(sc, serving, l_eff, n_clamped_links=n_clamped)
+        result = evaluate_links(sc, mask, l_eff, n_clamped_links=n_clamped)
 
-        mask = _serving_mask(serving, sc.n_ue, sc.n_bs)
         pc = power_control(l_eff, mask, sc)
         w_mpar = []
         for i in range(sc.n_ue):
@@ -288,7 +351,7 @@ class TestEvaluateLinks:
                     ),
                     weight=pc.p_rx_link_w[i, j],
                 )
-                for j in serving[i]
+                for j in np.flatnonzero(mask[i])
             ]
             w_mpar.append(combine_branches(branches, CombiningMode.NON_COHERENT))
         w_first = mino_first_stage(list(pc.p_rx_ue_w), w_mpar)
@@ -321,6 +384,10 @@ class TestEvaluateLinks:
         sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
         with pytest.raises(ValueError, match="declares"):
             evaluate_links(sc, [np.array([0])], np.ones((1, 1)))
+        with pytest.raises(ValueError, match="serving sets"):
+            evaluate_links(sc, [np.array([0])], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="serving mask"):
+            evaluate_links(sc, np.ones((2, 1), dtype=bool), np.ones((2, 2)))
 
 
 class TestEvaluateDrop:
