@@ -29,22 +29,17 @@ def fspl_1m_db(frequency_hz: float) -> float:
 
 @dataclass(frozen=True)
 class PathLossModel:
-    """Close-in free-space reference model with a fixed 1 m anchor."""
+    """Close-in free-space reference model. The reference distance is
+    fixed at 1 m, where the loss equals the free-space loss."""
 
     frequency_hz: float
     ple: float
-    sigma_db: float = 0.0
-    reference_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
         if self.ple <= 0.0:
             raise ValueError(f"path-loss exponent must be > 0, got {self.ple}")
-        if self.sigma_db < 0.0:
-            raise ValueError(f"shadowing sigma must be >= 0 dB, got {self.sigma_db}")
-        if self.reference_distance_m != 1.0:
-            raise ValueError("the close-in reference distance is fixed at 1 m")
 
 
 def path_loss_db(model: PathLossModel, distance_m: float, shadow_db: float = 0.0) -> float:

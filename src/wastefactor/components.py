@@ -68,20 +68,16 @@ class PhaseShifter:
 
     ``reflection_loss_db`` is summed into the stage loss exactly as given.
     Callers holding only a VSWR can derive a physically-interpreted value
-    via :func:`mismatch_loss_db`; the ``vswr`` field itself is recorded
-    but not used in the conversion.
+    via :func:`mismatch_loss_db`.
     """
 
     insertion_loss_db: float
     reflection_loss_db: float = 0.0
-    vswr: float | None = None
 
     def __post_init__(self) -> None:
         require_finite(self)
         if self.insertion_loss_db < 0.0 or self.reflection_loss_db < 0.0:
             raise ValueError("phase shifter losses must be >= 0 dB")
-        if self.vswr is not None and self.vswr < 1.0:
-            raise ValueError(f"VSWR must be >= 1, got {self.vswr}")
 
 
 @dataclass(frozen=True)
@@ -461,9 +457,7 @@ def reference_ru_spec(include_mismatch: bool = True) -> RuSpec:
     return RuSpec(
         dac=Dac(efficiency=0.91),
         mixer=Mixer(conversion_loss_db=8.2),
-        phase_shifter=PhaseShifter(
-            insertion_loss_db=3.5, reflection_loss_db=14.0, vswr=1.5
-        ),
+        phase_shifter=PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0),
         pa=PowerAmplifier(pae=0.48, gain_db=50.0),
         antenna=Antenna(
             radiation_efficiency=0.6, vswr=1.5, include_mismatch=include_mismatch

@@ -28,6 +28,7 @@ from .components import Adc, RuSpec, UeSpec, reference_ru_spec, reference_ue_spe
 from .core import Stage
 from .metrics import EquipmentReading
 from .netsim import CampaignSpec, Scenario
+from .units import db_to_linear
 
 
 class ConfigError(ValueError):
@@ -59,23 +60,19 @@ def _parse_int(raw: str) -> int:
 def _parse_str(raw: str) -> str:
     return raw.strip()
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_parse_float(part) for part in items)
+def _list_parser(parse_item: Callable[[str], Any], empty_message: str) -> Callable[[str], tuple]:
+    """Parser of a non-empty comma-separated list of items."""
+    def parse(raw: str) -> tuple:
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ValueError(empty_message)
+        return tuple(parse_item(part) for part in items)
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(part, 10) for part in items)
+    return parse
 
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return tuple(items)
+_parse_float_list = _list_parser(_parse_float, "expected a comma-separated list of numbers")
+_parse_int_list = _list_parser(_parse_int, "expected a comma-separated list of integers")
+_parse_str_list = _list_parser(_parse_str, "expected a comma-separated list")
 
 def _parse_multiline(raw: str) -> tuple[str, ...]:
     return tuple(line.strip() for line in raw.splitlines() if line.strip())
@@ -123,7 +120,6 @@ _RU_KEYS = {
     "mixer_insertion_loss_db": "mixer.insertion_loss_db",
     "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
     "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
-    "phase_shifter_vswr": "phase_shifter.vswr",
     "pa_pae": "pa.pae",
     "pa_gain_db": "pa.gain_db",
     "pa_quiescent_w": "pa.quiescent_w",
@@ -246,13 +242,6 @@ def load_config(path: str | Path) -> ConfigDocument:
     return ConfigDocument(path=path, sections=sections)
 
 
-def _section_getter(doc: ConfigDocument, section: str):
-    def get(key: str, default: Any = None) -> Any:
-        return doc.get(section, key, default)
-
-    return get
-
-
 def _override(spec: Any, keys: dict[str, str], values: dict[str, Any]) -> Any:
     """Copy of ``spec`` with each given value set at its key's field path."""
     top: dict[str, Any] = {}
@@ -333,11 +322,11 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
     from .channel import PathLossModel, path_loss_db
     from .netsim import BAND_PRESETS
 
-    get = _section_getter(doc, "channel")
-    frequency_ghz = get("frequency_ghz")
+    channel = doc.sections.get("channel", {})
+    frequency_ghz = channel.get("frequency_ghz")
     # Without a frequency the link sits in the simulator's reference band.
     frequency_hz = Scenario.frequency_hz if frequency_ghz is None else frequency_ghz * 1e9
-    ple = get("ple")
+    ple = channel.get("ple")
     if ple is None:
         if frequency_hz not in BAND_PRESETS:
             raise ConfigError(
@@ -347,10 +336,10 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
         ple = BAND_PRESETS[frequency_hz].ple
     try:
         model = PathLossModel(frequency_hz=frequency_hz, ple=ple)
-        pl_db = path_loss_db(model, get("distance_m", 100.0))
+        pl_db = path_loss_db(model, channel.get("distance_m", 100.0))
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [channel]: {exc}") from exc
-    return max(pl_db - get("g_tx_db", 0.0) - get("g_rx_db", 0.0), 0.0)
+    return max(pl_db - channel.get("g_tx_db", 0.0) - channel.get("g_rx_db", 0.0), 0.0)
 
 
 def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
@@ -427,10 +416,10 @@ def _parse_stage_line(doc: ConfigDocument, line: str) -> Stage:
             return Stage.from_loss_db(values["loss_db"], label=label)
         w = values.get("w")
         if w is None and "w_db" in values:
-            w = 10.0 ** (values["w_db"] / 10.0)
+            w = db_to_linear(values["w_db"])
         g = values.get("g")
         if g is None and "gain_db" in values:
-            g = 10.0 ** (values["gain_db"] / 10.0)
+            g = db_to_linear(values["gain_db"])
         if w is None or g is None:
             raise ValueError("need w (or w_db) and g (or gain_db), or loss_db alone")
         return Stage(w=w, g=g, label=label)

@@ -121,17 +121,19 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
         raise ValueError(f"source power must be > 0 W, got {p_source_out_w}")
     flows = []
     p_in = p_source_out_w
-    consumed_total = p_source_out_w
     wasted_total = 0.0
     for stage in stages:
         p_out = p_in * stage.g
         consumed = stage.w * p_out - p_in
         wasted = (stage.w - 1.0) * p_out
         flows.append(StageFlow(stage.label, p_in, p_out, consumed, wasted))
-        consumed_total += consumed
         wasted_total += wasted
         p_in = p_out
     p_signal = p_in
+    # Source output plus every stage's consumption telescopes to signal plus
+    # waste. The waste terms are all >= 0; consumption terms go negative when
+    # W * G < 1 and cancel, which can round W below 1.
+    consumed_total = p_signal + wasted_total
     return CascadeReport(
         p_source_out_w=p_source_out_w,
         stages=tuple(flows),

@@ -91,7 +91,6 @@ class Scenario:
     per_link_cap_dbm: float = 10.0
     per_bs_budget_dbm: float = 50.0
     w_bs: float = 15.0
-    g_bs_db: float = 30.0  # recorded; a source-side stage's gain drops out of W
     w_ue: float = 33.0
     g_ue_db: float = 11.0
     p_non_path_bs_w: float = 140.0
@@ -201,7 +200,6 @@ class DropResult:
     n_budget_limited_bs: int
     n_clamped_links: int
     n_unserved_ue: int
-    per_ue_snr_db: np.ndarray | None = None
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:
@@ -266,8 +264,8 @@ def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarra
     if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
         pl_db = pl_db + scenario.resolved_sigma_db * z
-    g_bs_db, g_ue_db = scenario.antenna_gains_db
-    eff_db = pl_db - g_bs_db - g_ue_db
+    g_tx_db, g_rx_db = scenario.antenna_gains_db
+    eff_db = pl_db - g_tx_db - g_rx_db
     n_clamped = int(np.count_nonzero(eff_db < 0.0))
     eff_db = np.maximum(eff_db, 0.0)
     return 10.0 ** (eff_db / 10.0), n_clamped
@@ -331,17 +329,16 @@ def power_control(
 
 def evaluate_links(
     scenario: Scenario,
-    serving: np.ndarray | Sequence[np.ndarray],
+    serving_mask: np.ndarray,
     l_eff_w: np.ndarray,
     n_clamped_links: int = 0,
-    keep_per_ue: bool = False,
 ) -> DropResult:
-    """Score an explicit link realization (serving + effective losses).
+    """Score an explicit link realization (serving mask + effective losses).
 
-    ``serving`` is the boolean ``(n_ue, n_bs)`` mask of
-    :func:`assign_serving_sets`, or one array of BS indices per UE. This is
-    the composition core behind :func:`evaluate_drop`; driving it directly
-    with hand-built links gives deterministic reference cases.
+    ``serving_mask`` is the boolean ``(n_ue, n_bs)`` serving mask of
+    :func:`assign_serving_sets`. This is the composition core behind
+    :func:`evaluate_drop`; driving it directly with hand-built links gives
+    deterministic reference cases. Per-UE SNRs are ``power_control(...).snr_db``.
     """
     n_ue, n_bs = l_eff_w.shape
     if (n_ue, n_bs) != (scenario.n_ue, scenario.n_bs):
@@ -349,24 +346,19 @@ def evaluate_links(
             f"loss matrix is {n_ue}x{n_bs} but the scenario declares "
             f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
         )
-    if isinstance(serving, np.ndarray) and serving.dtype == bool:
-        if serving.shape != (n_ue, n_bs):
-            raise ValueError(
-                f"serving mask has shape {serving.shape} but the loss matrix is {n_ue}x{n_bs}"
-            )
-        mask = serving
-    else:
-        if len(serving) != n_ue:
-            raise ValueError(f"got {len(serving)} serving sets for {n_ue} UEs")
-        mask = np.zeros((n_ue, n_bs), dtype=bool)
-        for i, indices in enumerate(serving):
-            mask[i, indices] = True
-    pc = power_control(l_eff_w, mask, scenario)
+    if not isinstance(serving_mask, np.ndarray) or serving_mask.dtype != bool:
+        kind = getattr(serving_mask, "dtype", type(serving_mask).__name__)
+        raise ValueError(f"serving mask must be a boolean array, got {kind}")
+    if serving_mask.shape != (n_ue, n_bs):
+        raise ValueError(
+            f"serving mask has shape {serving_mask.shape} but the loss matrix is {n_ue}x{n_bs}"
+        )
+    pc = power_control(l_eff_w, serving_mask, scenario)
 
     # Branch cascade per link: effective channel stage plus the BS stage
     # behind it, referenced to the link's received power.
-    g_c = np.where(mask, 1.0 / l_eff_w, 1.0)
-    w_cascade = np.where(mask, l_eff_w + (scenario.w_bs - 1.0) / g_c, 0.0)
+    g_c = np.where(serving_mask, 1.0 / l_eff_w, 1.0)
+    w_cascade = np.where(serving_mask, l_eff_w + (scenario.w_bs - 1.0) / g_c, 0.0)
 
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
@@ -417,20 +409,15 @@ def evaluate_links(
         n_budget_limited_bs=pc.n_budget_limited_bs,
         n_clamped_links=n_clamped_links,
         n_unserved_ue=n_unserved,
-        per_ue_snr_db=pc.snr_db.copy() if keep_per_ue else None,
     )
 
 
-def evaluate_drop(scenario: Scenario, keep_per_ue: bool = False) -> DropResult:
+def evaluate_drop(scenario: Scenario) -> DropResult:
     """One full Monte-Carlo drop, pure in the scenario (seed included)."""
     layout = generate_layout(scenario)
-    serving = assign_serving_sets(
-        layout, scenario.serving_radius_m, scenario.fallback_nearest
-    )
+    mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
     l_eff_w, n_clamped = effective_loss_matrix(scenario, layout)
-    return evaluate_links(
-        scenario, serving, l_eff_w, n_clamped_links=n_clamped, keep_per_ue=keep_per_ue
-    )
+    return evaluate_links(scenario, mask, l_eff_w, n_clamped_links=n_clamped)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,15 @@ class CombiningMode(Enum):
     COHERENT = "coherent"
 
 
+def _merged_power(powers: Sequence[float], mode: CombiningMode) -> float:
+    """Power of parallel signals once merged: the powers add (non-coherent),
+    or their amplitudes add in phase (coherent)."""
+    if mode is CombiningMode.NON_COHERENT:
+        return sum(powers)
+    amplitude = sum(math.sqrt(p) for p in powers)
+    return amplitude * amplitude
+
+
 @dataclass(frozen=True)
 class Branch:
     """One parallel cascade: its composite stage and a relative power weight."""
@@ -55,12 +64,8 @@ def combine_branches(branches: Sequence[Branch], mode: CombiningMode) -> float:
     if len(active) == 1:
         # Degenerate parallelism reduces exactly, with no weight round-off.
         return active[0].stage.w
-    total = sum(b.weight for b in active)
     consumed = sum(b.weight * b.stage.w for b in active)
-    if mode is CombiningMode.NON_COHERENT:
-        return consumed / total
-    amplitude = sum(math.sqrt(b.weight) for b in active)
-    return consumed / (amplitude * amplitude)
+    return consumed / _merged_power([b.weight for b in active], mode)
 
 
 def miso_compose(
@@ -97,10 +102,7 @@ def parallel_gain(
     total_in = sum(received_powers_w)
     if total_in <= 0.0:
         raise ValueError("at least one receiver must see power > 0")
-    if mode is CombiningMode.NON_COHERENT:
-        return sum(p * g for p, g in zip(received_powers_w, gains)) / total_in
-    amplitude = sum(math.sqrt(p * g) for p, g in zip(received_powers_w, gains))
-    return (amplitude * amplitude) / total_in
+    return _merged_power([p * g for p, g in zip(received_powers_w, gains)], mode) / total_in
 
 
 def received_power_matrix(
@@ -129,14 +131,10 @@ def received_power_matrix(
         for w in row:
             if math.isnan(w) or w < 1.0:
                 raise ValueError(f"channel waste factor must be >= 1, got {w}")
-    received = []
-    for j in range(n):
-        if mode is CombiningMode.NON_COHERENT:
-            received.append(sum(tx_powers_w[i] / channel_w[i][j] for i in range(m)))
-        else:
-            amp = sum(math.sqrt(tx_powers_w[i] / channel_w[i][j]) for i in range(m))
-            received.append(amp * amp)
-    return received
+    return [
+        _merged_power([tx_powers_w[i] / channel_w[i][j] for i in range(m)], mode)
+        for j in range(n)
+    ]
 
 
 def mino_first_stage(

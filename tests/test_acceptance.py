@@ -220,7 +220,7 @@ def test_criterion_08_simulation_trends(reference_campaign):
 
     # (e) deterministic two-link reference drop
     sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
-    serving = [np.array([0]), np.array([1])]
+    serving = np.eye(2, dtype=bool)
     l_eff = np.array([[1e7, 1e30], [1e30, 1e8]])
     result = evaluate_links(sc, serving, l_eff)
     assert result.wf_system_db == pytest.approx(78.17, abs=0.01)

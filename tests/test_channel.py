@@ -46,7 +46,7 @@ class TestPathLoss:
         assert path_loss_db(model35, 100.0) == pytest.approx(79.72, abs=5e-3)
 
     def test_shadow_term_is_additive(self):
-        model = PathLossModel(frequency_hz=17e9, ple=2.0, sigma_db=6.6)
+        model = PathLossModel(frequency_hz=17e9, ple=2.0)
         base = path_loss_db(model, 50.0)
         assert path_loss_db(model, 50.0, shadow_db=4.2) == pytest.approx(base + 4.2)
 
@@ -57,12 +57,8 @@ class TestPathLoss:
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="fixed at 1 m"):
-            PathLossModel(frequency_hz=1e9, ple=2.0, reference_distance_m=10.0)
         with pytest.raises(ValueError):
             PathLossModel(frequency_hz=1e9, ple=0.0)
-        with pytest.raises(ValueError):
-            PathLossModel(frequency_hz=1e9, ple=2.0, sigma_db=-1.0)
 
 
 class TestApertureGain:

@@ -43,7 +43,6 @@ SCENARIO_SETTINGS = {
     "per_link_cap_dbm": ("per_link_cap_dbm = 20", 20.0),
     "per_bs_budget_dbm": ("per_bs_budget_dbm = 40", 40.0),
     "w_bs": ("w_bs = 10", 10.0),
-    "g_bs_db": ("g_bs_db = 20", 20.0),
     "w_ue": ("w_ue = 20", 20.0),
     "g_ue_db": ("g_ue_db = 6", 6.0),
     "p_non_path_bs_w": ("p_non_path_bs_w = 100", 100.0),
@@ -175,6 +174,18 @@ class TestConfigParsing:
         path.write_text("[channel]\nsigma_db = 4\n")
         with pytest.raises(ConfigError, match=r"unknown key 'sigma_db' in \[channel\]"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("simulate", "scenario", "g_bs_db"), ("cascade", "ru", "phase_shifter_vswr")],
+    )
+    def test_inert_keys_are_unknown(self, capsys, tmp_path, command, section, key):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = 20\n")
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"unknown key {key!r} in [{section}]" in err
 
     @pytest.mark.parametrize(
         "text, key",
