@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import Stage
-from .units import db_to_linear
+from .units import db_to_linear, require_finite
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 THERMAL_NOISE_DBM_PER_HZ = -174.0  # 290 K reference
@@ -36,6 +36,7 @@ class PathLossModel:
     ple: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
         if self.ple <= 0.0:
@@ -60,6 +61,7 @@ class ApertureAntenna:
     physical_area_m2: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"aperture efficiency must be in (0, 1], got {self.efficiency}")
         if self.physical_area_m2 <= 0.0:

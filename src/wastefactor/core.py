@@ -35,9 +35,9 @@ class Stage:
             raise ValueError(
                 f"stage gain must be finite and > 0, got {self.g!r} (label={self.label!r})"
             )
-        if math.isnan(self.w) or self.w < 1.0:
+        if not math.isfinite(self.w) or self.w < 1.0:
             raise ValueError(
-                f"waste factor must be >= 1, got {self.w!r} (label={self.label!r})"
+                f"waste factor must be finite and >= 1, got {self.w!r} (label={self.label!r})"
             )
 
     @property

@@ -60,6 +60,10 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             PathLossModel(frequency_hz=1e9, ple=0.0)
 
+    def test_non_finite_exponent_rejected(self):
+        with pytest.raises(ValueError, match="ple must be finite"):
+            PathLossModel(frequency_hz=1e9, ple=math.nan)
+
 
 class TestApertureGain:
     BS = ApertureAntenna(efficiency=0.8, physical_area_m2=1.0)
@@ -96,6 +100,10 @@ class TestApertureGain:
             ApertureAntenna(efficiency=0.0, physical_area_m2=1.0)
         with pytest.raises(ValueError):
             ApertureAntenna(efficiency=0.5, physical_area_m2=0.0)
+
+    def test_non_finite_area_rejected(self):
+        with pytest.raises(ValueError, match="physical_area_m2 must be finite"):
+            ApertureAntenna(efficiency=0.8, physical_area_m2=math.inf)
 
 
 class TestEffectiveChannel:

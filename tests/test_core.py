@@ -48,6 +48,10 @@ class TestStage:
         with pytest.raises(ValueError):
             Stage(w=math.nan, g=1.0)
 
+    def test_infinite_w_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Stage(w=math.inf, g=1.0)
+
     def test_from_loss_db_exact_reciprocal(self):
         stage = Stage.from_loss_db(3.0, label="att")
         assert stage.w == pytest.approx(10.0 ** 0.3, rel=1e-15)
