@@ -49,6 +49,16 @@ def _seed_override() -> int | None:
         raise cfg.ConfigError(f"WF_SEED must be an integer, got {raw!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _num(value: float) -> str:
     return f"{value:.10g}"
 
@@ -250,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the distributed MU-MIMO campaign")
     p.add_argument("config", help="INI config; [scenario]/[sweep] sections optional")
     p.add_argument("--seeds", type=int, default=None, help="seeds per grid cell")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=None, help="worker processes (default: CPU count)"
+    )
     p.add_argument("--out", default="campaign_out", help="output directory")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -179,9 +179,13 @@ class Layout:
     distance_m: np.ndarray = field(init=False, repr=False)  # (n_ue, n_bs), horizontal
 
     def __post_init__(self) -> None:
-        dx = self.ue_xy_m[:, 0, None] - self.bs_xy_m[None, :, 0]
-        dy = self.ue_xy_m[:, 1, None] - self.bs_xy_m[None, :, 1]
-        object.__setattr__(self, "distance_m", np.sqrt(dx * dx + dy * dy))
+        # sqrt(dx*dx + dy*dy) in two float work arrays.
+        d = np.subtract(self.ue_xy_m[:, 0, None], self.bs_xy_m[None, :, 0], dtype=float)
+        d *= d
+        dy = np.subtract(self.ue_xy_m[:, 1, None], self.bs_xy_m[None, :, 1], dtype=float)
+        dy *= dy
+        d += dy
+        object.__setattr__(self, "distance_m", np.sqrt(d, out=d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,18 +273,25 @@ def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarra
     the count of links that hit the clamp.
     """
     height_delta = scenario.bs_height_m - scenario.ue_height_m
-    d3 = np.sqrt(layout.distance_m ** 2 + height_delta ** 2)
-    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.resolved_ple * np.log10(
-        np.maximum(d3, 1.0)
-    )
+    # One array carries the whole dB chain: 3-D distance, path loss,
+    # shadowing, gains, clamp, linear loss.
+    x = np.square(layout.distance_m)
+    x += height_delta ** 2
+    np.sqrt(x, out=x)
+    np.maximum(x, 1.0, out=x)
+    np.log10(x, out=x)
+    np.multiply(10.0 * scenario.resolved_ple, x, out=x)
+    np.add(fspl_1m_db(scenario.frequency_hz), x, out=x)
     if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
-        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
-        pl_db = pl_db + scenario.resolved_sigma_db * z
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(x.shape)
+        x += np.multiply(scenario.resolved_sigma_db, z, out=z)
     g_tx_db, g_rx_db = scenario.antenna_gains_db
-    eff_db = pl_db - g_tx_db - g_rx_db
-    n_clamped = int(np.count_nonzero(eff_db < 0.0))
-    eff_db = np.maximum(eff_db, 0.0)
-    return 10.0 ** (eff_db / 10.0), n_clamped
+    x -= g_tx_db
+    x -= g_rx_db
+    n_clamped = int(np.count_nonzero(x < 0.0))
+    np.maximum(x, 0.0, out=x)
+    x /= 10.0
+    return np.power(10.0, x, out=x), n_clamped
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,28 +315,38 @@ def power_control(
     proportional to the link gain). Each link then clips to the per-link
     cap, and any BS whose summed load exceeds its budget has all its
     links scaled down proportionally. SNR is recomputed after both.
+
+    Works in two arrays of its own: the link gain, which becomes the
+    received power, and the transmit power. Each is computed over the
+    whole matrix and then zeroed off the mask, so what a loss off the
+    mask holds never reaches a result.
     """
-    inv_l = np.where(serving_mask, 1.0 / l_eff_w, 0.0)
+    off_mask = ~serving_mask
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_l = 1.0 / l_eff_w
+    np.putmask(inv_l, off_mask, 0.0)
     target = scenario.target_rx_power_w
     cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
+    p_tx = np.empty(l_eff_w.shape)
     if scenario.power_allocation == "equal":
         denom = inv_l.sum(axis=1)
         per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        desired = np.where(serving_mask, per_ue[:, None], 0.0)
+        p_tx[...] = per_ue[:, None]
+        np.putmask(p_tx, off_mask, 0.0)
     else:
-        denom = (inv_l ** 2).sum(axis=1)
+        denom = np.square(inv_l, out=p_tx).sum(axis=1)
         scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        desired = scale[:, None] * inv_l
-    n_capped = int(np.count_nonzero(desired > cap_w))
-    p_tx = np.minimum(desired, cap_w)
+        np.multiply(scale[:, None], inv_l, out=p_tx)
+    n_capped = int(np.count_nonzero(p_tx > cap_w))
+    np.minimum(p_tx, cap_w, out=p_tx)
 
     budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
     bs_load = p_tx.sum(axis=0)
     bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
     n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
-    p_tx = p_tx * bs_scale[None, :]
+    p_tx *= bs_scale[None, :]
 
-    p_rx_link = p_tx * inv_l
+    p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
     p_rx_ue = p_rx_link.sum(axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
@@ -386,34 +407,30 @@ def evaluate_links(
         )
     pc = power_control(l_eff_w, serving_mask, scenario)
 
-    # Branch cascade per link: effective channel stage plus the BS stage
-    # behind it, referenced to the link's received power.
-    g_c = np.where(serving_mask, 1.0 / l_eff_w, 1.0)
-    w_cascade = np.where(serving_mask, l_eff_w + (scenario.w_bs - 1.0) / g_c, 0.0)
-
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
-    # Per-UE MISO group then the imaginary-sink first stage; both are
-    # received-power-weighted means, so the first stage collapses into a
-    # single sum over links.
-    consumed_per_ue = (pc.p_rx_link_w * w_cascade).sum(axis=1)
-    w_mino1 = consumed_per_ue.sum() / total_rx
-    g_ue = db_to_linear(scenario.g_ue_db)
-    w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
-
-    p_system_out = g_ue * total_rx
-    p_path = w_system * p_system_out
-    p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
-
-    # Independent bottom-up audit: system output plus every waste term,
-    # from per-link quantities only.
+    # Branch cascade per link, l + (w_bs - 1) / g_c with g_c = 1 / l: the
+    # effective channel stage plus the BS stage behind it, referenced to
+    # the link's received power; zero off the mask. Then the per-UE MISO
+    # group and the imaginary-sink first stage, both received-power-weighted
+    # means, so the first stage collapses into a single sum over links.
+    # What overflows on the mask is caught by the finite check below. The
+    # transmit powers are needed only as their total from here on, so
+    # their array holds the branch cascade.
     p_tx_total = pc.p_tx_w.sum()
-    channel_waste = p_tx_total - total_rx
-    bs_waste = (scenario.w_bs - 1.0) * p_tx_total
-    ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx
-    bottom_up = p_system_out + channel_waste + bs_waste + ue_waste
-    audit_rel_error = abs(bottom_up - p_path) / p_path
+    with np.errstate(all="ignore"):
+        w_cascade = np.divide(1.0, l_eff_w, out=pc.p_tx_w)
+        np.divide(scenario.w_bs - 1.0, w_cascade, out=w_cascade)
+        np.add(l_eff_w, w_cascade, out=w_cascade)
+        np.putmask(w_cascade, ~serving_mask, 0.0)
+        consumed_per_ue = np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade).sum(axis=1)
+        w_mino1 = consumed_per_ue.sum() / total_rx
+        g_ue = db_to_linear(scenario.g_ue_db)
+        w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
+        p_system_out = g_ue * total_rx
+        p_path = w_system * p_system_out
+    p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
 
     area_km2 = math.pi * (scenario.region_radius_m / 1000.0) ** 2
     p_path_per_km2 = p_path / area_km2
@@ -421,6 +438,20 @@ def evaluate_links(
         p_non_path_per_km2 = p_non_path / area_km2
     else:
         p_non_path_per_km2 = p_non_path
+    p_total_per_km2 = p_path_per_km2 + p_non_path_per_km2
+    if not (math.isfinite(w_system) and math.isfinite(p_total_per_km2)):
+        raise ValueError(
+            f"w_system = {w_system} with {p_total_per_km2} W/km^2 in total is not finite; "
+            "the scenario's losses and waste factors overflow a float"
+        )
+
+    # Independent bottom-up audit: system output plus every waste term,
+    # from per-link quantities only.
+    channel_waste = p_tx_total - total_rx
+    bs_waste = (scenario.w_bs - 1.0) * p_tx_total
+    ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx
+    bottom_up = p_system_out + channel_waste + bs_waste + ue_waste
+    audit_rel_error = abs(bottom_up - p_path) / p_path
 
     served = pc.p_rx_ue_w > 0.0
     n_unserved = int(np.count_nonzero(~served))
@@ -429,7 +460,7 @@ def evaluate_links(
     return DropResult(
         wf_system_db=10.0 * math.log10(w_system),
         w_system=float(w_system),
-        p_total_per_km2_w=float(p_path_per_km2 + p_non_path_per_km2),
+        p_total_per_km2_w=float(p_total_per_km2),
         p_signal_path_per_km2_w=float(p_path_per_km2),
         p_non_path_per_km2_w=float(p_non_path_per_km2),
         mean_snr_db=float(np.mean(snr_served)),
@@ -448,6 +479,7 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     layout = generate_layout(scenario)
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
     l_eff_w, n_clamped = effective_loss_matrix(scenario, layout)
+    del layout  # frees the distance matrix before power control
     return evaluate_links(scenario, mask, l_eff_w, n_clamped_links=n_clamped)
 
 

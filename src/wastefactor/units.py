@@ -12,9 +12,16 @@ import functools
 import math
 
 
+def _too_large(value: float, unit: str) -> ValueError:
+    return ValueError(f"{value} {unit} is too large to convert to linear units")
+
+
 def db_to_linear(value_db: float) -> float:
     """Decibel power ratio to linear power ratio."""
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise _too_large(value_db, "dB") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -25,7 +32,10 @@ def linear_to_db(value: float) -> float:
 
 
 def dbm_to_watts(value_dbm: float) -> float:
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise _too_large(value_dbm, "dBm") from None
 
 
 def watts_to_dbm(value_w: float) -> float:
@@ -35,7 +45,10 @@ def watts_to_dbm(value_w: float) -> float:
 
 
 def dbw_to_watts(value_dbw: float) -> float:
-    return 10.0 ** (value_dbw / 10.0)
+    try:
+        return 10.0 ** (value_dbw / 10.0)
+    except OverflowError:
+        raise _too_large(value_dbw, "dBW") from None
 
 
 def watts_to_dbw(value_w: float) -> float:

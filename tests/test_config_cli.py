@@ -299,6 +299,33 @@ class TestNonFiniteInput:
             Scenario(**{field: math.inf})
 
 
+class TestOverflowingInput:
+    """Finite inputs that overflow inside the program: the first two once
+    printed an OverflowError traceback, ``w_bs = 1e308`` exited 0 with
+    ``inf,nan,inf`` in aggregate.csv and numpy warnings on stderr."""
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("target_snr_db = 1e308", "1e+308 dB"),
+            ("per_link_cap_dbm = 4000", "4000.0 dBm"),
+            ("w_bs = 1e308", "w_system"),
+        ],
+    )
+    def test_simulate_fails_with_a_message(self, capsys, tmp_path, line, named):
+        path = tmp_path / "huge.ini"
+        path.write_text(
+            f"[scenario]\nn_ue = 16\n{line}\n"
+            "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 1\n"
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:")
+        assert named in err
+        assert not out_dir.exists()
+
+
 class TestCascadeCommand:
     def test_demo_table_ends_with_total(self, capsys):
         code, out, _ = run_cli(capsys, "cascade", str(CONFIGS / "cascade_demo.ini"))
@@ -384,6 +411,14 @@ class TestFitCommand:
         code, _, err = run_cli(capsys, "fit", str(path))
         assert code == 1
         assert "bogus" in err
+
+    def test_overflowing_dbm_row_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("p_signal_dbm,p_total_dbm\n10,20\n4000,4010\n")
+        code, _, err = run_cli(capsys, "fit", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "4000.0 dBm" in err
 
 
 class TestMetricsCommand:
@@ -524,6 +559,17 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["transmogrify"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["simulate", str(CONFIGS / "simulate_small.ini"), "--jobs", jobs, "--out", str(out_dir)]
+            )
+        assert excinfo.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestGoldenOutputs:

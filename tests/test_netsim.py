@@ -1,20 +1,25 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
 from hypothesis.extra.numpy import arrays
 
+from wastefactor.channel import fspl_1m_db
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
 from wastefactor.netsim import (
     BAND_PRESETS,
     CampaignSpec,
+    DropResult,
     Layout,
+    PowerControlResult,
     Scenario,
     STREAM_BS_LAYOUT,
     STREAM_SHADOWING,
+    _p5,
     _substream,
     _uniform_disk,
     aggregate_csv_lines,
@@ -28,7 +33,7 @@ from wastefactor.netsim import (
     power_control,
     run_campaign,
 )
-from wastefactor.units import dbm_to_watts, watts_to_dbm
+from wastefactor.units import db_to_linear, dbm_to_watts, watts_to_dbm
 
 SMALL = Scenario(n_ue=64, n_bs=5, frequency_hz=28e9, seed=3)
 
@@ -116,6 +121,10 @@ class TestLayout:
         five = generate_layout(dataclasses.replace(SMALL, n_bs=5))
         ten = generate_layout(dataclasses.replace(SMALL, n_bs=10))
         assert np.array_equal(five.bs_xy_m, ten.bs_xy_m[:5])
+
+    def test_integer_coordinates(self):
+        layout = Layout(bs_xy_m=np.array([[0, 0], [6, 8]]), ue_xy_m=np.array([[3, 4]]))
+        assert layout.distance_m.tolist() == [[5.0, 5.0]]
 
     def test_infeasible_placement_raises(self):
         sc = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
@@ -478,6 +487,278 @@ class TestEvaluateDrop:
         serving = np.zeros((2, 1), dtype=bool)
         with pytest.raises(ValueError, match="no UE receives"):
             evaluate_links(sc, serving, np.full((2, 1), 1e8))
+
+    def test_non_finite_system_w_is_an_error(self):
+        # Once returned w_system = inf and a NaN audit, with numpy warnings.
+        sc = Scenario(n_ue=2, n_bs=1, frequency_hz=28e9, w_bs=1e308)
+        with pytest.raises(ValueError, match="w_system = inf"):
+            evaluate_links(sc, np.ones((2, 1), dtype=bool), np.full((2, 1), 1e8))
+
+
+# The kernel's array arithmetic in its np.where form, a fresh temporary
+# per step: the oracle for the in-place kernel. Every op and operand
+# order is the same, so results must be equal byte for byte.
+
+
+def where_distance(layout):
+    dx = layout.ue_xy_m[:, 0, None] - layout.bs_xy_m[None, :, 0]
+    dy = layout.ue_xy_m[:, 1, None] - layout.bs_xy_m[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def where_effective_loss(scenario, distance_m):
+    height_delta = scenario.bs_height_m - scenario.ue_height_m
+    d3 = np.sqrt(distance_m ** 2 + height_delta ** 2)
+    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.resolved_ple * np.log10(
+        np.maximum(d3, 1.0)
+    )
+    if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
+        pl_db = pl_db + scenario.resolved_sigma_db * z
+    g_tx_db, g_rx_db = scenario.antenna_gains_db
+    eff_db = pl_db - g_tx_db - g_rx_db
+    n_clamped = int(np.count_nonzero(eff_db < 0.0))
+    eff_db = np.maximum(eff_db, 0.0)
+    return 10.0 ** (eff_db / 10.0), n_clamped
+
+
+def where_power_control(l_eff_w, serving_mask, scenario):
+    inv_l = np.where(serving_mask, 1.0 / l_eff_w, 0.0)
+    target = scenario.target_rx_power_w
+    cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
+    if scenario.power_allocation == "equal":
+        denom = inv_l.sum(axis=1)
+        per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        desired = np.where(serving_mask, per_ue[:, None], 0.0)
+    else:
+        denom = (inv_l ** 2).sum(axis=1)
+        scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        desired = scale[:, None] * inv_l
+    n_capped = int(np.count_nonzero(desired > cap_w))
+    p_tx = np.minimum(desired, cap_w)
+    budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
+    bs_load = p_tx.sum(axis=0)
+    bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
+    n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
+    p_tx = p_tx * bs_scale[None, :]
+    p_rx_link = p_tx * inv_l
+    p_rx_ue = p_rx_link.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
+    return PowerControlResult(p_tx, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited)
+
+
+def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
+    pc = where_power_control(l_eff_w, serving_mask, scenario)
+    g_c = np.where(serving_mask, 1.0 / l_eff_w, 1.0)
+    w_cascade = np.where(serving_mask, l_eff_w + (scenario.w_bs - 1.0) / g_c, 0.0)
+    total_rx = pc.p_rx_ue_w.sum()
+    if total_rx <= 0.0:
+        raise ValueError("no UE receives any power; cannot reference a system W")
+    consumed_per_ue = (pc.p_rx_link_w * w_cascade).sum(axis=1)
+    w_mino1 = consumed_per_ue.sum() / total_rx
+    g_ue = db_to_linear(scenario.g_ue_db)
+    w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
+    p_system_out = g_ue * total_rx
+    p_path = w_system * p_system_out
+    p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
+    p_tx_total = pc.p_tx_w.sum()
+    channel_waste = p_tx_total - total_rx
+    bs_waste = (scenario.w_bs - 1.0) * p_tx_total
+    ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx
+    bottom_up = p_system_out + channel_waste + bs_waste + ue_waste
+    audit_rel_error = abs(bottom_up - p_path) / p_path
+    area_km2 = math.pi * (scenario.region_radius_m / 1000.0) ** 2
+    p_path_per_km2 = p_path / area_km2
+    if scenario.scale_non_path_per_area:
+        p_non_path_per_km2 = p_non_path / area_km2
+    else:
+        p_non_path_per_km2 = p_non_path
+    served = pc.p_rx_ue_w > 0.0
+    snr_served = pc.snr_db[served]
+    meeting = np.count_nonzero(pc.snr_db >= scenario.target_snr_db - 1e-9)
+    return DropResult(
+        wf_system_db=10.0 * math.log10(w_system),
+        w_system=float(w_system),
+        p_total_per_km2_w=float(p_path_per_km2 + p_non_path_per_km2),
+        p_signal_path_per_km2_w=float(p_path_per_km2),
+        p_non_path_per_km2_w=float(p_non_path_per_km2),
+        mean_snr_db=float(np.mean(snr_served)),
+        p5_snr_db=_p5(snr_served),
+        frac_ue_meeting_target=float(meeting / scenario.n_ue),
+        audit_rel_error=float(audit_rel_error),
+        n_capped_links=pc.n_capped_links,
+        n_budget_limited_bs=pc.n_budget_limited_bs,
+        n_clamped_links=n_clamped_links,
+        n_unserved_ue=int(np.count_nonzero(~served)),
+    )
+
+
+def result_bits(result):
+    """Every field of a result dataclass, floats as hex and arrays as bytes."""
+    out = []
+    for value in dataclasses.astuple(result):
+        if isinstance(value, np.ndarray):
+            out.append((value.dtype.str, value.shape, value.tobytes()))
+        elif isinstance(value, float):
+            out.append(value.hex())
+        else:
+            out.append(value)
+    return out
+
+
+# Off the serving mask a loss can hold anything; the kernel must ignore it.
+OFF_MASK_LOSSES = st.one_of(st.sampled_from([math.inf, math.nan, 0.0, 1e308]), st.floats())
+
+
+@st.composite
+def link_realizations(draw):
+    """A scenario, a serving mask and losses: the clamp floor up to 150 dB on
+    the mask, the values above (inf, nan, 0, 1e308, any float) off it."""
+    n_ue = draw(st.integers(1, 8))
+    n_bs = draw(st.integers(1, 5))
+    scenario = Scenario(
+        n_ue=n_ue,
+        n_bs=n_bs,
+        frequency_hz=28e9,
+        power_allocation=draw(st.sampled_from(["equal", "proportional"])),
+        per_link_cap_dbm=draw(st.floats(-40.0, 40.0)),
+        per_bs_budget_dbm=draw(st.floats(-40.0, 50.0)),
+        w_bs=draw(st.floats(1.0, 100.0)),
+    )
+    mask = draw(arrays(bool, (n_ue, n_bs)))
+    on = draw(arrays(np.float64, (n_ue, n_bs), elements=st.floats(1.0, 1e15)))
+    off = draw(arrays(np.float64, (n_ue, n_bs), elements=OFF_MASK_LOSSES))
+    return scenario, mask, np.where(mask, on, off)
+
+
+@st.composite
+def clamping_layouts(draw):
+    """A small scenario on a layout where UEs often sit within 2 m of a BS,
+    with level antennas allowed, so clamped links are common."""
+    n_ue = draw(st.integers(1, 8))
+    n_bs = draw(st.integers(1, 5))
+    bs_xy = draw(arrays(np.float64, (n_bs, 2), elements=st.floats(-500.0, 500.0)))
+    near_bs = st.tuples(st.integers(0, n_bs - 1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+        lambda t: [bs_xy[t[0], 0] + t[1], bs_xy[t[0], 1] + t[2]]
+    )
+    anywhere = st.lists(st.floats(-500.0, 500.0), min_size=2, max_size=2)
+    ue_xy = draw(st.lists(st.one_of(near_bs, anywhere), min_size=n_ue, max_size=n_ue))
+    layout = Layout(bs_xy_m=bs_xy, ue_xy_m=np.array(ue_xy))
+    scenario = Scenario(
+        n_ue=n_ue,
+        n_bs=n_bs,
+        frequency_hz=draw(st.sampled_from(sorted(BAND_PRESETS))),
+        antenna_mode=draw(st.sampled_from(["omni", "directional"])),
+        bs_height_m=draw(st.one_of(st.just(1.5), st.floats(1.5, 15.0))),
+        apply_shadowing=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+    return scenario, layout
+
+
+@st.composite
+def small_scenarios(draw):
+    return Scenario(
+        n_ue=draw(st.integers(1, 48)),
+        n_bs=draw(st.integers(1, 8)),
+        frequency_hz=draw(st.sampled_from(sorted(BAND_PRESETS))),
+        antenna_mode=draw(st.sampled_from(["omni", "directional"])),
+        apply_shadowing=draw(st.booleans()),
+        power_allocation=draw(st.sampled_from(["equal", "proportional"])),
+        fallback_nearest=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+
+
+class TestInPlaceKernelOracle:
+    """The in-place drop kernel against its np.where forms above, and
+    never writing into an array it was given."""
+
+    @PROPERTY_SETTINGS
+    @given(case=link_realizations())
+    def test_power_control_and_links_match_where_forms(self, case):
+        scenario, mask, l_eff = case
+        mask_before, l_eff_before = mask.tobytes(), l_eff.tobytes()
+        with np.errstate(all="ignore"):
+            expected_pc = where_power_control(l_eff, mask, scenario)
+        assert result_bits(power_control(l_eff, mask, scenario)) == result_bits(expected_pc)
+        try:
+            with np.errstate(all="ignore"):
+                expected = where_evaluate_links(scenario, mask, l_eff, n_clamped_links=3)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                evaluate_links(scenario, mask, l_eff, n_clamped_links=3)
+        else:
+            got = evaluate_links(scenario, mask, l_eff, n_clamped_links=3)
+            assert result_bits(got) == result_bits(expected)
+        assert mask.tobytes() == mask_before
+        assert l_eff.tobytes() == l_eff_before
+
+    @PROPERTY_SETTINGS
+    @given(case=clamping_layouts())
+    @example(
+        case=(
+            Scenario(n_ue=4, n_bs=2, frequency_hz=28e9, bs_height_m=1.5),
+            Layout(
+                bs_xy_m=np.array([[0.0, 0.0], [500.0, 0.0]]),
+                ue_xy_m=np.array([[0.0, 1.0], [5.0, 0.0], [9.0, 0.0], [700.0, 0.0]]),
+            ),
+        )
+    )
+    def test_distances_and_losses_match_where_forms(self, case):
+        scenario, layout = case
+        assert layout.distance_m.tobytes() == where_distance(layout).tobytes()
+        distance_before = layout.distance_m.tobytes()
+        mask = assign_serving_sets(layout, scenario.serving_radius_m)
+        l_eff, n_clamped = effective_loss_matrix(scenario, layout)
+        expected, expected_clamped = where_effective_loss(scenario, layout.distance_m)
+        assert (l_eff.tobytes(), n_clamped) == (expected.tobytes(), expected_clamped)
+        assert layout.distance_m.tobytes() == distance_before
+        mask_before, l_eff_before = mask.tobytes(), l_eff.tobytes()
+        evaluate_links(scenario, mask, l_eff, n_clamped_links=n_clamped)
+        assert mask.tobytes() == mask_before
+        assert l_eff.tobytes() == l_eff_before
+
+    @PROPERTY_SETTINGS
+    @given(scenario=small_scenarios())
+    def test_drop_matches_where_forms(self, scenario):
+        layout = generate_layout(scenario)
+        mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
+        l_eff, n_clamped = where_effective_loss(scenario, where_distance(layout))
+        try:
+            expected = where_evaluate_links(scenario, mask, l_eff, n_clamped_links=n_clamped)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                evaluate_drop(scenario)
+        else:
+            assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
+
+
+class TestDropMemory:
+    """A reference-size drop keeps at most five dense (n_ue, n_bs) float
+    arrays alive at once; the np.where form of the kernel held 7.4."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"power_allocation": "proportional", "apply_shadowing": True}],
+        ids=["equal", "proportional-shadowed"],
+    )
+    def test_peak_is_at_most_five_dense_arrays(self, overrides):
+        sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20, **overrides)
+        evaluate_drop(sc)  # caches and lazy imports load outside the measurement
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            evaluate_drop(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert (peak - before) / (sc.n_ue * sc.n_bs * 8) <= 5.0
 
 
 class TestCampaign:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -56,3 +57,25 @@ class TestPowerConversions:
     def test_dbm_dbw_offset(self):
         assert watts_to_dbm(7.0) - watts_to_dbw(7.0) == pytest.approx(30.0)
         assert math.isclose(dbm_to_watts(47.0), dbw_to_watts(17.0), rel_tol=1e-12)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "convert, value, unit",
+        [
+            (db_to_linear, 1e308, "dB"),
+            (db_to_linear, 3090.0, "dB"),
+            (dbm_to_watts, 4000.0, "dBm"),
+            (dbw_to_watts, 3090.0, "dBW"),
+        ],
+    )
+    def test_overflow_is_a_value_error_naming_the_value(self, convert, value, unit):
+        with pytest.raises(ValueError, match=re.escape(f"{value} {unit} is too large")):
+            convert(value)
+
+    def test_edges_still_convert(self):
+        assert db_to_linear(3080.0) == 1e308
+        assert dbm_to_watts(3110.0) == 1e308
+        assert dbw_to_watts(3080.0) == 1e308
+        assert db_to_linear(-1e308) == 0.0
+        assert dbm_to_watts(-4000.0) == 0.0
