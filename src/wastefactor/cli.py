@@ -24,7 +24,7 @@ from . import config as cfg
 from .components import build_ru, build_ue, end_to_end, ru_devices, stage_of
 from .core import Stage, power_flow
 from .estimate import fit_waste_factor, load_power_log
-from .metrics import ee_bs
+from .metrics import ee_bs, ee_ru
 from .netsim import run_campaign, write_campaign_csvs
 from .units import linear_to_db
 
@@ -63,6 +63,11 @@ def _num(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _print_json(payload) -> None:
+    # NaN and Infinity are not JSON; a value that slipped through fails here.
+    print(json.dumps(payload, indent=2, allow_nan=False))
+
+
 def cmd_cascade(args: argparse.Namespace) -> int:
     doc = cfg.load_config(args.config)
     if doc.has_section("cascade"):
@@ -98,7 +103,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
                 "p_wasted_w": report.p_wasted_w,
             },
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print("label,w,g,p_in_w,p_out_w,p_consumed_w,p_wasted_w")
         for stage, flow in zip(stages, report.stages):
@@ -136,7 +141,7 @@ def cmd_system(args: argparse.Namespace) -> int:
         payload = [
             {"wf_c_db": wf_c, **dict(zip(variants, cells))} for wf_c, cells in rows
         ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print("wf_c_db," + ",".join(f"{name}_db" for name in variants))
         for wf_c, cells in rows:
@@ -154,17 +159,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"{fit.n_samples},{str(fit.physical).lower()}"
         )
     else:
-        print(
-            json.dumps(
-                {
-                    "w": fit.w,
-                    "p_non_path_w": fit.p_non_path_w,
-                    "r_squared": fit.r_squared,
-                    "n_samples": fit.n_samples,
-                    "physical": fit.physical,
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "w": fit.w,
+                "p_non_path_w": fit.p_non_path_w,
+                "r_squared": fit.r_squared,
+                "n_samples": fit.n_samples,
+                "physical": fit.physical,
+            }
         )
     return 0
 
@@ -180,7 +182,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "data_volume_gb": reading.data_volume_gb,
             "energy_wh": energy_wh,
             "ee_bs_gb_per_wh": None,
-            "ee_ru": (reading.p_signal_w * reading.duration_h) / energy_wh,
+            "ee_ru": ee_ru(reading.p_signal_w * reading.duration_h, energy_wh),
             "w": reading.w,
             "path_energy_wh_per_gb": None,
         }
@@ -190,7 +192,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             record["path_energy_wh_per_gb"] = path_wh / reading.data_volume_gb
         records.append(record)
     if args.format == "json":
-        print(json.dumps(records, indent=2))
+        _print_json(records)
     else:
         columns = [
             "name",

@@ -366,6 +366,43 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
     return [start + k * step for k in range(n_steps + 1)]
 
 
+def _key_value_lines(
+    doc: ConfigDocument, section: str, option: str, kind: str, known: set[str]
+) -> list[tuple[str, dict[str, float]]]:
+    """Name and numbers of each ``name key=value ...`` line that
+    ``[section] option`` holds; ``kind`` names a line in errors."""
+    if not doc.has_section(section):
+        raise ConfigError(f"{doc.path}: missing [{section}] section")
+    lines = doc.get(section, option)
+    if not lines:
+        raise ConfigError(f"{doc.path}: [{section}] must define {option!r}")
+    parsed = []
+    for line in lines:
+        name, *tokens = line.split()
+        values: dict[str, float] = {}
+        for token in tokens:
+            key, equals, raw = token.partition("=")
+            if not equals:
+                raise ConfigError(
+                    f"{doc.path}: {kind} {name!r}: expected key=value, got {token!r}"
+                )
+            if key not in known:
+                raise ConfigError(
+                    f"{doc.path}: {kind} {name!r}: unknown key {key!r}; "
+                    f"known keys: {', '.join(sorted(known))}"
+                )
+            if key in values:
+                raise ConfigError(f"{doc.path}: {kind} {name!r}: repeated key {key!r}")
+            try:
+                values[key] = _parse_float(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{doc.path}: {kind} {name!r}: bad number {raw!r} for {key!r}"
+                ) from None
+        parsed.append((name, values))
+    return parsed
+
+
 def stages_from_config(doc: ConfigDocument) -> tuple[list[Stage], float]:
     """Stage list and source power from [cascade].
 
@@ -373,42 +410,15 @@ def stages_from_config(doc: ConfigDocument) -> tuple[list[Stage], float]:
     ``w``/``g`` (linear), ``w_db``/``gain_db``, or ``loss_db`` for a
     passive element.
     """
-    if not doc.has_section("cascade"):
-        raise ConfigError(f"{doc.path}: missing [cascade] section")
-    lines = doc.get("cascade", "stages")
-    if not lines:
-        raise ConfigError(f"{doc.path}: [cascade] must define 'stages'")
+    known = {"w", "g", "w_db", "gain_db", "loss_db"}
+    lines = _key_value_lines(doc, "cascade", "stages", "stage", known)
     source_power_w = doc.get("cascade", "source_power_w", 1.0)
     if source_power_w <= 0.0:
         raise ConfigError(f"{doc.path}: source_power_w must be > 0 W")
-    stages = []
-    for line in lines:
-        stages.append(_parse_stage_line(doc, line))
-    return stages, source_power_w
+    return [_build_stage(doc, label, values) for label, values in lines], source_power_w
 
 
-def _parse_stage_line(doc: ConfigDocument, line: str) -> Stage:
-    parts = line.split()
-    label = parts[0]
-    values: dict[str, float] = {}
-    for token in parts[1:]:
-        if "=" not in token:
-            raise ConfigError(
-                f"{doc.path}: stage {label!r}: expected key=value, got {token!r}"
-            )
-        key, _, raw = token.partition("=")
-        known = {"w", "g", "w_db", "gain_db", "loss_db"}
-        if key not in known:
-            raise ConfigError(
-                f"{doc.path}: stage {label!r}: unknown key {key!r}; "
-                f"known keys: {', '.join(sorted(known))}"
-            )
-        try:
-            values[key] = _parse_float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{doc.path}: stage {label!r}: bad number {raw!r} for {key!r}"
-            ) from None
+def _build_stage(doc: ConfigDocument, label: str, values: dict[str, float]) -> Stage:
     try:
         if "loss_db" in values:
             if len(values) > 1:
@@ -438,31 +448,10 @@ _READING_KEYS = {
 
 def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReading]]:
     """Named equipment readings from [metrics]: ``name key=value ...`` lines."""
-    if not doc.has_section("metrics"):
-        raise ConfigError(f"{doc.path}: missing [metrics] section")
-    lines = doc.get("metrics", "readings")
-    if not lines:
-        raise ConfigError(f"{doc.path}: [metrics] must define 'readings'")
     readings = []
-    for line in lines:
-        parts = line.split()
-        name = parts[0]
-        kwargs: dict[str, float] = {}
-        for token in parts[1:]:
-            key, _, raw = token.partition("=")
-            if key not in _READING_KEYS:
-                raise ConfigError(
-                    f"{doc.path}: reading {name!r}: unknown key {key!r}; "
-                    f"known keys: {', '.join(sorted(_READING_KEYS))}"
-                )
-            try:
-                kwargs[key] = _parse_float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{doc.path}: reading {name!r}: bad number {raw!r} for {key!r}"
-                ) from None
+    for name, values in _key_value_lines(doc, "metrics", "readings", "reading", _READING_KEYS):
         try:
-            reading = EquipmentReading(**kwargs)
+            reading = EquipmentReading(**values)
         except ValueError as exc:
             raise ConfigError(f"{doc.path}: reading {name!r}: {exc}") from exc
         readings.append((name, reading))

@@ -8,9 +8,11 @@ output::
 
     W = W_N + (W_{N-1} - 1)/G_N + ... + (W_1 - 1)/(G_2 * ... * G_N)
 
-with stage 1 closest to the source. :func:`power_flow` performs the
-explicit stage-by-stage energy bookkeeping that the closed form must
-reproduce; it is the brute-force oracle used throughout the test suite.
+with stage 1 closest to the source. :func:`refer`, its two-stage step, is
+the law's one written form; :func:`cascade` and :mod:`wastefactor.parallel`
+call it. :func:`power_flow` performs the explicit stage-by-stage energy
+bookkeeping that the closed form must reproduce; it is the brute-force
+oracle used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -92,6 +94,13 @@ class CascadeReport:
     p_wasted_w: float
 
 
+def refer(w_up: float, w_down: float, g_down: float) -> float:
+    """Waste factor ``w_up`` seen through a downstream stage (``w_down``,
+    ``g_down``) at its output: W_down + (W_up - 1)/G_down. Plain arithmetic;
+    callers check the operands."""
+    return w_down + (w_up - 1.0) / g_down
+
+
 def cascade(stages: Sequence[Stage], label: str = "") -> Stage:
     """Compose a source-first list of stages into one equivalent Stage."""
     if not stages:
@@ -99,11 +108,18 @@ def cascade(stages: Sequence[Stage], label: str = "") -> Stage:
     w = stages[-1].w
     gain_to_sink = stages[-1].g
     for stage in reversed(stages[:-1]):
-        w += (stage.w - 1.0) / gain_to_sink
+        w = refer(stage.w, w, gain_to_sink)
         gain_to_sink *= stage.g
     if not label:
         label = ">".join(s.label for s in stages if s.label)
     return Stage(w=w, g=gain_to_sink, label=label)
+
+
+def _out_of_range(quantity: str, value: float) -> ValueError:
+    return ValueError(
+        f"{quantity} = {value} is out of float range; "
+        "the source power and the stages are too extreme to track"
+    )
 
 
 def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
@@ -117,8 +133,8 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
     """
     if not stages:
         raise ValueError("power_flow requires at least one stage")
-    if not (p_source_out_w > 0.0):
-        raise ValueError(f"source power must be > 0 W, got {p_source_out_w}")
+    if not 0.0 < p_source_out_w < math.inf:
+        raise ValueError(f"source power must be finite and > 0 W, got {p_source_out_w}")
     flows = []
     p_in = p_source_out_w
     wasted_total = 0.0
@@ -130,15 +146,28 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
         wasted_total += wasted
         p_in = p_out
     p_signal = p_in
+    # The powers only scale from a finite source, so each stage's powers are
+    # finite once the signal power is, and each waste term (all >= 0) once
+    # the total is. Only a stage's own consumption can overflow apart.
+    if not 0.0 < p_signal < math.inf:
+        raise _out_of_range("p_signal_w", p_signal)
     # Source output plus every stage's consumption telescopes to signal plus
     # waste. The waste terms are all >= 0; consumption terms go negative when
     # W * G < 1 and cancel, which can round W below 1.
     consumed_total = p_signal + wasted_total
+    w = consumed_total / p_signal
+    g = p_signal / p_source_out_w
+    for quantity, value in (("p_consumed_path_w", consumed_total), ("w", w), ("g", g)):
+        if not math.isfinite(value):
+            raise _out_of_range(quantity, value)
+    for flow in flows:
+        if not math.isfinite(flow.p_consumed_w):
+            raise _out_of_range(f"stage {flow.label!r} p_consumed_w", flow.p_consumed_w)
     return CascadeReport(
         p_source_out_w=p_source_out_w,
         stages=tuple(flows),
-        w=consumed_total / p_signal,
-        g=p_signal / p_source_out_w,
+        w=w,
+        g=g,
         p_signal_w=p_signal,
         p_consumed_path_w=consumed_total,
         p_wasted_w=wasted_total,

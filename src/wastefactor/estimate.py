@@ -49,6 +49,9 @@ class WasteFit:
     physical: bool
 
 
+_TOO_LARGE = "overflows a float; the logged powers are too large to fit"
+
+
 def fit_waste_factor(samples: Sequence[PowerSample]) -> WasteFit:
     """Least-squares line through (p_signal, p_total) pairs."""
     n = len(samples)
@@ -58,14 +61,28 @@ def fit_waste_factor(samples: Sequence[PowerSample]) -> WasteFit:
     y = [s.p_total_w for s in samples]
     x_mean = sum(x) / n
     y_mean = sum(y) / n
-    sxx = sum((xi - x_mean) ** 2 for xi in x)
-    if sxx == 0.0:
-        raise ValueError("all p_signal values are equal; the slope is undetermined")
-    sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, y))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
-    ss_tot = sum((yi - y_mean) ** 2 for yi in y)
+    try:
+        sxx = sum((xi - x_mean) ** 2 for xi in x)
+        if sxx == 0.0:
+            raise ValueError("all p_signal values are equal; the slope is undetermined")
+        sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, y))
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+        ss_tot = sum((yi - y_mean) ** 2 for yi in y)
+    except OverflowError:
+        raise ValueError(f"a squared deviation {_TOO_LARGE}") from None
+    for quantity, value in (
+        ("mean p_signal_w", x_mean),
+        ("mean p_total_w", y_mean),
+        ("p_signal_w sum of squares", sxx),
+        ("slope w", slope),
+        ("intercept p_non_path_w", intercept),
+        ("residual sum of squares", ss_res),
+        ("total sum of squares", ss_tot),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{quantity} = {value} {_TOO_LARGE}")
     if ss_tot == 0.0:
         r_squared = 1.0 if ss_res <= 1e-18 else 0.0
     else:
@@ -154,6 +171,6 @@ def _parse_cell(cell: str, path: Path, line_no: int, column: str) -> float:
         raise ValueError(
             f"{path}:{line_no}: non-numeric value {cell!r} in column {column!r}"
         ) from None
-    if math.isnan(value):
-        raise ValueError(f"{path}:{line_no}: NaN in column {column!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line_no}: non-finite value {cell!r} in column {column!r}")
     return value

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Stage
+from .core import Stage, refer
 
 
 class CombiningMode(Enum):
@@ -33,6 +33,14 @@ def _merged_power(powers: Sequence[float], mode: CombiningMode) -> float:
         return sum(powers)
     amplitude = sum(math.sqrt(p) for p in powers)
     return amplitude * amplitude
+
+
+def _weighted_mean(
+    powers: Sequence[float], w: Sequence[float], mode: CombiningMode
+) -> float:
+    """Power-weighted waste factor of parallel signals: the power they
+    consume, sum(p_i W_i), over the power they deliver once merged."""
+    return sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,7 @@ def combine_branches(branches: Sequence[Branch], mode: CombiningMode) -> float:
     if len(active) == 1:
         # Degenerate parallelism reduces exactly, with no weight round-off.
         return active[0].stage.w
-    consumed = sum(b.weight * b.stage.w for b in active)
-    return consumed / _merged_power([b.weight for b in active], mode)
+    return _weighted_mean([b.weight for b in active], [b.stage.w for b in active], mode)
 
 
 def miso_compose(
@@ -77,10 +84,22 @@ def miso_compose(
     W = W_term + (W_parallel - 1)/G_term, with the gain referenced to the
     combined input power of the terminal.
     """
-    w_parallel = combine_branches(branches, mode)
-    w = terminal.w + (w_parallel - 1.0) / terminal.g
+    w = refer(combine_branches(branches, mode), terminal.w, terminal.g)
     label = terminal.label or "miso"
     return Stage(w=w, g=terminal.g, label=label)
+
+
+def _check_received(powers: Sequence[float], paired: Sequence[float], what: str) -> None:
+    """Received powers, one per receiver and each paired with one of ``what``:
+    at least one, all >= 0 W and not all zero."""
+    if not powers:
+        raise ValueError("at least one receiver is required")
+    if len(powers) != len(paired):
+        raise ValueError(f"got {len(powers)} powers but {len(paired)} {what}")
+    if min(powers) < 0.0:
+        raise ValueError("received powers must be >= 0 W")
+    if not max(powers) > 0.0:
+        raise ValueError("at least one receiver must see power > 0")
 
 
 def parallel_gain(
@@ -89,19 +108,10 @@ def parallel_gain(
     mode: CombiningMode,
 ) -> float:
     """Gain of parallel receivers: total output over total input power."""
-    if not received_powers_w:
-        raise ValueError("parallel_gain requires at least one receiver")
-    if len(received_powers_w) != len(gains):
-        raise ValueError(
-            f"got {len(received_powers_w)} powers but {len(gains)} gains"
-        )
-    if any(p < 0.0 for p in received_powers_w):
-        raise ValueError("received powers must be >= 0 W")
+    _check_received(received_powers_w, gains, "gains")
     if any(g <= 0.0 for g in gains):
         raise ValueError("receiver gains must be > 0")
     total_in = sum(received_powers_w)
-    if total_in <= 0.0:
-        raise ValueError("at least one receiver must see power > 0")
     return _merged_power([p * g for p, g in zip(received_powers_w, gains)], mode) / total_in
 
 
@@ -145,18 +155,8 @@ def mino_first_stage(
     Each output j carries its own parallel-group waste factor; the stage
     value is the received-power-weighted mean sum(P_j W_j)/sum(P_j).
     """
-    if not received_powers_w:
-        raise ValueError("mino_first_stage requires at least one output")
-    if len(received_powers_w) != len(w_parallel):
-        raise ValueError(
-            f"got {len(received_powers_w)} powers but {len(w_parallel)} waste factors"
-        )
-    if any(p < 0.0 for p in received_powers_w):
-        raise ValueError("received powers must be >= 0 W")
-    total = sum(received_powers_w)
-    if total <= 0.0:
-        raise ValueError("total received power must be > 0")
-    return sum(p * w for p, w in zip(received_powers_w, w_parallel)) / total
+    _check_received(received_powers_w, w_parallel, "waste factors")
+    return _weighted_mean(received_powers_w, w_parallel, CombiningMode.NON_COHERENT)
 
 
 def mino_compose(first_stage_w: float, rx_w: float, rx_g: float) -> float:
@@ -170,4 +170,4 @@ def mino_compose(first_stage_w: float, rx_w: float, rx_g: float) -> float:
         raise ValueError(f"receiver waste factor must be >= 1, got {rx_w}")
     if rx_g <= 0.0:
         raise ValueError(f"receiver gain must be > 0, got {rx_g}")
-    return rx_w + (first_stage_w - 1.0) / rx_g
+    return refer(first_stage_w, rx_w, rx_g)

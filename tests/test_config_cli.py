@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,7 +53,6 @@ SCENARIO_SETTINGS = {
     "apply_shadowing": ("apply_shadowing = yes", True),
     "fallback_nearest": ("fallback_nearest = off", False),
     "power_allocation": ("power_allocation = proportional", "proportional"),
-    "scale_non_path_per_area": ("scale_non_path_per_area = false", False),
     "seed": ("seed = 9", 9),
 }
 
@@ -177,7 +177,11 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "command, section, key",
-        [("simulate", "scenario", "g_bs_db"), ("cascade", "ru", "phase_shifter_vswr")],
+        [
+            ("simulate", "scenario", "g_bs_db"),
+            ("simulate", "scenario", "scale_non_path_per_area"),
+            ("cascade", "ru", "phase_shifter_vswr"),
+        ],
     )
     def test_inert_keys_are_unknown(self, capsys, tmp_path, command, section, key):
         path = tmp_path / "c.ini"
@@ -223,6 +227,30 @@ class TestConfigParsing:
         path.write_text("[cascade]\nstages =\n    a loss_db=3 g=1\n")
         with pytest.raises(ConfigError, match="cannot be combined"):
             stages_from_config(load_config(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cascade]\nstages =\n    pa w=4 w=5 g=5\n", "stage 'pa': repeated key 'w'"),
+            ("[cascade]\nstages =\n    pa w=4 g5\n", "stage 'pa': expected key=value, got 'g5'"),
+            (
+                "[metrics]\nreadings =\n    RU p_signal_w=1 p_signal_w=2\n",
+                "reading 'RU': repeated key 'p_signal_w'",
+            ),
+            (
+                "[metrics]\nreadings =\n    RU p_signal_w\n",
+                "reading 'RU': expected key=value, got 'p_signal_w'",
+            ),
+        ],
+        ids=["stage-repeated", "stage-bare", "reading-repeated", "reading-bare"],
+    )
+    def test_key_value_lines_reject_repeats_and_bare_tokens(self, tmp_path, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        doc = load_config(path)
+        read = stages_from_config if doc.has_section("cascade") else readings_from_config
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read(doc)
 
     def test_readings(self):
         doc = load_config(CONFIGS / "metrics_reference.ini")
@@ -357,6 +385,19 @@ class TestCascadeCommand:
         assert code == 2
         assert "stage_power" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_source_power_is_runtime_error(self, capsys, tmp_path, fmt):
+        # Once exited 0 with inf and nan cells and TOTAL W = nan.
+        path = tmp_path / "huge.ini"
+        path.write_text(
+            "[cascade]\nsource_power_w = 1e308\nstages =\n    a w=30 g=30\n    b w=30 g=30\n"
+        )
+        code, out, err = run_cli(capsys, "cascade", str(path), "--format", fmt)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "p_signal_w = inf" in err
+        assert out == ""
+
     def test_missing_sections_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[metrics]\nreadings =\n    A p_signal_w=1\n")
@@ -421,6 +462,28 @@ class TestFitCommand:
         assert "4000.0 dBm" in err
 
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ("1,2\n2,4\n1e308,1e308\n", "a squared deviation overflows"),
+            ("1,2\n1e308,1e308\n1e308,1e308\n", "mean p_signal_w = inf"),
+            ("1,2\n2,inf\n", "log.csv:3: non-finite value 'inf' in column 'p_total_w'"),
+        ],
+        ids=["squared-deviation", "mean", "inf-cell"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_log_is_runtime_error(self, capsys, tmp_path, rows, named, fmt):
+        # The first once printed an OverflowError traceback, the other two
+        # a "w": NaN that is not JSON.
+        path = tmp_path / "log.csv"
+        path.write_text("p_signal_w,p_total_w\n" + rows)
+        code, out, err = run_cli(capsys, "fit", str(path), "--format", fmt)
+        assert code == 1
+        assert err.startswith("error:")
+        assert named in err
+        assert out == ""
+
+
 class TestMetricsCommand:
     def test_reference_table(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", str(CONFIGS / "metrics_reference.ini"))
@@ -449,6 +512,17 @@ class TestMetricsCommand:
         payload = json.loads(out)
         assert payload[0]["name"] == "BS-A"
         assert payload[0]["ee_bs_gb_per_wh"] == pytest.approx(10.0 / 70.0)
+
+
+    def test_reading_without_power_is_runtime_error(self, capsys, tmp_path):
+        # Once a ZeroDivisionError traceback.
+        path = tmp_path / "idle.ini"
+        path.write_text("[metrics]\nreadings =\n    idle duration_h=1\n")
+        code, out, err = run_cli(capsys, "metrics", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "total energy must be > 0 Wh" in err
+        assert out == ""
 
 
 class TestSimulateCommand:
@@ -559,6 +633,12 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["transmogrify"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_output_refuses_non_finite_numbers(self, capsys, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._print_json({"w": value})
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,23 @@ class TestPowerFlow:
             power_flow([], 1.0)
         with pytest.raises(ValueError, match="source power"):
             power_flow([Stage(1.0, 1.0)], 0.0)
+        with pytest.raises(ValueError, match="source power must be finite"):
+            power_flow([Stage(1.0, 1.0)], math.inf)
+
+    @pytest.mark.parametrize(
+        "stages, p_source_w, named",
+        [
+            ([Stage(30.0, 30.0), Stage(30.0, 30.0)], 1e308, "p_signal_w = inf"),
+            ([Stage(1.0, 1e-300)], 1e-300, "p_signal_w = 0.0"),
+            ([Stage(2.0, 1.0, "pa"), Stage(1.0, 1e-10)], 1e308, "stage 'pa' p_consumed_w = inf"),
+            ([Stage(1e300, 1.0)], 1e10, "p_consumed_path_w = inf"),
+            ([Stage(1.0, 1e200), Stage(1.0, 1e200)], 1e-300, "g = inf"),
+        ],
+        ids=["signal-overflow", "signal-underflow", "stage-consumption", "total", "gain"],
+    )
+    def test_out_of_range_result_names_the_quantity(self, stages, p_source_w, named):
+        with pytest.raises(ValueError, match=re.escape(named) + ".*out of float range"):
+            power_flow(stages, p_source_w)
 
 
 class TestOracleEquivalence:

@@ -99,6 +99,17 @@ class TestFitWasteFactor:
         with pytest.raises(ValueError, match="equal"):
             fit_waste_factor([PowerSample(5.0, 20.0), PowerSample(5.0, 21.0)])
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([(1.0, 2.0), (2.0, 4.0), (1e308, 1e308)], "a squared deviation"),
+            ([(1.0, 2.0), (1e308, 1e308), (1e308, 1e308)], "mean p_signal_w = inf"),
+        ],
+    )
+    def test_overflowing_sums_rejected(self, rows, named):
+        with pytest.raises(ValueError, match=f"{named} overflows a float"):
+            fit_waste_factor([PowerSample(p, t) for p, t in rows])
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             PowerSample(-1.0, 5.0)
@@ -138,6 +149,15 @@ class TestLoadPowerLog:
         path = tmp_path / "log.csv"
         path.write_text("p_signal_w,p_total_w\n0,140\nbogus,210\n")
         with pytest.raises(ValueError, match=r"log\.csv:3.*bogus"):
+            load_power_log(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "log.csv"
+        path.write_text(f"p_signal_w,p_total_w\n1,2\n2,{cell}\n")
+        with pytest.raises(
+            ValueError, match=rf"log\.csv:3: non-finite value '{cell}' in column 'p_total_w'"
+        ):
             load_power_log(path)
 
     def test_short_row_names_line(self, tmp_path):

@@ -405,18 +405,6 @@ class TestEvaluateLinks:
         assert result.w_system == pytest.approx(sc.w_ue, rel=1e-12)
         assert result.wf_system_db == pytest.approx(10.0 * math.log10(33.0), abs=1e-9)
 
-    def test_non_path_scaling_flag(self):
-        sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
-        serving = np.eye(2, dtype=bool)
-        l_eff = np.array([[1e7, 1e30], [1e30, 1e8]])
-        scaled = evaluate_links(sc, serving, l_eff)
-        raw = evaluate_links(
-            dataclasses.replace(sc, scale_non_path_per_area=False), serving, l_eff
-        )
-        non_path_w = 2 * 140.0 + 2 * 1.0
-        assert scaled.p_non_path_per_km2_w == pytest.approx(non_path_w / math.pi)
-        assert raw.p_non_path_per_km2_w == pytest.approx(non_path_w)
-
     def test_shape_mismatch_rejected(self):
         sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
         with pytest.raises(ValueError, match="declares"):
@@ -570,10 +558,7 @@ def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
     audit_rel_error = abs(bottom_up - p_path) / p_path
     area_km2 = math.pi * (scenario.region_radius_m / 1000.0) ** 2
     p_path_per_km2 = p_path / area_km2
-    if scenario.scale_non_path_per_area:
-        p_non_path_per_km2 = p_non_path / area_km2
-    else:
-        p_non_path_per_km2 = p_non_path
+    p_non_path_per_km2 = p_non_path / area_km2
     served = pc.p_rx_ue_w > 0.0
     snr_served = pc.snr_db[served]
     meeting = np.count_nonzero(pc.snr_db >= scenario.target_snr_db - 1e-9)

@@ -2,7 +2,8 @@
 
 The cascade law must agree with explicit energy bookkeeping; a
 non-coherent parallel group is a weighted mean of its branches, and
-coherent combining can only lower that mean; every drop conserves energy
+coherent combining can only lower that mean; the parallel compositions
+are that one law and that one mean, bit for bit; every drop conserves energy
 and ends no better than the UE's own waste factor. Two properties of the
 simulator itself ride along: its p5 SNR shortcut equals
 ``np.percentile`` bit for bit, and campaign output does not depend on the
@@ -12,7 +13,7 @@ worker count.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wastefactor.core import Stage, cascade, power_flow
@@ -28,7 +29,14 @@ from wastefactor.netsim import (
     evaluate_drop,
     run_campaign,
 )
-from wastefactor.parallel import Branch, CombiningMode, combine_branches
+from wastefactor.parallel import (
+    Branch,
+    CombiningMode,
+    combine_branches,
+    mino_compose,
+    mino_first_stage,
+    miso_compose,
+)
 
 PROPERTIES = settings(max_examples=50, deadline=None)
 
@@ -68,6 +76,39 @@ def test_coherent_combining_wastes_no_more(group):
     coherent = combine_branches(group, CombiningMode.COHERENT)
     non_coherent = combine_branches(group, CombiningMode.NON_COHERENT)
     assert coherent <= non_coherent * (1.0 + ROUND_OFF)
+
+
+def two_stage(w_up, terminal):
+    """The composite W of a unit-gain pseudo-stage ahead of ``terminal``."""
+    return cascade([Stage(w_up, 1.0), terminal]).w
+
+
+@PROPERTIES
+@given(group=branches, terminal=stages)
+def test_miso_is_the_cascade_of_its_parallel_group(group, terminal):
+    w_parallel = combine_branches(group, CombiningMode.NON_COHERENT)
+    assume(w_parallel >= 1.0)  # a mean of W >= 1 may round just below 1
+    w = miso_compose(group, CombiningMode.NON_COHERENT, terminal).w
+    assert w.hex() == two_stage(w_parallel, terminal).hex()
+
+
+@PROPERTIES
+@given(first=st.floats(1.0, 1e6), terminal=stages)
+def test_mino_compose_is_the_two_stage_cascade(first, terminal):
+    w = mino_compose(first, terminal.w, terminal.g)
+    assert w.hex() == two_stage(first, terminal).hex()
+
+
+@PROPERTIES
+@given(
+    outputs=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(1.0, 100.0)), min_size=2, max_size=8)
+)
+def test_mino_first_stage_is_the_non_coherent_combine(outputs):
+    assume(sum(p > 0.0 for p, _ in outputs) >= 2)
+    powers, w = [p for p, _ in outputs], [w_j for _, w_j in outputs]
+    group = [Branch(Stage(w_j, 1.0), p) for p, w_j in outputs]
+    combined = combine_branches(group, CombiningMode.NON_COHERENT)
+    assert mino_first_stage(powers, w).hex() == combined.hex()
 
 
 scenarios = st.builds(
