@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -190,6 +191,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             record["ee_bs_gb_per_wh"] = ee_bs(reading.data_volume_gb, energy_wh)
             path_wh = (reading.p_signal_w + reading.p_non_signal_w) * reading.duration_h
             record["path_energy_wh_per_gb"] = path_wh / reading.data_volume_gb
+        for column, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"reading {name!r}: {column} = {value} is not finite")
         records.append(record)
     if args.format == "json":
         _print_json(records)
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the distributed MU-MIMO campaign")
     p.add_argument("config", help="INI config; [scenario]/[sweep] sections optional")
-    p.add_argument("--seeds", type=int, default=None, help="seeds per grid cell")
+    p.add_argument("--seeds", type=_positive_int, default=None, help="seeds per grid cell")
     p.add_argument(
         "--jobs", type=_positive_int, default=None, help="worker processes (default: CPU count)"
     )

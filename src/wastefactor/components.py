@@ -195,8 +195,8 @@ class Adc:
     """ADC: consumption FoM * f_s * 2^bits, treated entirely as non-path power."""
 
     fom_j: float
-    sample_rate_hz: float
-    bits: int
+    sample_rate_hz: float = 1.0e9
+    bits: int = 10
 
     def __post_init__(self) -> None:
         require_finite(self)

@@ -11,8 +11,11 @@ Defaults are not restated here. A key left out of ``[scenario]`` keeps the
 ``[ue]`` keeps the value of :func:`~wastefactor.components.reference_ru_spec`
 or :func:`~wastefactor.components.reference_ue_spec`, and one left out of
 ``[sweep]`` keeps the :class:`~wastefactor.netsim.CampaignSpec` default, so
-empty sections reproduce the reference setup. The ``[scenario]``, ``[ru]``
-and ``[ue]`` schemas are derived from those dataclasses' fields.
+empty sections reproduce the reference setup. Each of these four sections is
+a key -> field-path table into its dataclass, parsed by the field's type and
+applied by one builder, :func:`_override`. ``[sweep]`` owns the grid axes
+(frequency, antenna mode, BS count), so ``[scenario]`` has no key for the
+fields the grid sets in every cell.
 """
 
 from __future__ import annotations
@@ -70,19 +73,18 @@ def _list_parser(parse_item: Callable[[str], Any], empty_message: str) -> Callab
 
     return parse
 
-_parse_float_list = _list_parser(_parse_float, "expected a comma-separated list of numbers")
-_parse_int_list = _list_parser(_parse_int, "expected a comma-separated list of integers")
-_parse_str_list = _list_parser(_parse_str, "expected a comma-separated list")
-
 def _parse_multiline(raw: str) -> tuple[str, ...]:
     return tuple(line.strip() for line in raw.splitlines() if line.strip())
 
 
-_PARSER_BY_TYPE: dict[type, Callable[[str], Any]] = {
+_PARSER_BY_TYPE: dict[Any, Callable[[str], Any]] = {
     float: _parse_float,
     int: _parse_int,
     bool: _parse_bool,
     str: _parse_str,
+    tuple[float, ...]: _list_parser(_parse_float, "expected a comma-separated list of numbers"),
+    tuple[int, ...]: _list_parser(_parse_int, "expected a comma-separated list of integers"),
+    tuple[str, ...]: _list_parser(_parse_str, "expected a comma-separated list"),
 }
 
 
@@ -100,18 +102,25 @@ def _leaf_type(cls: type, path: str) -> type:
     return cls
 
 
-def _scenario_keys() -> dict[str, tuple[str, float | None]]:
-    """[scenario] key -> (Scenario field, factor from the key's unit to the
-    field's, or None). Keys are the field names where the units agree."""
-    units = {"frequency_hz": ("frequency_ghz", 1e9), "bandwidth_hz": ("bandwidth_mhz", 1e6)}
-    keys: dict[str, tuple[str, float | None]] = {}
-    for f in fields(Scenario):
-        key, factor = units.get(f.name, (f.name, None))
-        keys[key] = (f.name, factor)
-    return keys
+def _field_keys(cls: type, renames: dict[str, str], without: tuple[str, ...]) -> dict[str, str]:
+    """Key -> field of ``cls``: the field's name unless ``renames`` gives
+    another; the fields in ``without`` get no key."""
+    return {renames.get(f.name, f.name): f.name for f in fields(cls) if f.name not in without}
 
 
-_SCENARIO_KEYS = _scenario_keys()
+# Each dataclass-backed section is a key -> field-path table into its
+# dataclass; the field's annotation gives the key's parser.
+#
+# netsim.campaign_scenarios sets these Scenario fields in every grid cell,
+# from [sweep] or from the band presets, so [scenario] has no key for them.
+_GRID_FIELDS = ("frequency_hz", "antenna_mode", "n_bs", "ple", "sigma_db")
+_SCENARIO_KEYS = _field_keys(Scenario, {"bandwidth_hz": "bandwidth_mhz"}, _GRID_FIELDS)
+# The campaign's base seed is [scenario] seed.
+_SWEEP_KEYS = _field_keys(
+    CampaignSpec,
+    {"frequencies_hz": "frequencies_ghz", "n_bs_values": "n_bs", "n_seeds": "seeds"},
+    ("base_seed",),
+)
 
 # [ru]/[ue] key -> field path into RuSpec/UeSpec.
 _RU_KEYS = {
@@ -146,16 +155,12 @@ _UE_KEYS = {
     "lo_power_w": "lo_power_w",
 }
 
-# The reference UE has no ADC; an [ue] adc_fom_j adds one with these values.
-_ADC_FALLBACK = {"sample_rate_hz": 1.0e9, "bits": 10}
+# Keys whose unit differs from their field's -> factor to the field's unit.
+_UNIT_FACTORS = {"bandwidth_mhz": 1e6, "frequencies_ghz": 1e9}
 
-# [sweep] key -> CampaignSpec field, for the keys that need no unit change.
-_SWEEP_FIELDS = {
-    "antenna_modes": "antenna_modes",
-    "n_bs": "n_bs_values",
-    "seeds": "n_seeds",
-    "omni_per_link_cap_dbm": "omni_per_link_cap_dbm",
-}
+
+def _parsers(cls: type, keys: dict[str, str]) -> dict[str, Callable[[str], Any]]:
+    return {key: _PARSER_BY_TYPE[_leaf_type(cls, path)] for key, path in keys.items()}
 
 
 # section -> key -> parser
@@ -164,8 +169,8 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
         "source_power_w": _parse_float,
         "stages": _parse_multiline,
     },
-    "ru": {key: _PARSER_BY_TYPE[_leaf_type(RuSpec, path)] for key, path in _RU_KEYS.items()},
-    "ue": {key: _PARSER_BY_TYPE[_leaf_type(UeSpec, path)] for key, path in _UE_KEYS.items()},
+    "ru": _parsers(RuSpec, _RU_KEYS),
+    "ue": _parsers(UeSpec, _UE_KEYS),
     "channel": {
         "frequency_ghz": _parse_float,
         "ple": _parse_float,
@@ -173,23 +178,15 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
         "g_tx_db": _parse_float,
         "g_rx_db": _parse_float,
     },
-    "scenario": {
-        key: _PARSER_BY_TYPE[_leaf_type(Scenario, name)]
-        for key, (name, _) in _SCENARIO_KEYS.items()
-    },
+    "scenario": _parsers(Scenario, _SCENARIO_KEYS),
     "sweep": {
-        "frequencies_ghz": _parse_float_list,
-        "antenna_modes": _parse_str_list,
-        "n_bs": _parse_int_list,
-        "seeds": _parse_int,
-        "omni_per_link_cap_dbm": _parse_float,
+        **_parsers(CampaignSpec, _SWEEP_KEYS),
+        # The system command's channel sweep, not the campaign grid.
         "wf_c_db_start": _parse_float,
         "wf_c_db_stop": _parse_float,
         "wf_c_db_step": _parse_float,
     },
-    "metrics": {
-        "readings": _parse_multiline,
-    },
+    "metrics": {"readings": _parse_multiline},
 }
 
 
@@ -243,10 +240,14 @@ def load_config(path: str | Path) -> ConfigDocument:
 
 
 def _override(spec: Any, keys: dict[str, str], values: dict[str, Any]) -> Any:
-    """Copy of ``spec`` with each given value set at its key's field path."""
+    """Copy of ``spec`` with each given value, converted to its field's
+    unit, set at its key's field path."""
     top: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
     for key, value in values.items():
+        factor = _UNIT_FACTORS.get(key)
+        if factor is not None:
+            value = tuple(v * factor for v in value) if isinstance(value, tuple) else value * factor
         head, _, leaf = keys[key].partition(".")
         if leaf:
             nested.setdefault(head, {})[leaf] = value
@@ -270,8 +271,9 @@ def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
     values = doc.sections.get("ue", {})
     try:
         base = reference_ue_spec()
+        # The reference UE has no ADC; adc_fom_j adds one with Adc's defaults.
         if "adc_fom_j" in values:
-            base = replace(base, adc=Adc(fom_j=values["adc_fom_j"], **_ADC_FALLBACK))
+            base = replace(base, adc=Adc(fom_j=values["adc_fom_j"]))
         elif any(key.startswith("adc_") for key in values):
             raise ValueError("adc_sample_rate_hz and adc_bits need adc_fom_j")
         return _override(base, _UE_KEYS, values)
@@ -281,14 +283,11 @@ def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
 
 def scenario_from_config(doc: ConfigDocument, seed_override: int | None = None) -> Scenario:
     """Scenario from [scenario]; missing keys keep the Scenario defaults."""
-    kwargs: dict[str, Any] = {}
-    for key, value in doc.sections.get("scenario", {}).items():
-        name, factor = _SCENARIO_KEYS[key]
-        kwargs[name] = value if factor is None else value * factor
+    values = dict(doc.sections.get("scenario", {}))
     if seed_override is not None:
-        kwargs["seed"] = seed_override
+        values["seed"] = seed_override
     try:
-        return Scenario(**kwargs)
+        return _override(Scenario(), _SCENARIO_KEYS, values)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [scenario]: {exc}") from exc
 
@@ -301,18 +300,13 @@ def campaign_from_config(
     """Campaign grid from [sweep]; missing keys keep the CampaignSpec defaults.
     The base seed is [scenario] seed unless overridden."""
     sweep = doc.sections.get("sweep", {})
-    kwargs: dict[str, Any] = {
-        name: sweep[key] for key, name in _SWEEP_FIELDS.items() if key in sweep
-    }
-    if "frequencies_ghz" in sweep:
-        kwargs["frequencies_hz"] = tuple(f * 1e9 for f in sweep["frequencies_ghz"])
+    values = {key: value for key, value in sweep.items() if key in _SWEEP_KEYS}
     if seeds_override is not None:
-        kwargs["n_seeds"] = seeds_override
+        values["seeds"] = seeds_override
     base_seed = doc.get("scenario", "seed") if base_seed_override is None else base_seed_override
-    if base_seed is not None:
-        kwargs["base_seed"] = base_seed
     try:
-        return CampaignSpec(**kwargs)
+        base = CampaignSpec() if base_seed is None else CampaignSpec(base_seed=base_seed)
+        return _override(base, _SWEEP_KEYS, values)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc
 
@@ -362,8 +356,13 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
         raise ConfigError(f"{doc.path}: wf_c_db_step must be > 0, got {step}")
     if stop < start:
         raise ConfigError(f"{doc.path}: wf_c_db_stop must be >= wf_c_db_start")
-    n_steps = int(round((stop - start) / step))
-    return [start + k * step for k in range(n_steps + 1)]
+    n_steps = (stop - start) / step
+    if not math.isfinite(n_steps):
+        raise ConfigError(
+            f"{doc.path}: wf_c_db_start, wf_c_db_stop and wf_c_db_step give "
+            f"{n_steps} steps; the step count must be finite"
+        )
+    return [start + k * step for k in range(int(round(n_steps)) + 1)]
 
 
 def _key_value_lines(
@@ -437,19 +436,11 @@ def _build_stage(doc: ConfigDocument, label: str, values: dict[str, float]) -> S
         raise ConfigError(f"{doc.path}: stage {label!r}: {exc}") from exc
 
 
-_READING_KEYS = {
-    "data_volume_gb",
-    "p_signal_w",
-    "p_non_signal_w",
-    "p_non_path_w",
-    "duration_h",
-}
-
-
 def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReading]]:
     """Named equipment readings from [metrics]: ``name key=value ...`` lines."""
+    known = {f.name for f in fields(EquipmentReading)}
     readings = []
-    for name, values in _key_value_lines(doc, "metrics", "readings", "reading", _READING_KEYS):
+    for name, values in _key_value_lines(doc, "metrics", "readings", "reading", known):
         try:
             reading = EquipmentReading(**values)
         except ValueError as exc:

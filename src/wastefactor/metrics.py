@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Stage
-from .units import linear_to_db
+from .units import linear_to_db, require_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class EquipmentReading:
     duration_h: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if min(self.p_signal_w, self.p_non_signal_w, self.p_non_path_w) < 0.0:
             raise ValueError("powers must be >= 0 W")
         if self.data_volume_gb is not None and self.data_volume_gb < 0.0:

@@ -522,7 +522,13 @@ class AggregateRow:
 
 
 def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]:
-    """Grid cells in deterministic order (frequency, mode, n_bs, seed)."""
+    """Grid cells in deterministic order (frequency, mode, n_bs, seed).
+
+    Each cell is ``base`` with ``frequency_hz``, ``antenna_mode``, ``n_bs``
+    and ``seed`` set from the grid, ``ple`` and ``sigma_db`` reset to the
+    band presets, and, in omni cells, ``per_link_cap_dbm`` set to the
+    campaign's omni cap; every other field of ``base`` carries over.
+    """
     cells = []
     for frequency_hz in campaign.frequencies_hz:
         for mode in campaign.antenna_modes:
@@ -548,6 +554,10 @@ def run_campaign(
     base: Scenario, campaign: CampaignSpec, jobs: int | None = None
 ) -> tuple[list[DropRow], list[AggregateRow]]:
     """Evaluate the whole grid, optionally fanning drops across processes.
+
+    The grid sets the base scenario's frequency, antenna mode, BS count,
+    seed, path-loss exponent and shadowing sigma in every cell, and its
+    per-link cap in omni cells; see :func:`campaign_scenarios`.
 
     Results are keyed and merged in grid order, so the output is
     identical for any worker count.

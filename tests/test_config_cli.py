@@ -13,6 +13,8 @@ import pytest
 from wastefactor import cli
 from wastefactor.components import Adc, reference_ru_spec, reference_ue_spec
 from wastefactor.config import (
+    _SCENARIO_KEYS,
+    _SWEEP_KEYS,
     ConfigError,
     campaign_from_config,
     load_config,
@@ -23,15 +25,13 @@ from wastefactor.config import (
     ue_spec_from_config,
     wf_c_sweep_from_config,
 )
-from wastefactor.netsim import CampaignSpec, Scenario
+from wastefactor.netsim import CampaignSpec, Scenario, campaign_scenarios
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# One non-default [scenario] line per Scenario field, and the value it gives.
+# One non-default [scenario] line per Scenario field the [scenario] table
+# sets, and the value it gives.
 SCENARIO_SETTINGS = {
-    "frequency_hz": ("frequency_ghz = 28", 28e9),
-    "antenna_mode": ("antenna_mode = omni", "omni"),
-    "n_bs": ("n_bs = 7", 7),
     "n_ue": ("n_ue = 64", 64),
     "region_radius_m": ("region_radius_m = 800", 800.0),
     "bs_height_m": ("bs_height_m = 25", 25.0),
@@ -48,12 +48,20 @@ SCENARIO_SETTINGS = {
     "g_ue_db": ("g_ue_db = 6", 6.0),
     "p_non_path_bs_w": ("p_non_path_bs_w = 100", 100.0),
     "p_non_path_ue_w": ("p_non_path_ue_w = 0.5", 0.5),
-    "ple": ("ple = 2.5", 2.5),
-    "sigma_db": ("sigma_db = 3", 3.0),
     "apply_shadowing": ("apply_shadowing = yes", True),
     "fallback_nearest": ("fallback_nearest = off", False),
     "power_allocation": ("power_allocation = proportional", "proportional"),
     "seed": ("seed = 9", 9),
+}
+
+# One non-default [sweep] line per CampaignSpec field the [sweep] table
+# sets, and the value it gives.
+SWEEP_SETTINGS = {
+    "frequencies_hz": ("frequencies_ghz = 17, 3.5", (17e9, 3.5e9)),
+    "antenna_modes": ("antenna_modes = omni", ("omni",)),
+    "n_bs_values": ("n_bs = 2, 4", (2, 4)),
+    "n_seeds": ("seeds = 3", 3),
+    "omni_per_link_cap_dbm": ("omni_per_link_cap_dbm = 25", 25.0),
 }
 
 
@@ -78,8 +86,8 @@ class TestConfigParsing:
 
     def test_bad_value_diagnosed(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[scenario]\nn_bs = many\n")
-        with pytest.raises(ConfigError, match="n_bs"):
+        path.write_text("[scenario]\nn_ue = many\n")
+        with pytest.raises(ConfigError, match="n_ue"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -91,8 +99,8 @@ class TestConfigParsing:
         path.write_text("[ru]\ndac_efficiency = 1.3\n")
         with pytest.raises(ConfigError, match=r"invalid \[ru\].*efficiency"):
             ru_spec_from_config(load_config(path))
-        path.write_text("[scenario]\nn_bs = 0\n")
-        with pytest.raises(ConfigError, match=r"invalid \[scenario\].*n_bs"):
+        path.write_text("[scenario]\nn_ue = 0\n")
+        with pytest.raises(ConfigError, match=r"invalid \[scenario\].*n_ue"):
             scenario_from_config(load_config(path))
 
     def test_semantic_errors_exit_2_via_cli(self, capsys, tmp_path):
@@ -122,7 +130,11 @@ class TestConfigParsing:
         assert scenario.w_bs == 15.0
         assert scenario.bandwidth_hz == 400e6
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+    def test_settings_cover_the_tables(self):
+        assert sorted(SCENARIO_SETTINGS) == sorted(_SCENARIO_KEYS.values())
+        assert sorted(SWEEP_SETTINGS) == sorted(_SWEEP_KEYS.values())
+
+    @pytest.mark.parametrize("field", list(_SCENARIO_KEYS.values()))
     def test_every_scenario_field_settable(self, tmp_path, field):
         line, expected = SCENARIO_SETTINGS[field]
         assert getattr(Scenario(), field) != expected
@@ -131,16 +143,37 @@ class TestConfigParsing:
         scenario = scenario_from_config(load_config(path))
         assert scenario == dataclasses.replace(Scenario(), **{field: expected})
 
+    @pytest.mark.parametrize("field", list(_SCENARIO_KEYS.values()))
+    def test_every_scenario_key_reaches_the_grid(self, tmp_path, field):
+        # campaign_scenarios overwrites some Scenario fields in every cell;
+        # a [scenario] key for one of them would parse but change nothing.
+        def cells(text):
+            path = tmp_path / "sc.ini"
+            path.write_text(text)
+            doc = load_config(path)
+            return campaign_scenarios(scenario_from_config(doc), campaign_from_config(doc))
+
+        line, _ = SCENARIO_SETTINGS[field]
+        assert cells(f"[scenario]\n{line}\n") != cells("[scenario]\n")
+
+    @pytest.mark.parametrize("field", list(_SWEEP_KEYS.values()))
+    def test_every_sweep_field_settable(self, tmp_path, field):
+        line, expected = SWEEP_SETTINGS[field]
+        assert getattr(CampaignSpec(), field) != expected
+        path = tmp_path / "sw.ini"
+        path.write_text(f"[sweep]\n{line}\n")
+        campaign = campaign_from_config(load_config(path))
+        assert campaign == dataclasses.replace(CampaignSpec(), **{field: expected})
+
     def test_scenario_overrides(self, tmp_path):
         path = tmp_path / "sc.ini"
         path.write_text(
-            "[scenario]\nfrequency_ghz = 17\nantenna_mode = omni\nn_bs = 7\n"
+            "[scenario]\nn_ue = 64\nserving_radius_m = 300\n"
             "bandwidth_mhz = 100\nseed = 42\napply_shadowing = true\n"
         )
         scenario = scenario_from_config(load_config(path))
-        assert scenario.frequency_hz == 17e9
-        assert scenario.antenna_mode == "omni"
-        assert scenario.n_bs == 7
+        assert scenario.n_ue == 64
+        assert scenario.serving_radius_m == 300.0
         assert scenario.bandwidth_hz == 100e6
         assert scenario.seed == 42
         assert scenario.apply_shadowing
@@ -180,6 +213,12 @@ class TestConfigParsing:
         [
             ("simulate", "scenario", "g_bs_db"),
             ("simulate", "scenario", "scale_non_path_per_area"),
+            # Set in every grid cell by campaign_scenarios.
+            ("simulate", "scenario", "frequency_ghz"),
+            ("simulate", "scenario", "antenna_mode"),
+            ("simulate", "scenario", "n_bs"),
+            ("simulate", "scenario", "ple"),
+            ("simulate", "scenario", "sigma_db"),
             ("cascade", "ru", "phase_shifter_vswr"),
         ],
     )
@@ -421,6 +460,24 @@ class TestSystemCommand:
         assert np.all(np.abs(baseline - rows[:, 4] - 3.01) < 0.02)
         assert np.all(baseline - rows[:, 3] < 0.01)
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["wf_c_db_step = 1e-320", "wf_c_db_start = -1e308\nwf_c_db_stop = 1e308"],
+        ids=["tiny-step", "huge-span"],
+    )
+    def test_non_finite_step_count_is_config_error(self, capsys, tmp_path, lines):
+        # Both once printed an OverflowError traceback. A finite but huge
+        # count (wf_c_db_step = 1e-300) is left untested: the sweep would
+        # try to hold every point in memory.
+        path = tmp_path / "s.ini"
+        path.write_text(f"[sweep]\n{lines}\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "wf_c_db_start, wf_c_db_stop and wf_c_db_step" in err
+        assert "step count must be finite" in err
+        assert out == ""
+
 
 class TestFitCommand:
     def test_reference_log_json(self, capsys):
@@ -522,6 +579,27 @@ class TestMetricsCommand:
         assert code == 1
         assert err.startswith("error:")
         assert "total energy must be > 0 Wh" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("r p_signal_w=1e308 p_non_signal_w=1e308", "reading 'r': energy_wh = inf"),
+            ("r p_signal_w=5e-324 p_non_signal_w=1e308", "reading 'r': w = inf"),
+            ("b data_volume_gb=1e308 p_non_path_w=5e-324", "reading 'b': ee_bs_gb_per_wh = inf"),
+            ("d p_non_path_w=1 duration_h=1e308 p_signal_w=10", "reading 'd': energy_wh = inf"),
+        ],
+        ids=["energy", "w", "ee_bs", "ee_ru"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_result_is_runtime_error(self, capsys, tmp_path, line, named, fmt):
+        # Each once exited 0 with inf or nan in the CSV.
+        path = tmp_path / "huge.ini"
+        path.write_text(f"[metrics]\nreadings =\n    {line}\n")
+        code, out, err = run_cli(capsys, "metrics", str(path), "--format", fmt)
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"{named} is not finite" in err
         assert out == ""
 
 
@@ -649,6 +727,20 @@ class TestCliSurface:
             )
         assert excinfo.value.code == 2
         assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_is_a_usage_error(self, capsys, tmp_path, seeds):
+        # Once a config error that blamed the file for the flag.
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["simulate", str(CONFIGS / "simulate_small.ini"), "--seeds", seeds, "--out", str(out_dir)]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seeds: must be >= 1, got {seeds}" in err
+        assert "config error" not in err
         assert not out_dir.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wastefactor.core import Stage
@@ -42,6 +44,15 @@ class TestEquipmentReading:
             EquipmentReading(duration_h=0.0)
         with pytest.raises(ValueError):
             EquipmentReading(data_volume_gb=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["p_signal_w", "p_non_signal_w", "p_non_path_w", "data_volume_gb", "duration_h"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # EquipmentReading(p_signal_w=nan) once built, with w and energy_wh nan.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EquipmentReading(**{field: value})
 
 
 class TestStandardMetrics:
