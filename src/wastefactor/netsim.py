@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -206,15 +207,41 @@ class DropResult:
     n_unserved_ue: int
 
 
+_THREAD = threading.local()
+_ZEROS4 = (0, 0, 0, 0)
+
+
 def _substream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The Philox stream keyed ``[seed, stream]`` (Salmon et al., SC'11).
+
+    Draws exactly what a fresh ``Generator(Philox(key=[seed, stream]))``
+    draws, but re-keys one generator per thread instead: a new ``Philox``
+    first gathers OS entropy for a seed sequence the key then overrides,
+    which costs several times what setting its state does. The returned
+    generator stays valid until the next ``_substream`` call on the same
+    thread.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": (seed, stream)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,  # empty: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius_m: float) -> np.ndarray:
     r = radius_m * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    xy = np.empty((n, 2))
+    np.multiply(r, np.cos(theta), out=xy[:, 0])
+    np.multiply(r, np.sin(theta), out=xy[:, 1])
+    return xy
 
 
 def generate_layout(scenario: Scenario) -> Layout:
@@ -245,7 +272,12 @@ def generate_layout(scenario: Scenario) -> Layout:
                     f"{scenario.min_bs_separation_m} m separation after "
                     f"{_MAX_PLACEMENT_ATTEMPTS} attempts"
                 )
-            if all((x - px) * (x - px) + (y - py) * (y - py) >= min_sep_sq for px, py in accepted):
+            for px, py in accepted:
+                dx = x - px
+                dy = y - py
+                if dx * dx + dy * dy < min_sep_sq:
+                    break
+            else:
                 accepted.append((x, y))
                 if len(accepted) == scenario.n_bs:
                     return Layout(bs_xy_m=np.array(accepted), ue_xy_m=ue_xy)
@@ -461,7 +493,7 @@ def evaluate_links(
         p_total_per_km2_w=float(p_total_per_km2),
         p_signal_path_per_km2_w=float(p_path_per_km2),
         p_non_path_per_km2_w=float(p_non_path_per_km2),
-        mean_snr_db=float(np.mean(snr_served)),
+        mean_snr_db=float(snr_served.sum() / snr_served.size),
         p5_snr_db=_p5(snr_served),
         frac_ue_meeting_target=float(meeting / scenario.n_ue),
         audit_rel_error=float(audit_rel_error),
@@ -496,10 +528,19 @@ class CampaignSpec:
     omni_per_link_cap_dbm: float = 30.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.frequencies_hz or not self.antenna_modes or not self.n_bs_values:
             raise ValueError("campaign grid axes must be non-empty")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        # Each axis value must make a valid cell; Scenario holds the rules.
+        for name, values in (
+            ("frequency_hz", self.frequencies_hz),
+            ("antenna_mode", self.antenna_modes),
+            ("n_bs", self.n_bs_values),
+        ):
+            for value in values:
+                Scenario(**{name: value})
 
 
 @dataclass(frozen=True, eq=False)

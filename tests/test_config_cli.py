@@ -393,6 +393,32 @@ class TestOverflowingInput:
         assert not out_dir.exists()
 
 
+class TestSweepAxisValues:
+    """Grid axis values that once passed the config layer and failed only
+    in the first grid cell, with exit 1 and a message naming no section."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("frequencies_ghz = 1e308", "frequency_hz must be finite, got inf"),
+            ("frequencies_ghz = -3.5", "frequency and bandwidth must be > 0 Hz"),
+            ("frequencies_ghz = 5", "no path-loss preset for 5 GHz"),
+            ("antenna_modes = foo", "antenna_mode must be 'omni' or 'directional', got 'foo'"),
+            ("n_bs = 0", "n_bs must be in [1, 20], got 0"),
+            ("n_bs = 21", "n_bs must be in [1, 20], got 21"),
+        ],
+    )
+    def test_simulate_exits_2_naming_sweep(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\nn_ue = 8\n[sweep]\nseeds = 1\n{line}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"invalid [sweep]: {message}" in err
+        assert not out_dir.exists()
+
+
 class TestCascadeCommand:
     def test_demo_table_ends_with_total(self, capsys):
         code, out, _ = run_cli(capsys, "cascade", str(CONFIGS / "cascade_demo.ini"))

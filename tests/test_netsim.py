@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from wastefactor.channel import fspl_1m_db
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
+from wastefactor import netsim
 from wastefactor.netsim import (
     BAND_PRESETS,
     CampaignSpec,
@@ -19,6 +22,7 @@ from wastefactor.netsim import (
     Scenario,
     STREAM_BS_LAYOUT,
     STREAM_SHADOWING,
+    STREAM_UE_LAYOUT,
     _p5,
     _substream,
     _uniform_disk,
@@ -285,6 +289,49 @@ class TestShadowing:
         l_eff, n_clamped = effective_loss_matrix(sc, layout)
         assert n_clamped > 0
         assert l_eff.min() == 1.0
+
+
+class TestSubstreams:
+    """``_substream`` re-keys one generator per thread, so whatever that
+    generator drew last must not leak into the next stream."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        stream=st.sampled_from([STREAM_UE_LAYOUT, STREAM_BS_LAYOUT, STREAM_SHADOWING]),
+        previous_seed=st.integers(0, 2 ** 64 - 1),
+        n=st.integers(0, 20).map(lambda k: 2 * k + 1),
+    )
+    def test_rekeyed_stream_matches_fresh_philox(self, seed, stream, previous_seed, n):
+        # Leave the thread's generator mid-buffer, holding a spare 32-bit half.
+        used = _substream(previous_seed, stream)
+        used.random(n)
+        used.integers(0, 2 ** 31 - 1, size=n, dtype=np.int32)
+        used.standard_normal(n)
+        assert used.bit_generator.state["has_uint32"] == 1
+
+        rng = _substream(seed, stream)
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        draws = [
+            [
+                g.random(n).tobytes(),
+                g.integers(0, 2 ** 31 - 1, size=n, dtype=np.int32).tobytes(),
+                g.standard_normal(n).tobytes(),
+            ]
+            for g in (rng, fresh)
+        ]
+        assert draws[0] == draws[1]
+
+    def test_threaded_drops_match_serial(self):
+        # A generator shared across threads interleaves their draws.
+        scenarios = [
+            Scenario(n_ue=256, n_bs=10, frequency_hz=28e9, apply_shadowing=True, seed=seed)
+            for seed in range(64)
+        ]
+        serial = [result_bits(evaluate_drop(s)) for s in scenarios]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = [result_bits(r) for r in pool.map(evaluate_drop, scenarios)]
+        assert threaded == serial
 
 
 class TestPowerControl:
@@ -796,3 +843,47 @@ class TestCampaign:
             CampaignSpec(frequencies_hz=())
         with pytest.raises(ValueError, match="n_seeds"):
             CampaignSpec(n_seeds=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("frequencies_hz", (28e9, math.inf), "frequency_hz must be finite, got inf"),
+            ("frequencies_hz", (-3.5e9,), "frequency and bandwidth must be > 0 Hz"),
+            ("frequencies_hz", (5e9,), "no path-loss preset for 5 GHz"),
+            ("antenna_modes", ("omni", "foo"), "antenna_mode must be 'omni' or 'directional', got 'foo'"),
+            ("n_bs_values", (0,), r"n_bs must be in \[1, 20\], got 0"),
+            ("n_bs_values", (1, 21), r"n_bs must be in \[1, 20\], got 21"),
+            ("omni_per_link_cap_dbm", math.inf, "omni_per_link_cap_dbm must be finite"),
+            ("omni_per_link_cap_dbm", math.nan, "omni_per_link_cap_dbm must be finite"),
+        ],
+    )
+    def test_every_axis_value_makes_a_valid_cell(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec(**{field: value})
+
+    def test_run_campaign_calls_each_kernel_once_per_drop(self, monkeypatch):
+        # Per-layer tracing wraps these module attributes and divides each
+        # layer's time by the number of evaluate_drop calls.
+        names = (
+            "evaluate_drop",
+            "generate_layout",
+            "assign_serving_sets",
+            "effective_loss_matrix",
+            "power_control",
+            "evaluate_links",
+        )
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(netsim, name, counting(name, getattr(netsim, name)))
+        campaign = dataclasses.replace(self.CAMPAIGN, antenna_modes=("directional",), n_seeds=3)
+        drops, _ = run_campaign(self.BASE, campaign, jobs=1)
+        assert len(drops) == 2 * 3
+        assert calls == {name: len(drops) for name in names}
