@@ -22,10 +22,9 @@ import sys
 from typing import Sequence
 
 from . import config as cfg
-from .components import build_ru, build_ue, end_to_end, ru_devices, stage_of
 from .core import Stage, power_flow
-from .estimate import fit_waste_factor, load_power_log
-from .metrics import ee_bs, ee_ru
+# Module globals, unlike the imports inside the commands: the per-layer
+# benchmark wraps cli.run_campaign and cli.write_campaign_csvs.
 from .netsim import run_campaign, write_campaign_csvs
 from .units import linear_to_db
 
@@ -69,7 +68,13 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
+# Each command imports the modules only it uses, so a command loads no more
+# of the package than it runs.
+
+
 def cmd_cascade(args: argparse.Namespace) -> int:
+    from .components import ru_devices, stage_of
+
     doc = cfg.load_config(args.config)
     if doc.has_section("cascade"):
         stages, source_w = cfg.stages_from_config(doc)
@@ -121,6 +126,8 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def cmd_system(args: argparse.Namespace) -> int:
+    from .components import build_ru, build_ue, end_to_end
+
     doc = cfg.load_config(args.config)
     ru = build_ru(cfg.ru_spec_from_config(doc)).stage
     ue = build_ue(cfg.ue_spec_from_config(doc)).stage
@@ -151,6 +158,8 @@ def cmd_system(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .estimate import fit_waste_factor, load_power_log
+
     samples = load_power_log(args.csv)
     fit = fit_waste_factor(samples)
     if args.format == "csv":
@@ -173,6 +182,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import ee_bs, ee_ru
+
     doc = cfg.load_config(args.config)
     readings = cfg.readings_from_config(doc)
     records = []

@@ -25,13 +25,15 @@ import functools
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, get_args, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, get_args, get_type_hints
 
-from .components import Adc, RuSpec, UeSpec, reference_ru_spec, reference_ue_spec
 from .core import Stage
-from .metrics import EquipmentReading
 from .netsim import CampaignSpec, Scenario
 from .units import db_to_linear
+
+if TYPE_CHECKING:
+    from .components import RuSpec, UeSpec
+    from .metrics import EquipmentReading
 
 
 class ConfigError(ValueError):
@@ -163,14 +165,16 @@ def _parsers(cls: type, keys: dict[str, str]) -> dict[str, Callable[[str], Any]]
     return {key: _PARSER_BY_TYPE[_leaf_type(cls, path)] for key, path in keys.items()}
 
 
-# section -> key -> parser
-_SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
+# section -> key -> parser. [ru] and [ue] parse by the field types of the
+# device specs, so their parsers are built on first use (see _section_schema)
+# and a command that reads neither never imports the components module.
+_SCHEMA: dict[str, dict[str, Callable[[str], Any]] | None] = {
     "cascade": {
         "source_power_w": _parse_float,
         "stages": _parse_multiline,
     },
-    "ru": _parsers(RuSpec, _RU_KEYS),
-    "ue": _parsers(UeSpec, _UE_KEYS),
+    "ru": None,
+    "ue": None,
     "channel": {
         "frequency_ghz": _parse_float,
         "ple": _parse_float,
@@ -188,6 +192,16 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     },
     "metrics": {"readings": _parse_multiline},
 }
+
+
+def _section_schema(section: str) -> dict[str, Callable[[str], Any]]:
+    schema = _SCHEMA[section]
+    if schema is None:
+        from .components import RuSpec, UeSpec
+
+        cls, keys = {"ru": (RuSpec, _RU_KEYS), "ue": (UeSpec, _UE_KEYS)}[section]
+        schema = _SCHEMA[section] = _parsers(cls, keys)
+    return schema
 
 
 @dataclass(frozen=True)
@@ -221,7 +235,7 @@ def load_config(path: str | Path) -> ConfigDocument:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; known sections: {known}"
             )
-        schema = _SCHEMA[section]
+        schema = _section_schema(section)
         values: dict[str, Any] = {}
         for key, raw in parser.items(section):
             if key not in schema:
@@ -260,6 +274,8 @@ def _override(spec: Any, keys: dict[str, str], values: dict[str, Any]) -> Any:
 
 def ru_spec_from_config(doc: ConfigDocument) -> RuSpec:
     """RU spec from [ru]; missing keys keep the reference RU's values."""
+    from .components import reference_ru_spec
+
     try:
         return _override(reference_ru_spec(), _RU_KEYS, doc.sections.get("ru", {}))
     except ValueError as exc:
@@ -268,6 +284,8 @@ def ru_spec_from_config(doc: ConfigDocument) -> RuSpec:
 
 def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
     """UE spec from [ue]; missing keys keep the reference UE's values."""
+    from .components import Adc, reference_ue_spec
+
     values = doc.sections.get("ue", {})
     try:
         base = reference_ue_spec()
@@ -438,6 +456,8 @@ def _build_stage(doc: ConfigDocument, label: str, values: dict[str, float]) -> S
 
 def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReading]]:
     """Named equipment readings from [metrics]: ``name key=value ...`` lines."""
+    from .metrics import EquipmentReading
+
     known = {f.name for f in fields(EquipmentReading)}
     readings = []
     for name, values in _key_value_lines(doc, "metrics", "readings", "reading", known):

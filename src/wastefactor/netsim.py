@@ -67,6 +67,11 @@ BAND_PRESETS: dict[float, BandParams] = {
     28.0e9: BandParams(ple=2.02, sigma_db=8.98),
 }
 
+
+def _known_bands() -> str:
+    return ", ".join(f"{f/1e9:g} GHz" for f in sorted(BAND_PRESETS))
+
+
 # Fixed physical apertures: 1 m x 1 m at the BS, 3 cm x 3 cm at the UE,
 # 80% efficient at every band.
 BS_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=1.0)
@@ -129,10 +134,9 @@ class Scenario:
             raise ValueError("non-path powers must be >= 0 W")
         if self.ple is None or self.sigma_db is None:
             if self.frequency_hz not in BAND_PRESETS:
-                known = ", ".join(f"{f/1e9:g} GHz" for f in sorted(BAND_PRESETS))
                 raise ValueError(
                     f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
-                    f"give ple and sigma_db explicitly or use one of: {known}"
+                    f"give ple and sigma_db explicitly or use one of: {_known_bands()}"
                 )
         if self.ple is not None and self.ple <= 0.0:
             raise ValueError(f"path-loss exponent must be > 0, got {self.ple}")
@@ -296,17 +300,24 @@ def assign_serving_sets(
     return mask
 
 
-def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarray, int]:
-    """Per-link effective loss (linear, clamped at the W = 1 floor).
+def effective_loss_matrix(
+    scenario: Scenario, layout: Layout, serving_mask: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Effective loss of each served link (linear, clamped at the W = 1 floor).
 
-    Close-in path loss over the 3-D distance, optional per-link shadowing
-    draw, minus both endpoint antenna gains. Returns the loss matrix and
-    the count of links that hit the clamp.
+    Close-in path loss over the 3-D distance, optional shadowing draw,
+    minus both endpoint antenna gains, for the links of ``serving_mask``
+    in its row-major order. The shadowing draw covers every
+    ``(n_ue, n_bs)`` pair, so the stream does not depend on the mask.
+    Returns the link losses and the count of links that hit the clamp.
     """
     height_delta = scenario.bs_height_m - scenario.ue_height_m
+    # Flat link indices, then a take: half the time of a boolean index.
+    flat = np.flatnonzero(serving_mask)
     # One array carries the whole dB chain: 3-D distance, path loss,
     # shadowing, gains, clamp, linear loss.
-    x = np.square(layout.distance_m)
+    x = layout.distance_m.take(flat)
+    np.square(x, out=x)
     x += height_delta ** 2
     np.sqrt(x, out=x)
     np.maximum(x, 1.0, out=x)
@@ -314,8 +325,8 @@ def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarra
     np.multiply(10.0 * scenario.resolved_ple, x, out=x)
     np.add(fspl_1m_db(scenario.frequency_hz), x, out=x)
     if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
-        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(x.shape)
-        x += np.multiply(scenario.resolved_sigma_db, z, out=z)
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(serving_mask.shape)
+        x += scenario.resolved_sigma_db * z.take(flat)
     g_tx_db, g_rx_db = scenario.antenna_gains_db
     x -= g_tx_db
     x -= g_rx_db
@@ -325,60 +336,102 @@ def effective_loss_matrix(scenario: Scenario, layout: Layout) -> tuple[np.ndarra
     return np.power(10.0, x, out=x), n_clamped
 
 
+class _Links:
+    """The served links of a boolean ``(n_ue, n_bs)`` serving mask: one
+    ``(ue, bs)`` pair per link, in the mask's row-major order.
+
+    ``per_ue`` and ``per_bs`` sum a link array per UE and per BS bit for
+    bit as numpy sums the dense matrix holding it on the mask and zeros
+    off it. numpy adds a row of fewer than 8 columns, and each column of a
+    matrix with several, one element at a time, as ``np.bincount`` does;
+    a row with at most two links sums alike in any order. It adds a row of
+    8 or more columns in 8 pairwise lanes, so there a UE with three or
+    more links is summed as a row of a small dense block; and it sums a
+    lone column pairwise, so with one BS the column itself is summed.
+    """
+
+    def __init__(self, serving_mask: np.ndarray) -> None:
+        self.n_ue, self.n_bs = serving_mask.shape
+        # np.nonzero of the 2-D mask, several times faster.
+        self.ue, self.bs = np.divmod(np.flatnonzero(serving_mask), self.n_bs)
+        self.wide_ue = None
+        if self.n_bs >= 8:
+            wide = np.bincount(self.ue, minlength=self.n_ue) >= 3
+            if wide.any():
+                self.wide_ue = np.flatnonzero(wide)
+                self.wide_links = np.flatnonzero(wide[self.ue])
+                self.wide_mask = serving_mask[self.wide_ue]
+
+    def per_ue(self, values: np.ndarray) -> np.ndarray:
+        sums = self._bincount(self.ue, values, self.n_ue)
+        if self.wide_ue is not None:
+            block = np.zeros(self.wide_mask.shape)
+            block[self.wide_mask] = values[self.wide_links]
+            sums[self.wide_ue] = block.sum(axis=1)
+        return sums
+
+    def per_bs(self, values: np.ndarray) -> np.ndarray:
+        if self.n_bs == 1:
+            column = np.zeros(self.n_ue)
+            column[self.ue] = values
+            return column.sum(keepdims=True)
+        return self._bincount(self.bs, values, self.n_bs)
+
+    @staticmethod
+    def _bincount(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+        # bincount returns integer zeros when there are no links.
+        return np.bincount(index, weights=values, minlength=n).astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class PowerControlResult:
-    p_tx_w: np.ndarray        # (n_ue, n_bs), zero off the serving links
-    p_rx_link_w: np.ndarray   # (n_ue, n_bs)
+    p_tx_w: np.ndarray        # (n_links,), one per served link in mask order
+    p_rx_link_w: np.ndarray   # (n_links,)
     p_rx_ue_w: np.ndarray     # (n_ue,)
     snr_db: np.ndarray        # (n_ue,), -inf for unserved UEs
     n_capped_links: int
     n_budget_limited_bs: int
+    links: _Links = field(repr=False)  # the (ue, bs) pair of each link
 
 
 def power_control(
-    l_eff_w: np.ndarray, serving_mask: np.ndarray, scenario: Scenario
+    link_loss_w: np.ndarray, serving_mask: np.ndarray, scenario: Scenario
 ) -> PowerControlResult:
     """Set per-link transmit powers so each UE's combined (non-coherent)
     received power hits the SNR target.
 
-    Equal allocation splits one transmit level across a UE's serving
-    links; proportional allocation loads better links harder (p_tx
-    proportional to the link gain). Each link then clips to the per-link
-    cap, and any BS whose summed load exceeds its budget has all its
-    links scaled down proportionally. SNR is recomputed after both.
-
-    Works in two arrays of its own: the link gain, which becomes the
-    received power, and the transmit power. Each is computed over the
-    whole matrix and then zeroed off the mask, so what a loss off the
-    mask holds never reaches a result.
+    ``link_loss_w`` holds one effective loss per served link, in the
+    row-major order of ``serving_mask`` (``l_eff_w[serving_mask]`` of a
+    dense loss matrix). Equal allocation splits one transmit level across
+    a UE's serving links; proportional allocation loads better links
+    harder (p_tx proportional to the link gain). Each link then clips to
+    the per-link cap, and any BS whose summed load exceeds its budget has
+    all its links scaled down proportionally. SNR is recomputed after both.
     """
-    off_mask = ~serving_mask
+    links = _Links(serving_mask)
     with np.errstate(divide="ignore", over="ignore"):
-        inv_l = 1.0 / l_eff_w
-    np.putmask(inv_l, off_mask, 0.0)
+        inv_l = 1.0 / link_loss_w
     target = scenario.target_rx_power_w
     cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
-    p_tx = np.empty(l_eff_w.shape)
     if scenario.power_allocation == "equal":
-        denom = inv_l.sum(axis=1)
+        denom = links.per_ue(inv_l)
         per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        p_tx[...] = per_ue[:, None]
-        np.putmask(p_tx, off_mask, 0.0)
+        p_tx = per_ue[links.ue]
     else:
-        denom = np.square(inv_l, out=p_tx).sum(axis=1)
+        denom = links.per_ue(np.square(inv_l))
         scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        np.multiply(scale[:, None], inv_l, out=p_tx)
+        p_tx = scale[links.ue] * inv_l
     n_capped = int(np.count_nonzero(p_tx > cap_w))
     np.minimum(p_tx, cap_w, out=p_tx)
 
     budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
-    bs_load = p_tx.sum(axis=0)
+    bs_load = links.per_bs(p_tx)
     bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
     n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
-    p_tx *= bs_scale[None, :]
+    p_tx *= bs_scale[links.bs]
 
     p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
-    p_rx_ue = p_rx_link.sum(axis=1)
+    p_rx_ue = links.per_ue(p_rx_link)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
     return PowerControlResult(
@@ -388,6 +441,7 @@ def power_control(
         snr_db=snr_db,
         n_capped_links=n_capped,
         n_budget_limited_bs=n_budget_limited,
+        links=links,
     )
 
 
@@ -413,51 +467,51 @@ def _p5(x: np.ndarray) -> float:
 def evaluate_links(
     scenario: Scenario,
     serving_mask: np.ndarray,
-    l_eff_w: np.ndarray,
+    link_loss_w: np.ndarray,
     n_clamped_links: int = 0,
 ) -> DropResult:
-    """Score an explicit link realization (serving mask + effective losses).
+    """Score an explicit link realization (serving mask + link losses).
 
     ``serving_mask`` is the boolean ``(n_ue, n_bs)`` serving mask of
-    :func:`assign_serving_sets`. This is the composition core behind
-    :func:`evaluate_drop`; driving it directly with hand-built links gives
-    deterministic reference cases. Per-UE SNRs are ``power_control(...).snr_db``.
+    :func:`assign_serving_sets`, and ``link_loss_w`` the effective loss of
+    each served link in the mask's row-major order, i.e.
+    ``l_eff_w[serving_mask]`` of a dense loss matrix. This is the
+    composition core behind :func:`evaluate_drop`; driving it directly with
+    hand-built links gives deterministic reference cases. Per-UE SNRs are
+    ``power_control(...).snr_db``.
     """
-    n_ue, n_bs = l_eff_w.shape
-    if (n_ue, n_bs) != (scenario.n_ue, scenario.n_bs):
-        raise ValueError(
-            f"loss matrix is {n_ue}x{n_bs} but the scenario declares "
-            f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
-        )
     if not isinstance(serving_mask, np.ndarray) or serving_mask.dtype != bool:
         kind = getattr(serving_mask, "dtype", type(serving_mask).__name__)
         raise ValueError(f"serving mask must be a boolean array, got {kind}")
-    if serving_mask.shape != (n_ue, n_bs):
+    if serving_mask.shape != (scenario.n_ue, scenario.n_bs):
         raise ValueError(
-            f"serving mask has shape {serving_mask.shape} but the loss matrix is {n_ue}x{n_bs}"
+            f"serving mask has shape {serving_mask.shape} but the scenario declares "
+            f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
         )
-    pc = power_control(l_eff_w, serving_mask, scenario)
+    n_links = int(np.count_nonzero(serving_mask))
+    if np.shape(link_loss_w) != (n_links,):
+        raise ValueError(
+            f"link losses have shape {np.shape(link_loss_w)} but the serving mask "
+            f"holds {n_links} links; pass one loss per link, l_eff_w[serving_mask]"
+        )
+    pc = power_control(link_loss_w, serving_mask, scenario)
 
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
     # Branch cascade per link, core.refer(w_bs, l, g_c) with g_c = 1 / l: the
     # effective channel stage plus the BS stage behind it, referenced to the
-    # link's received power; zero off the mask. It is written out in place in
-    # refer's operand order, as refer's fresh arrays would lift a 1024 x 20
-    # drop's peak from 3.8 to 5.24 dense arrays. Then the per-UE MISO
-    # group and the imaginary-sink first stage, both received-power-weighted
-    # means, so the first stage collapses into a single sum over links.
-    # What overflows on the mask is caught by the finite check below. The
-    # transmit powers are needed only as their total from here on, so
-    # their array holds the branch cascade.
+    # link's received power, written out on the link arrays in refer's
+    # operand order. Then the per-UE MISO group and the imaginary-sink
+    # first stage, both received-power-weighted means, so the first stage
+    # collapses into a single sum over links. What overflows is caught by
+    # the finite check below.
     p_tx_total = pc.p_tx_w.sum()
     with np.errstate(all="ignore"):
-        w_cascade = np.divide(1.0, l_eff_w, out=pc.p_tx_w)
+        w_cascade = np.divide(1.0, link_loss_w)
         np.divide(scenario.w_bs - 1.0, w_cascade, out=w_cascade)
-        np.add(l_eff_w, w_cascade, out=w_cascade)
-        np.putmask(w_cascade, ~serving_mask, 0.0)
-        consumed_per_ue = np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade).sum(axis=1)
+        np.add(link_loss_w, w_cascade, out=w_cascade)
+        consumed_per_ue = pc.links.per_ue(np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade))
         w_mino1 = consumed_per_ue.sum() / total_rx
         g_ue = db_to_linear(scenario.g_ue_db)
         w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
@@ -508,9 +562,9 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     """One full Monte-Carlo drop, pure in the scenario (seed included)."""
     layout = generate_layout(scenario)
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-    l_eff_w, n_clamped = effective_loss_matrix(scenario, layout)
+    link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, mask)
     del layout  # frees the distance matrix before power control
-    return evaluate_links(scenario, mask, l_eff_w, n_clamped_links=n_clamped)
+    return evaluate_links(scenario, mask, link_loss_w, n_clamped_links=n_clamped)
 
 
 @dataclass(frozen=True)
@@ -534,13 +588,20 @@ class CampaignSpec:
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         # Each axis value must make a valid cell; Scenario holds the rules.
-        for name, values in (
-            ("frequency_hz", self.frequencies_hz),
-            ("antenna_mode", self.antenna_modes),
-            ("n_bs", self.n_bs_values),
-        ):
-            for value in values:
-                Scenario(**{name: value})
+        # Cells take ple and sigma_db from the band presets, so a band
+        # without one fails here, where the message can say so; the
+        # stand-in path-loss row lifts Scenario's own preset check.
+        for frequency_hz in self.frequencies_hz:
+            Scenario(frequency_hz=frequency_hz, ple=2.0, sigma_db=0.0)
+            if frequency_hz not in BAND_PRESETS:
+                raise ValueError(
+                    f"no path-loss preset for {frequency_hz/1e9:g} GHz; grid cells take "
+                    f"ple and sigma_db from the band presets, which cover {_known_bands()}"
+                )
+        for mode in self.antenna_modes:
+            Scenario(antenna_mode=mode)
+        for n_bs in self.n_bs_values:
+            Scenario(n_bs=n_bs)
 
 
 @dataclass(frozen=True, eq=False)

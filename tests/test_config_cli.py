@@ -419,6 +419,17 @@ class TestSweepAxisValues:
         assert not out_dir.exists()
 
 
+    def test_band_without_preset_names_the_presets(self, capsys, tmp_path):
+        # Once hinted "give ple and sigma_db explicitly", which no INI key does.
+        path = tmp_path / "bad.ini"
+        path.write_text("[sweep]\nfrequencies_ghz = 5\n")
+        code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "no path-loss preset for 5 GHz; grid cells take ple and sigma_db from the band presets" in err
+        assert "3.5 GHz, 17 GHz, 28 GHz" in err
+        assert "explicitly" not in err
+
+
 class TestCascadeCommand:
     def test_demo_table_ends_with_total(self, capsys):
         code, out, _ = run_cli(capsys, "cascade", str(CONFIGS / "cascade_demo.ini"))
@@ -721,6 +732,21 @@ class TestImportCost:
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
         assert out.strip() == "False"
+
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        # Each command imports what only it runs; simulate needs none of these.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys, wastefactor.cli; "
+            "print(sorted(m for m in ('wastefactor.components', 'wastefactor.estimate', "
+            "'wastefactor.metrics') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCliSurface:
