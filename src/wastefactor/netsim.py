@@ -14,9 +14,10 @@ then collapse the whole network into a single waste factor:
   system-level number, plus area-normalized power totals.
 
 Randomness is counter-based (Philox) and split into named substreams
-(UE layout / BS layout / link shadowing), so identical scenario + seed
-reproduces bit-identical results on any platform and adding BSs never
-perturbs UE placement.
+(UE layout / BS layout / link shadowing), so adding BSs never perturbs
+UE placement, and identical scenario + seed reproduces byte-identical
+CSVs on any platform. ``DropResult`` floats are bit-stable only on one
+numpy SIMD dispatch path: their last bits may move with it.
 
 Shadow fading: sigma values ship with each band preset and per-link
 i.i.d. draws are implemented, but ``apply_shadowing`` defaults to False.
@@ -340,41 +341,22 @@ class _Links:
     """The served links of a boolean ``(n_ue, n_bs)`` serving mask: one
     ``(ue, bs)`` pair per link, in the mask's row-major order.
 
-    ``per_ue`` and ``per_bs`` sum a link array per UE and per BS bit for
-    bit as numpy sums the dense matrix holding it on the mask and zeros
-    off it. numpy adds a row of fewer than 8 columns, and each column of a
-    matrix with several, one element at a time, as ``np.bincount`` does;
-    a row with at most two links sums alike in any order. It adds a row of
-    8 or more columns in 8 pairwise lanes, so there a UE with three or
-    more links is summed as a row of a small dense block; and it sums a
-    lone column pairwise, so with one BS the column itself is summed.
+    ``per_ue`` and ``per_bs`` sum a link array per UE and per BS in link
+    order: each sum adds its links one at a time, first link first, as
+    ``np.bincount`` does. That order is the model's; it is not numpy's
+    order for a dense ``(n_ue, n_bs)`` sum, which may differ in the last
+    bits.
     """
 
     def __init__(self, serving_mask: np.ndarray) -> None:
         self.n_ue, self.n_bs = serving_mask.shape
         # np.nonzero of the 2-D mask, several times faster.
         self.ue, self.bs = np.divmod(np.flatnonzero(serving_mask), self.n_bs)
-        self.wide_ue = None
-        if self.n_bs >= 8:
-            wide = np.bincount(self.ue, minlength=self.n_ue) >= 3
-            if wide.any():
-                self.wide_ue = np.flatnonzero(wide)
-                self.wide_links = np.flatnonzero(wide[self.ue])
-                self.wide_mask = serving_mask[self.wide_ue]
 
     def per_ue(self, values: np.ndarray) -> np.ndarray:
-        sums = self._bincount(self.ue, values, self.n_ue)
-        if self.wide_ue is not None:
-            block = np.zeros(self.wide_mask.shape)
-            block[self.wide_mask] = values[self.wide_links]
-            sums[self.wide_ue] = block.sum(axis=1)
-        return sums
+        return self._bincount(self.ue, values, self.n_ue)
 
     def per_bs(self, values: np.ndarray) -> np.ndarray:
-        if self.n_bs == 1:
-            column = np.zeros(self.n_ue)
-            column[self.ue] = values
-            return column.sum(keepdims=True)
         return self._bincount(self.bs, values, self.n_bs)
 
     @staticmethod

@@ -749,6 +749,37 @@ class TestImportCost:
         assert out.strip() == "[]"
 
 
+class TestCpuPortability:
+    def test_simulate_small_matches_golden_without_dispatched_features(self, tmp_path):
+        # CSV bytes are the portable contract: they must not move with
+        # numpy's run-time SIMD path. numpy refuses to disable a baseline
+        # feature, so only the dispatched ones this CPU runs are turned off.
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        active = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        if not active:
+            pytest.skip("numpy dispatches no SIMD feature on this CPU beyond its baseline")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out_dir = tmp_path / "campaign"
+        probe = (
+            "import sys; "
+            "from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            f"assert not any(f[k] for k in {active!r}), 'features still active'; "
+            "from wastefactor.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe, "simulate", str(CONFIGS / "simulate_small.ini"),
+             "--jobs", "1", "--out", str(out_dir)],
+            env={**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(active)},
+            capture_output=True, check=True, timeout=120,
+        )
+        golden = Path(__file__).resolve().parent / "golden"
+        assert (out_dir / "drops.csv").read_bytes() == (golden / "simulate_small_drops.csv").read_bytes()
+        assert (out_dir / "aggregate.csv").read_bytes() == (
+            golden / "simulate_small_aggregate.csv"
+        ).read_bytes()
+
+
 class TestCliSurface:
     @pytest.mark.parametrize(
         "command", ["cascade", "system", "fit", "metrics", "simulate"]

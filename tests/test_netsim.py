@@ -23,7 +23,6 @@ from wastefactor.netsim import (
     STREAM_BS_LAYOUT,
     STREAM_SHADOWING,
     STREAM_UE_LAYOUT,
-    _Links,
     _p5,
     _substream,
     _uniform_disk,
@@ -556,9 +555,17 @@ class TestEvaluateDrop:
 
 # The kernel's arithmetic on the dense (n_ue, n_bs) matrix in its np.where
 # form, a fresh temporary per step: the oracle for the link-list kernel.
-# Every op and operand order is the same, so the link entries of each
-# dense result (``dense[mask]``) and every per-UE result must be equal
-# byte for byte.
+# Every op and operand order is the same, and a sum over links adds them
+# in link order (``link_sum``), so the link entries of each dense result
+# (``dense[mask]``) and every per-UE result must be equal byte for byte.
+
+
+def link_sum(dense, mask, axis):
+    """``dense.sum(axis)`` over the mask's entries only, added one at a
+    time in the mask's row-major (link) order, as ``np.bincount`` adds."""
+    sums = np.zeros(mask.shape[1 - axis])
+    np.add.at(sums, np.nonzero(mask)[1 - axis], dense[mask])
+    return sums
 
 
 def where_distance(layout):
@@ -588,22 +595,22 @@ def where_power_control(l_eff_w, serving_mask, scenario):
     target = scenario.target_rx_power_w
     cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
     if scenario.power_allocation == "equal":
-        denom = inv_l.sum(axis=1)
+        denom = link_sum(inv_l, serving_mask, axis=1)
         per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
         desired = np.where(serving_mask, per_ue[:, None], 0.0)
     else:
-        denom = (inv_l ** 2).sum(axis=1)
+        denom = link_sum(inv_l ** 2, serving_mask, axis=1)
         scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
         desired = scale[:, None] * inv_l
     n_capped = int(np.count_nonzero(desired > cap_w))
     p_tx = np.minimum(desired, cap_w)
     budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
-    bs_load = p_tx.sum(axis=0)
+    bs_load = link_sum(p_tx, serving_mask, axis=0)
     bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
     n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
     p_tx = p_tx * bs_scale[None, :]
     p_rx_link = p_tx * inv_l
-    p_rx_ue = p_rx_link.sum(axis=1)
+    p_rx_ue = link_sum(p_rx_link, serving_mask, axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
     return PowerControlResult(p_tx, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited, links=None)
@@ -616,7 +623,7 @@ def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
-    consumed_per_ue = (pc.p_rx_link_w * w_cascade).sum(axis=1)
+    consumed_per_ue = link_sum(pc.p_rx_link_w * w_cascade, serving_mask, axis=1)
     w_mino1 = consumed_per_ue.sum() / total_rx
     g_ue = db_to_linear(scenario.g_ue_db)
     w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
@@ -684,8 +691,8 @@ OFF_MASK_LOSSES = st.one_of(st.sampled_from([math.inf, math.nan, 0.0, 1e308]), s
 @st.composite
 def serving_masks(draw, n_ue, n_bs):
     """A boolean mask: hypothesis's own (mostly one value), or i.i.d. at a
-    drawn density, so rows of three or more links on 8 or more columns
-    are common."""
+    drawn density, so rows and columns of many links, where the order of
+    the additions shows, are common."""
     density = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return draw(st.one_of(
@@ -829,22 +836,6 @@ class TestInPlaceKernelOracle:
                 evaluate_drop(scenario)
         else:
             assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
-
-
-class TestLinkSums:
-    """``_Links`` sums a link array per UE and per BS bit for bit as numpy
-    sums the dense matrix, zeros off the mask, along each axis."""
-
-    @pytest.mark.parametrize("n_bs", range(1, 21))
-    @settings(max_examples=25, deadline=None)
-    @given(n_ue=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_sums_match_dense_sums(self, n_bs, n_ue, seed, data):
-        mask = data.draw(serving_masks(n_ue, n_bs))
-        # Values over 40 decades, so the order of the additions shows.
-        dense = np.where(mask, 10.0 ** np.random.default_rng(seed).uniform(-20.0, 20.0, mask.shape), 0.0)
-        links = _Links(mask)
-        assert links.per_ue(dense[mask]).tobytes() == dense.sum(axis=1).tobytes()
-        assert links.per_bs(dense[mask]).tobytes() == dense.sum(axis=0).tobytes()
 
 
 class TestDropMemory:
