@@ -117,12 +117,13 @@ def _field_keys(cls: type, renames: dict[str, str], without: tuple[str, ...]) ->
 # from [sweep] or from the band presets, so [scenario] has no key for them.
 _GRID_FIELDS = ("frequency_hz", "antenna_mode", "n_bs", "ple", "sigma_db")
 _SCENARIO_KEYS = _field_keys(Scenario, {"bandwidth_hz": "bandwidth_mhz"}, _GRID_FIELDS)
-# The campaign's base seed is [scenario] seed.
+# The campaign's base seed is [scenario] seed; _CAMPAIGN_KEYS adds it.
 _SWEEP_KEYS = _field_keys(
     CampaignSpec,
     {"frequencies_hz": "frequencies_ghz", "n_bs_values": "n_bs", "n_seeds": "seeds"},
     ("base_seed",),
 )
+_CAMPAIGN_KEYS = {**_SWEEP_KEYS, "seed": "base_seed"}
 
 # [ru]/[ue] key -> field path into RuSpec/UeSpec.
 _RU_KEYS = {
@@ -322,9 +323,12 @@ def campaign_from_config(
     if seeds_override is not None:
         values["seeds"] = seeds_override
     base_seed = doc.get("scenario", "seed") if base_seed_override is None else base_seed_override
+    if base_seed is not None:
+        values["seed"] = base_seed
     try:
-        base = CampaignSpec() if base_seed is None else CampaignSpec(base_seed=base_seed)
-        return _override(base, _SWEEP_KEYS, values)
+        # One replace sets the seed count and the base seed together, so
+        # CampaignSpec checks the seed range the run will use.
+        return _override(CampaignSpec(), _CAMPAIGN_KEYS, values)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc
 

@@ -184,6 +184,11 @@ class Layout:
     distance_m: np.ndarray = field(init=False, repr=False)  # (n_ue, n_bs), horizontal
 
     def __post_init__(self) -> None:
+        # A NaN distance would fail every radius test and still win the
+        # nearest-BS argmin, so non-finite coordinates stop here.
+        for name in ("bs_xy_m", "ue_xy_m"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must hold finite coordinates")
         # sqrt(dx*dx + dy*dy) in two float work arrays.
         d = np.subtract(self.ue_xy_m[:, 0, None], self.bs_xy_m[None, :, 0], dtype=float)
         d *= d
@@ -293,11 +298,15 @@ def assign_serving_sets(
 ) -> np.ndarray:
     """Boolean ``(n_ue, n_bs)`` serving mask: every BS within the radius
     (horizontal distance); a UE covered by none gets its nearest BS when
-    the fallback is enabled, otherwise an empty row."""
-    mask = layout.distance_m <= serving_radius_m
+    the fallback is enabled, otherwise an empty row.
+
+    The fallback sets every UE's first-nearest BS: a covered UE's nearest
+    BS is already inside the radius, so only uncovered rows change.
+    """
+    distance_m = layout.distance_m
+    mask = distance_m <= serving_radius_m
     if fallback_nearest:
-        uncovered = np.flatnonzero(~mask.any(axis=1))
-        mask[uncovered, np.argmin(layout.distance_m[uncovered], axis=1)] = True
+        mask[np.arange(distance_m.shape[0]), distance_m.argmin(axis=1)] = True
     return mask
 
 
@@ -408,9 +417,12 @@ def power_control(
 
     budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
     bs_load = links.per_bs(p_tx)
-    bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
-    n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
-    p_tx *= bs_scale[links.bs]
+    over_budget = bs_load > budget_w
+    n_budget_limited = 0
+    if over_budget.any():  # otherwise every BS scale is 1.0
+        bs_scale = np.where(over_budget, budget_w / np.maximum(bs_load, 1e-300), 1.0)
+        n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
+        p_tx *= bs_scale[links.bs]
 
     p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
     p_rx_ue = links.per_ue(p_rx_link)
@@ -584,6 +596,17 @@ class CampaignSpec:
             Scenario(antenna_mode=mode)
         for n_bs in self.n_bs_values:
             Scenario(n_bs=n_bs)
+        # Cells copy their seed in unchecked (see campaign_scenarios), so
+        # both ends of the seed range must make valid cells here.
+        last_seed = self.base_seed + self.n_seeds - 1
+        try:
+            Scenario(seed=self.base_seed)
+            Scenario(seed=last_seed)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}; the grid's {self.n_seeds} seeds run from {self.base_seed} "
+                f"to {last_seed}"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,25 +635,30 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     and ``seed`` set from the grid, ``ple`` and ``sigma_db`` reset to the
     band presets, and, in omni cells, ``per_link_cap_dbm`` set to the
     campaign's omni cap; every other field of ``base`` carries over.
+
+    Each (frequency, mode, n_bs) cell is validated once; its seed variants
+    are copies with only ``seed`` set, from the range ``CampaignSpec``
+    checked.
     """
+    seeds = range(campaign.base_seed, campaign.base_seed + campaign.n_seeds)
     cells = []
     for frequency_hz in campaign.frequencies_hz:
         for mode in campaign.antenna_modes:
             cap = campaign.omni_per_link_cap_dbm if mode == OMNI else base.per_link_cap_dbm
             for n_bs in campaign.n_bs_values:
-                for offset in range(campaign.n_seeds):
-                    cells.append(
-                        replace(
-                            base,
-                            frequency_hz=frequency_hz,
-                            antenna_mode=mode,
-                            n_bs=n_bs,
-                            per_link_cap_dbm=cap,
-                            ple=None,
-                            sigma_db=None,
-                            seed=campaign.base_seed + offset,
-                        )
-                    )
+                cell = replace(
+                    base,
+                    frequency_hz=frequency_hz,
+                    antenna_mode=mode,
+                    n_bs=n_bs,
+                    per_link_cap_dbm=cap,
+                    ple=None,
+                    sigma_db=None,
+                )
+                for seed in seeds:
+                    copy = object.__new__(Scenario)
+                    copy.__dict__.update(cell.__dict__, seed=seed)
+                    cells.append(copy)
     return cells
 
 

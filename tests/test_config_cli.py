@@ -429,6 +429,43 @@ class TestSweepAxisValues:
         assert "3.5 GHz, 17 GHz, 28 GHz" in err
         assert "explicitly" not in err
 
+    # The last of 2 seeds from the largest 64-bit seed is 2**64, one past it.
+    SEED_RANGE_MESSAGE = (
+        "invalid [sweep]: seed must be a 64-bit unsigned integer, got 18446744073709551616; "
+        "the grid's 2 seeds run from 18446744073709551615 to 18446744073709551616"
+    )
+
+    def test_seed_range_past_64_bits_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[scenario]\nn_ue = 8\nseed = 18446744073709551615\n"
+            "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 2\n"
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert self.SEED_RANGE_MESSAGE in err
+        assert not out_dir.exists()
+        # One seed from there is the whole valid range.
+        code, _, _ = run_cli(
+            capsys, "simulate", str(path), "--seeds", "1", "--jobs", "1", "--out", str(out_dir)
+        )
+        assert code == 0
+        assert ",18446744073709551615," in (out_dir / "drops.csv").read_text()
+
+    def test_wf_seed_range_past_64_bits_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("WF_SEED", "18446744073709551615")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", str(CONFIGS / "simulate_small.ini"),
+            "--jobs", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert err.startswith("config error:")
+        assert self.SEED_RANGE_MESSAGE in err
+        assert not out_dir.exists()
+
 
 class TestCascadeCommand:
     def test_demo_table_ends_with_total(self, capsys):

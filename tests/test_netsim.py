@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -130,6 +131,14 @@ class TestLayout:
         layout = Layout(bs_xy_m=np.array([[0, 0], [6, 8]]), ue_xy_m=np.array([[3, 4]]))
         assert layout.distance_m.tolist() == [[5.0, 5.0]]
 
+    @pytest.mark.parametrize("name", ["bs_xy_m", "ue_xy_m"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, name, bad):
+        xy = {"bs_xy_m": np.array([[0.0, 0.0], [600.0, 0.0]]), "ue_xy_m": np.array([[0.0, 0.0]])}
+        xy[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{name} must hold finite coordinates"):
+            Layout(**xy)
+
     def test_infeasible_placement_raises(self):
         sc = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
         with pytest.raises(RuntimeError, match="could not place"):
@@ -153,6 +162,14 @@ class TestServingSets:
         assert list(np.flatnonzero(assign_serving_sets(layout, 200.0)[0])) == [0]
         no_fallback = assign_serving_sets(layout, 200.0, fallback_nearest=False)
         assert list(np.flatnonzero(no_fallback[0])) == []
+
+    def test_fallback_tie_goes_to_the_lower_index(self):
+        layout = Layout(
+            bs_xy_m=np.array([[900.0, 0.0], [-500.0, 0.0], [500.0, 0.0]]),
+            ue_xy_m=np.array([[0.0, 0.0], [0.0, 0.0]]),
+        )
+        mask = assign_serving_sets(layout, 200.0)
+        assert mask.tolist() == [[False, True, False]] * 2
 
     def test_single_bs_serves_everyone(self):
         layout = generate_layout(dataclasses.replace(SMALL, n_bs=1))
@@ -184,7 +201,26 @@ def layouts_and_radii(draw):
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 
+def where_serving(layout, serving_radius_m, fallback_nearest):
+    """The serving mask with the fallback on uncovered rows only: find them
+    with ``any``, gather them, take their argmin."""
+    mask = layout.distance_m <= serving_radius_m
+    if fallback_nearest:
+        uncovered = np.flatnonzero(~mask.any(axis=1))
+        mask[uncovered, np.argmin(layout.distance_m[uncovered], axis=1)] = True
+    return mask
+
+
 class TestServingProperties:
+    @PROPERTY_SETTINGS
+    @given(case=layouts_and_radii(), fallback_nearest=st.booleans())
+    def test_mask_matches_where_serving(self, case, fallback_nearest):
+        layout, radius = case
+        mask = assign_serving_sets(layout, radius, fallback_nearest)
+        expected = where_serving(layout, radius, fallback_nearest)
+        assert (mask.dtype, mask.shape) == (expected.dtype, expected.shape)
+        assert mask.tobytes() == expected.tobytes()
+
     @PROPERTY_SETTINGS
     @given(case=layouts_and_radii())
     def test_mask_is_radius_test_without_fallback(self, case):
@@ -770,12 +806,53 @@ def small_scenarios(draw):
     )
 
 
+def budget_case(per_link_cap_dbm, per_bs_budget_dbm, loss_w):
+    """Three UEs, two on BS 0 and one on BS 1, every link with the same
+    loss: each BS's load is known, so the budget can sit below, at or
+    above it."""
+    scenario = Scenario(
+        n_ue=3,
+        n_bs=2,
+        frequency_hz=28e9,
+        per_link_cap_dbm=per_link_cap_dbm,
+        per_bs_budget_dbm=per_bs_budget_dbm,
+    )
+    mask = np.array([[True, False], [True, False], [False, True]])
+    return scenario, mask, np.where(mask, loss_w, math.inf)
+
+
+# About 0.5 W per link (BS loads 1 W and 0.5 W) under a 10 W cap: a 100 W
+# budget no BS reaches, a 1 mW one every BS exceeds. With 120 dB links
+# every link sits at a 10 mW cap, so BS 1's load equals a budget of the
+# cap exactly (not limited) while BS 0's two links exceed it.
+BUDGET_NOT_REACHED = budget_case(40.0, 50.0, 1e10)
+BUDGET_AT_LOAD = budget_case(10.0, 10.0, 1e12)
+BUDGET_EXCEEDED = budget_case(40.0, 0.0, 1e10)
+
+
 class TestInPlaceKernelOracle:
     """The link-list drop kernel against the dense np.where forms above,
     and never writing into an array it was given."""
 
+    @pytest.mark.parametrize(
+        "case, n_limited",
+        [(BUDGET_NOT_REACHED, 0), (BUDGET_AT_LOAD, 1), (BUDGET_EXCEEDED, 2)],
+        ids=["not-reached", "at-load", "exceeded"],
+    )
+    def test_budget_cases_limit_what_they_say(self, case, n_limited):
+        scenario, mask, l_eff = case
+        pc = power_control(l_eff[mask], mask, scenario)
+        assert pc.n_budget_limited_bs == n_limited
+        if case is BUDGET_AT_LOAD:
+            budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
+            assert pc.p_tx_w[-1] == budget_w  # BS 1's one link, unscaled
+            assert pc.p_tx_w[:2].tolist() == [budget_w / 2.0] * 2
+
     @PROPERTY_SETTINGS
     @given(case=link_realizations())
+    @example(case=BUDGET_NOT_REACHED)
+    @example(case=BUDGET_AT_LOAD)
+    @example(case=BUDGET_EXCEEDED)
     def test_power_control_and_links_match_where_forms(self, case):
         scenario, mask, l_eff = case
         link_loss = l_eff[mask]
@@ -884,6 +961,47 @@ class TestCampaign:
         assert cells[0].per_link_cap_dbm == 30.0  # omni override
         assert cells[-1].antenna_mode == "directional"
         assert cells[-1].per_link_cap_dbm == self.BASE.per_link_cap_dbm
+
+    def test_cells_match_replace_per_seed(self):
+        campaign = dataclasses.replace(self.CAMPAIGN, n_bs_values=(1, 3, 20), n_seeds=3)
+        base = dataclasses.replace(self.BASE, seed=1, ple=2.5, sigma_db=1.0)
+        expected = [
+            dataclasses.replace(
+                base,
+                frequency_hz=frequency_hz,
+                antenna_mode=mode,
+                n_bs=n_bs,
+                per_link_cap_dbm=campaign.omni_per_link_cap_dbm if mode == "omni" else base.per_link_cap_dbm,
+                ple=None,
+                sigma_db=None,
+                seed=campaign.base_seed + offset,
+            )
+            for frequency_hz in campaign.frequencies_hz
+            for mode in campaign.antenna_modes
+            for n_bs in campaign.n_bs_values
+            for offset in range(campaign.n_seeds)
+        ]
+        cells = campaign_scenarios(base, campaign)
+        # Pool workers get their cells pickled.
+        for got in (cells, pickle.loads(pickle.dumps(cells))):
+            assert len(got) == len(expected) == 2 * 3 * 3
+            for cell, want in zip(got, expected):
+                assert type(cell) is Scenario
+                assert vars(cell) == vars(want)
+                assert [type(v) for v in vars(cell).values()] == [type(v) for v in vars(want).values()]
+                assert cell == want and hash(cell) == hash(want)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    cell.seed = 0
+
+    def test_seed_range_must_fit_64_bits(self):
+        CampaignSpec(base_seed=2 ** 64 - 2, n_seeds=2)
+        with pytest.raises(ValueError, match=(
+            "got 18446744073709551616; the grid's 2 seeds run from "
+            "18446744073709551615 to 18446744073709551616"
+        )):
+            CampaignSpec(base_seed=2 ** 64 - 1, n_seeds=2)
+        with pytest.raises(ValueError, match="got -1; the grid's 20 seeds run from -1 to 18"):
+            CampaignSpec(base_seed=-1)
 
     def test_rows_and_aggregates(self):
         drops, aggregates = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
