@@ -134,8 +134,9 @@ def cmd_system(args: argparse.Namespace) -> int:
     sweep = cfg.wf_c_sweep_from_config(doc)
     variants = {
         "baseline": (ru, ue),
-        "halved_w_ru": (Stage(w=ru.w / 2.0, g=ru.g, label="ru"), ue),
-        "halved_w_ue": (ru, Stage(w=ue.w / 2.0, g=ue.g, label="ue")),
+        # A device cannot waste less than nothing, so halving floors at W = 1.
+        "halved_w_ru": (Stage(w=max(1.0, ru.w / 2.0), g=ru.g, label="ru"), ue),
+        "halved_w_ue": (ru, Stage(w=max(1.0, ue.w / 2.0), g=ue.g, label="ue")),
         "doubled_g_ue": (ru, Stage(w=ue.w, g=2.0 * ue.g, label="ue")),
     }
     rows = []

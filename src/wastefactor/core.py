@@ -13,6 +13,11 @@ the law's one written form; :func:`cascade` and :mod:`wastefactor.parallel`
 call it. :func:`power_flow` performs the explicit stage-by-stage energy
 bookkeeping that the closed form must reproduce; it is the brute-force
 oracle used throughout the test suite.
+
+The records here stay frozen dataclasses but write their own ``__init__``,
+storing each field through the instance ``__dict__``: the generated one
+calls ``object.__setattr__`` once per field, which costs more than the
+arithmetic of a short cascade.
 """
 
 from __future__ import annotations
@@ -32,15 +37,19 @@ class Stage:
     g: float
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.g) or self.g <= 0.0:
+    def __init__(self, w: float, g: float, label: str = "") -> None:
+        if not math.isfinite(g) or g <= 0.0:
             raise ValueError(
-                f"stage gain must be finite and > 0, got {self.g!r} (label={self.label!r})"
+                f"stage gain must be finite and > 0, got {g!r} (label={label!r})"
             )
-        if not math.isfinite(self.w) or self.w < 1.0:
+        if not math.isfinite(w) or w < 1.0:
             raise ValueError(
-                f"waste factor must be finite and >= 1, got {self.w!r} (label={self.label!r})"
+                f"waste factor must be finite and >= 1, got {w!r} (label={label!r})"
             )
+        fields = self.__dict__
+        fields["w"] = w
+        fields["g"] = g
+        fields["label"] = label
 
     @property
     def wf_db(self) -> float:
@@ -75,6 +84,16 @@ class StageFlow:
     p_consumed_w: float  # standalone signal-path consumption: W*P_out - P_in
     p_wasted_w: float    # (W - 1) * P_out
 
+    def __init__(
+        self, label: str, p_in_w: float, p_out_w: float, p_consumed_w: float, p_wasted_w: float
+    ) -> None:
+        fields = self.__dict__
+        fields["label"] = label
+        fields["p_in_w"] = p_in_w
+        fields["p_out_w"] = p_out_w
+        fields["p_consumed_w"] = p_consumed_w
+        fields["p_wasted_w"] = p_wasted_w
+
 
 @dataclass(frozen=True)
 class CascadeReport:
@@ -92,6 +111,25 @@ class CascadeReport:
     p_signal_w: float
     p_consumed_path_w: float
     p_wasted_w: float
+
+    def __init__(
+        self,
+        p_source_out_w: float,
+        stages: tuple[StageFlow, ...],
+        w: float,
+        g: float,
+        p_signal_w: float,
+        p_consumed_path_w: float,
+        p_wasted_w: float,
+    ) -> None:
+        fields = self.__dict__
+        fields["p_source_out_w"] = p_source_out_w
+        fields["stages"] = stages
+        fields["w"] = w
+        fields["g"] = g
+        fields["p_signal_w"] = p_signal_w
+        fields["p_consumed_path_w"] = p_consumed_path_w
+        fields["p_wasted_w"] = p_wasted_w
 
 
 def refer(w_up: float, w_down: float, g_down: float) -> float:
@@ -174,21 +212,22 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
     )
 
 
+def _check_signal_path(w: float, p_signal_w: float) -> None:
+    if not w >= 1.0:
+        raise ValueError(f"waste factor must be >= 1, got {w}")
+    if not 0.0 <= p_signal_w < math.inf:
+        raise ValueError(f"signal power must be >= 0 W, got {p_signal_w}")
+
+
 def wasted_power(w: float, p_signal_w: float) -> float:
     """Power wasted by a device or cascade delivering ``p_signal_w``: (W-1)*P."""
-    if w < 1.0:
-        raise ValueError(f"waste factor must be >= 1, got {w}")
-    if p_signal_w < 0.0:
-        raise ValueError(f"signal power must be >= 0 W, got {p_signal_w}")
+    _check_signal_path(w, p_signal_w)
     return (w - 1.0) * p_signal_w
 
 
 def total_consumed_power(w: float, p_signal_w: float, p_non_path_w: float = 0.0) -> float:
     """Total consumption: signal-path part W*P_signal plus non-path power."""
-    if w < 1.0:
-        raise ValueError(f"waste factor must be >= 1, got {w}")
-    if p_signal_w < 0.0:
-        raise ValueError(f"signal power must be >= 0 W, got {p_signal_w}")
-    if p_non_path_w < 0.0:
+    _check_signal_path(w, p_signal_w)
+    if not 0.0 <= p_non_path_w < math.inf:
         raise ValueError(f"non-path power must be >= 0 W, got {p_non_path_w}")
     return w * p_signal_w + p_non_path_w

@@ -35,12 +35,21 @@ def _merged_power(powers: Sequence[float], mode: CombiningMode) -> float:
     return amplitude * amplitude
 
 
+def _overflow(quantity: str, value: float) -> ValueError:
+    """The error for a result that left the float range: the callers take
+    finite operands only, so one of the sums behind it overflowed."""
+    return ValueError(f"{quantity} is {value}: its sum overflows a float")
+
+
 def _weighted_mean(
     powers: Sequence[float], w: Sequence[float], mode: CombiningMode
 ) -> float:
     """Power-weighted waste factor of parallel signals: the power they
     consume, sum(p_i W_i), over the power they deliver once merged."""
-    return sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
+    mean = sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
+    if not math.isfinite(mean):
+        raise _overflow("the power-weighted waste factor", mean)
+    return mean
 
 
 @dataclass(frozen=True)
@@ -50,9 +59,13 @@ class Branch:
     stage: Stage
     weight: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.weight) or self.weight < 0.0:
-            raise ValueError(f"branch weight must be finite and >= 0, got {self.weight}")
+    # Its own __init__, for the reason given in core's module docstring.
+    def __init__(self, stage: Stage, weight: float) -> None:
+        if not math.isfinite(weight) or weight < 0.0:
+            raise ValueError(f"branch weight must be finite and >= 0, got {weight}")
+        fields = self.__dict__
+        fields["stage"] = stage
+        fields["weight"] = weight
 
 
 def combine_branches(branches: Sequence[Branch], mode: CombiningMode) -> float:
@@ -91,13 +104,16 @@ def miso_compose(
 
 def _check_received(powers: Sequence[float], paired: Sequence[float], what: str) -> None:
     """Received powers, one per receiver and each paired with one of ``what``:
-    at least one, all >= 0 W and not all zero."""
+    at least one, all finite and >= 0 W with a finite sum, and not all zero."""
     if not powers:
         raise ValueError("at least one receiver is required")
     if len(powers) != len(paired):
         raise ValueError(f"got {len(powers)} powers but {len(paired)} {what}")
-    if min(powers) < 0.0:
-        raise ValueError("received powers must be >= 0 W")
+    # A NaN or infinite power makes the sum non-finite too.
+    if min(powers) < 0.0 or not math.isfinite(sum(powers)):
+        raise ValueError(
+            "received powers must be finite and >= 0 W, and their sum must not overflow a float"
+        )
     if not max(powers) > 0.0:
         raise ValueError("at least one receiver must see power > 0")
 
@@ -109,10 +125,13 @@ def parallel_gain(
 ) -> float:
     """Gain of parallel receivers: total output over total input power."""
     _check_received(received_powers_w, gains, "gains")
-    if any(g <= 0.0 for g in gains):
-        raise ValueError("receiver gains must be > 0")
+    if not all(0.0 < g < math.inf for g in gains):
+        raise ValueError("receiver gains must be finite and > 0")
     total_in = sum(received_powers_w)
-    return _merged_power([p * g for p, g in zip(received_powers_w, gains)], mode) / total_in
+    gain = _merged_power([p * g for p, g in zip(received_powers_w, gains)], mode) / total_in
+    if not math.isfinite(gain):
+        raise _overflow("the parallel gain", gain)
+    return gain
 
 
 def received_power_matrix(
@@ -135,16 +154,20 @@ def received_power_matrix(
     n = len(channel_w[0])
     if any(len(row) != n for row in channel_w):
         raise ValueError("channel matrix rows must all have the same length")
-    if any(p < 0.0 for p in tx_powers_w):
-        raise ValueError("transmit powers must be >= 0 W")
+    if not all(0.0 <= p < math.inf for p in tx_powers_w):
+        raise ValueError("transmit powers must be finite and >= 0 W")
     for row in channel_w:
         for w in row:
             if math.isnan(w) or w < 1.0:
                 raise ValueError(f"channel waste factor must be >= 1, got {w}")
-    return [
+    received = [
         _merged_power([tx_powers_w[i] / channel_w[i][j] for i in range(m)], mode)
         for j in range(n)
     ]
+    # Finite powers over losses >= 1 sum to no NaN, only to an overflow.
+    if math.inf in received:
+        raise _overflow("a received power", math.inf)
+    return received
 
 
 def mino_first_stage(
@@ -156,6 +179,8 @@ def mino_first_stage(
     value is the received-power-weighted mean sum(P_j W_j)/sum(P_j).
     """
     _check_received(received_powers_w, w_parallel, "waste factors")
+    if not all(map(math.isfinite, w_parallel)):
+        raise ValueError("parallel waste factors must be finite")
     return _weighted_mean(received_powers_w, w_parallel, CombiningMode.NON_COHERENT)
 
 

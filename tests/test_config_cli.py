@@ -25,7 +25,9 @@ from wastefactor.config import (
     ue_spec_from_config,
     wf_c_sweep_from_config,
 )
+from wastefactor.core import Stage
 from wastefactor.netsim import CampaignSpec, Scenario, campaign_scenarios
+from wastefactor.units import linear_to_db
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -553,6 +555,41 @@ class TestSystemCommand:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "section, keys",
+        [
+            ("ru", "dac_efficiency = 1.0\nmixer_conversion_loss_db = 0\n"
+             "phase_shifter_insertion_loss_db = 0\npa_pae = 0.9\n"
+             "antenna_efficiency = 1.0\nantenna_vswr = 1.0"),
+            ("ue", "antenna_efficiency = 1.0\nlna_gain_db = 25\n"
+             "phase_shifter_insertion_loss_db = 0\nmixer_conversion_loss_db = 0"),
+        ],
+        ids=["efficient-ru", "lossless-ue"],
+    )
+    def test_halved_w_floors_at_one(self, capsys, tmp_path, section, keys):
+        # A device with W < 2 once made its halved_w variant a Stage with
+        # W < 1, which Stage rejects (exit 1). A device cannot waste less
+        # than nothing, so the halved W floors at 1.
+        from wastefactor.components import build_ru, build_ue, end_to_end
+
+        path = tmp_path / "s.ini"
+        path.write_text(f"[{section}]\n{keys}\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, err) == (0, "")
+        doc = load_config(path)
+        ru = build_ru(ru_spec_from_config(doc)).stage
+        ue = build_ue(ue_spec_from_config(doc)).stage
+        stages = {"ru": ru, "ue": ue}
+        assert stages[section].w / 2.0 < 1.0
+        stages[section] = dataclasses.replace(stages[section], w=1.0)
+        channel = Stage.from_loss_db(60.0, label="channel")
+        expected = linear_to_db(end_to_end(stages["ru"], channel, stages["ue"]).w)
+        header, first = out.splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert row["wf_c_db"] == "60.00"
+        assert row[f"halved_w_{section}_db"] == f"{expected:.6f}"
+
+
 class TestFitCommand:
     def test_reference_log_json(self, capsys):
         code, out, _ = run_cli(capsys, "fit", str(CONFIGS / "ru_power_log.csv"))
@@ -784,6 +821,24 @@ class TestImportCost:
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
         assert out.strip() == "[]"
+
+
+    def test_scalar_calculus_leaves_numpy_unloaded(self):
+        # The quickstart promises that the scalar calculus never imports
+        # numpy, and the calculus benchmark's setup relies on it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys; "
+            "from wastefactor import channel, components, core, parallel; "
+            "core.power_flow([core.Stage(2.0, 10.0), core.Stage(4.0, 5.0)], 1.0); "
+            "print('numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestCpuPortability:

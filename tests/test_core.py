@@ -1,16 +1,25 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pickle
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import wastefactor
 from wastefactor.core import (
+    CascadeReport,
     Stage,
+    StageFlow,
     cascade,
     power_flow,
     total_consumed_power,
     wasted_power,
 )
+from wastefactor.parallel import Branch
 
 
 def random_stages(rng, n):
@@ -52,6 +61,10 @@ class TestStage:
     def test_infinite_w_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Stage(w=math.inf, g=1.0)
+
+    def test_gain_is_checked_before_w(self):
+        with pytest.raises(ValueError, match="stage gain"):
+            Stage(w=0.5, g=0.0)
 
     def test_from_loss_db_exact_reciprocal(self):
         stage = Stage.from_loss_db(3.0, label="att")
@@ -215,3 +228,89 @@ class TestPowerHelpers:
             wasted_power(2.0, -1.0)
         with pytest.raises(ValueError):
             total_consumed_power(2.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: wasted_power(math.nan, 1.0), "waste factor must be >= 1, got nan"),
+            (lambda: wasted_power(2.0, math.inf), "signal power must be >= 0 W, got inf"),
+            (
+                lambda: total_consumed_power(2.0, 1.0, math.nan),
+                "non-path power must be >= 0 W, got nan",
+            ),
+        ],
+        ids=["nan-w", "infinite-signal", "nan-non-path"],
+    )
+    def test_non_finite_operands_rejected(self, call, message):
+        # Each once returned nan or inf: NaN passed the `< 1` and `< 0` tests.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(wastefactor.__path__):
+        module = importlib.import_module(f"wastefactor.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+# Dataclasses whose __init__ is written out in their module rather than
+# generated (a generated one is compiled from "<string>").
+OWN_INIT = [
+    cls
+    for cls in _package_classes()
+    if dataclasses.is_dataclass(cls)
+    and "__init__" in vars(cls)
+    and cls.__init__.__code__.co_filename == inspect.getfile(cls)
+]
+
+RECORDS = [
+    Stage(2.0, 10.0, "pa"),
+    StageFlow("pa", 1.0, 10.0, 19.0, 10.0),
+    power_flow([Stage(2.0, 10.0, "driver"), Stage(4.0, 5.0, "pa")], 1.0),
+    Branch(Stage(2.0, 10.0), 0.5),
+]
+
+
+class TestRecordInits:
+    def test_the_records_write_their_own_init(self):
+        assert {Stage, StageFlow, CascadeReport, Branch} <= set(OWN_INIT)
+
+    @pytest.mark.parametrize("cls", OWN_INIT, ids=lambda cls: cls.__name__)
+    def test_init_parameters_match_the_fields(self, cls):
+        # A field added without its __init__ line fails here.
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [(p.name, p.default, p.kind) for p in params] == [
+            (
+                f.name,
+                inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            )
+            for f in dataclasses.fields(cls)
+            if f.init
+        ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_stored_under_their_names(self, record):
+        # replace() passes every field by name, so a swapped store shows.
+        assert dataclasses.replace(record) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_assignment_is_refused(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, 1.0)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert hash(copy) == hash(record)
+        assert repr(copy) == repr(record)
+
+    def test_replace_reruns_the_checks(self):
+        message = "waste factor must be finite and >= 1, got 0.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(Stage(2.0, 1.0), w=0.5)
+        with pytest.raises(ValueError, match="branch weight must be finite and >= 0"):
+            dataclasses.replace(RECORDS[-1], weight=math.nan)

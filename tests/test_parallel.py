@@ -182,6 +182,49 @@ class TestMino:
             mino_compose(2.0, 2.0, 0.0)
 
 
+class TestNonFiniteResults:
+    """Each of these once returned nan or inf without raising."""
+
+    @pytest.mark.parametrize("mode", [NONCOH, COH])
+    def test_combine_branches_overflow(self, mode):
+        branches = [branch(2.0, 1.0, 1e308), branch(3.0, 1.0, 1e308)]
+        with pytest.raises(ValueError, match="overflows a float"):
+            combine_branches(branches, mode)
+
+    @pytest.mark.parametrize(
+        "powers", [[1e308, 1e308], [math.inf, 1.0], [math.nan, 1.0], [1.0, math.nan]],
+        ids=["overflowing-sum", "infinite", "nan-first", "nan-last"],
+    )
+    def test_mino_first_stage_non_finite_powers(self, powers):
+        with pytest.raises(ValueError, match="received powers must be finite"):
+            mino_first_stage(powers, [2.0, 3.0])
+
+    def test_mino_first_stage_non_finite_w(self):
+        with pytest.raises(ValueError, match="waste factors must be finite"):
+            mino_first_stage([1.0, 1.0], [math.nan, 2.0])
+
+    def test_parallel_gain_overflowing_input_sum(self):
+        with pytest.raises(ValueError, match="their sum must not overflow a float"):
+            parallel_gain([1e308, 1e308], [1.0, 1.0], NONCOH)
+
+    def test_parallel_gain_overflowing_output(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            parallel_gain([1e300, 1e300], [1e10, 1e10], NONCOH)
+
+    def test_parallel_gain_non_finite_gain(self):
+        with pytest.raises(ValueError, match="gains must be finite"):
+            parallel_gain([1.0, 1.0], [math.nan, 1.0], NONCOH)
+
+    def test_received_power_matrix_nan_power(self):
+        with pytest.raises(ValueError, match="transmit powers must be finite"):
+            received_power_matrix([math.nan], [[2.0]], NONCOH)
+
+    @pytest.mark.parametrize("mode", [NONCOH, COH])
+    def test_received_power_matrix_overflow(self, mode):
+        with pytest.raises(ValueError, match="overflows a float"):
+            received_power_matrix([1e308, 1e308], [[1.0], [1.0]], mode)
+
+
 class Test2I2OEquivalence:
     """The general MINO pipeline on M = N = 2 must reproduce the specialized
     two-input two-output formulas expanded longhand."""
