@@ -15,7 +15,6 @@ The environment variable ``WF_SEED`` overrides the configured base seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -64,6 +63,8 @@ def _num(value: float) -> str:
 
 
 def _print_json(payload) -> None:
+    import json  # only --format json pays its import
+
     # NaN and Infinity are not JSON; a value that slipped through fails here.
     print(json.dumps(payload, indent=2, allow_nan=False))
 

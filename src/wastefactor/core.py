@@ -213,7 +213,7 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
 
 
 def _check_signal_path(w: float, p_signal_w: float) -> None:
-    if not w >= 1.0:
+    if not 1.0 <= w < math.inf:
         raise ValueError(f"waste factor must be >= 1, got {w}")
     if not 0.0 <= p_signal_w < math.inf:
         raise ValueError(f"signal power must be >= 0 W, got {p_signal_w}")

@@ -179,23 +179,41 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
+    """BS and UE positions and their horizontal distance matrix.
+
+    Built by a caller, the coordinates are checked first: a NaN distance
+    would fail every radius test and still win the nearest-BS argmin.
+    :func:`generate_layout` skips that check, because coordinates drawn
+    inside the scenario's finite disk are finite by construction.
+    """
+
     bs_xy_m: np.ndarray  # (n_bs, 2)
     ue_xy_m: np.ndarray  # (n_ue, 2)
     distance_m: np.ndarray = field(init=False, repr=False)  # (n_ue, n_bs), horizontal
 
-    def __post_init__(self) -> None:
-        # A NaN distance would fail every radius test and still win the
-        # nearest-BS argmin, so non-finite coordinates stop here.
-        for name in ("bs_xy_m", "ue_xy_m"):
-            if not np.isfinite(getattr(self, name)).all():
+    def __init__(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
+        for name, xy in (("bs_xy_m", bs_xy_m), ("ue_xy_m", ue_xy_m)):
+            if not np.isfinite(xy).all():
                 raise ValueError(f"{name} must hold finite coordinates")
+        self._store(bs_xy_m, ue_xy_m)
+
+    @classmethod
+    def _drawn(cls, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> Layout:
+        layout = object.__new__(cls)
+        layout._store(bs_xy_m, ue_xy_m)
+        return layout
+
+    def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
         # sqrt(dx*dx + dy*dy) in two float work arrays.
-        d = np.subtract(self.ue_xy_m[:, 0, None], self.bs_xy_m[None, :, 0], dtype=float)
+        d = np.subtract(ue_xy_m[:, 0, None], bs_xy_m[None, :, 0], dtype=float)
         d *= d
-        dy = np.subtract(self.ue_xy_m[:, 1, None], self.bs_xy_m[None, :, 1], dtype=float)
+        dy = np.subtract(ue_xy_m[:, 1, None], bs_xy_m[None, :, 1], dtype=float)
         dy *= dy
         d += dy
-        object.__setattr__(self, "distance_m", np.sqrt(d, out=d))
+        fields = self.__dict__
+        fields["bs_xy_m"] = bs_xy_m
+        fields["ue_xy_m"] = ue_xy_m
+        fields["distance_m"] = np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +233,37 @@ class DropResult:
     n_budget_limited_bs: int
     n_clamped_links: int
     n_unserved_ue: int
+
+    def __init__(
+        self,
+        wf_system_db: float,
+        w_system: float,
+        p_total_per_km2_w: float,
+        p_signal_path_per_km2_w: float,
+        p_non_path_per_km2_w: float,
+        mean_snr_db: float,
+        p5_snr_db: float,
+        frac_ue_meeting_target: float,
+        audit_rel_error: float,
+        n_capped_links: int,
+        n_budget_limited_bs: int,
+        n_clamped_links: int,
+        n_unserved_ue: int,
+    ) -> None:
+        fields = self.__dict__
+        fields["wf_system_db"] = wf_system_db
+        fields["w_system"] = w_system
+        fields["p_total_per_km2_w"] = p_total_per_km2_w
+        fields["p_signal_path_per_km2_w"] = p_signal_path_per_km2_w
+        fields["p_non_path_per_km2_w"] = p_non_path_per_km2_w
+        fields["mean_snr_db"] = mean_snr_db
+        fields["p5_snr_db"] = p5_snr_db
+        fields["frac_ue_meeting_target"] = frac_ue_meeting_target
+        fields["audit_rel_error"] = audit_rel_error
+        fields["n_capped_links"] = n_capped_links
+        fields["n_budget_limited_bs"] = n_budget_limited_bs
+        fields["n_clamped_links"] = n_clamped_links
+        fields["n_unserved_ue"] = n_unserved_ue
 
 
 _THREAD = threading.local()
@@ -290,7 +339,7 @@ def generate_layout(scenario: Scenario) -> Layout:
             else:
                 accepted.append((x, y))
                 if len(accepted) == scenario.n_bs:
-                    return Layout(bs_xy_m=np.array(accepted), ue_xy_m=ue_xy)
+                    return Layout._drawn(np.array(accepted), ue_xy)
 
 
 def assign_serving_sets(
@@ -311,7 +360,7 @@ def assign_serving_sets(
 
 
 def effective_loss_matrix(
-    scenario: Scenario, layout: Layout, serving_mask: np.ndarray
+    scenario: Scenario, layout: Layout, serving_mask: np.ndarray | _Links
 ) -> tuple[np.ndarray, int]:
     """Effective loss of each served link (linear, clamped at the W = 1 floor).
 
@@ -323,7 +372,10 @@ def effective_loss_matrix(
     """
     height_delta = scenario.bs_height_m - scenario.ue_height_m
     # Flat link indices, then a take: half the time of a boolean index.
-    flat = np.flatnonzero(serving_mask)
+    if isinstance(serving_mask, _Links):
+        flat = serving_mask.flat_index
+    else:
+        flat = np.flatnonzero(serving_mask)
     # One array carries the whole dB chain: 3-D distance, path loss,
     # shadowing, gains, clamp, linear loss.
     x = layout.distance_m.take(flat)
@@ -350,6 +402,10 @@ class _Links:
     """The served links of a boolean ``(n_ue, n_bs)`` serving mask: one
     ``(ue, bs)`` pair per link, in the mask's row-major order.
 
+    A drop derives them once from its mask and hands them to
+    :func:`effective_loss_matrix`, :func:`evaluate_links` and
+    :func:`power_control`, which each accept a mask in their place.
+
     ``per_ue`` and ``per_bs`` sum a link array per UE and per BS in link
     order: each sum adds its links one at a time, first link first, as
     ``np.bincount`` does. That order is the model's; it is not numpy's
@@ -358,9 +414,14 @@ class _Links:
     """
 
     def __init__(self, serving_mask: np.ndarray) -> None:
-        self.n_ue, self.n_bs = serving_mask.shape
+        self.shape = serving_mask.shape
+        self.n_ue, self.n_bs = self.shape
+        self.flat_index = np.flatnonzero(serving_mask)
         # np.nonzero of the 2-D mask, several times faster.
-        self.ue, self.bs = np.divmod(np.flatnonzero(serving_mask), self.n_bs)
+        self.ue, self.bs = np.divmod(self.flat_index, self.n_bs)
+
+    def __len__(self) -> int:
+        return self.flat_index.size
 
     def per_ue(self, values: np.ndarray) -> np.ndarray:
         return self._bincount(self.ue, values, self.n_ue)
@@ -384,9 +445,28 @@ class PowerControlResult:
     n_budget_limited_bs: int
     links: _Links = field(repr=False)  # the (ue, bs) pair of each link
 
+    def __init__(
+        self,
+        p_tx_w: np.ndarray,
+        p_rx_link_w: np.ndarray,
+        p_rx_ue_w: np.ndarray,
+        snr_db: np.ndarray,
+        n_capped_links: int,
+        n_budget_limited_bs: int,
+        links: _Links,
+    ) -> None:
+        fields = self.__dict__
+        fields["p_tx_w"] = p_tx_w
+        fields["p_rx_link_w"] = p_rx_link_w
+        fields["p_rx_ue_w"] = p_rx_ue_w
+        fields["snr_db"] = snr_db
+        fields["n_capped_links"] = n_capped_links
+        fields["n_budget_limited_bs"] = n_budget_limited_bs
+        fields["links"] = links
+
 
 def power_control(
-    link_loss_w: np.ndarray, serving_mask: np.ndarray, scenario: Scenario
+    link_loss_w: np.ndarray, serving_mask: np.ndarray | _Links, scenario: Scenario
 ) -> PowerControlResult:
     """Set per-link transmit powers so each UE's combined (non-coherent)
     received power hits the SNR target.
@@ -399,35 +479,36 @@ def power_control(
     the per-link cap, and any BS whose summed load exceeds its budget has
     all its links scaled down proportionally. SNR is recomputed after both.
     """
-    links = _Links(serving_mask)
+    links = serving_mask if isinstance(serving_mask, _Links) else _Links(serving_mask)
+    # Scenario.target_rx_power_w, with the noise power kept for the SNR.
+    noise_w = scenario.noise_power_w
+    target = noise_w * db_to_linear(scenario.target_snr_db)
+    cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
+    budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
     with np.errstate(divide="ignore", over="ignore"):
         inv_l = 1.0 / link_loss_w
-    target = scenario.target_rx_power_w
-    cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
-    if scenario.power_allocation == "equal":
-        denom = links.per_ue(inv_l)
-        per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        p_tx = per_ue[links.ue]
-    else:
-        denom = links.per_ue(np.square(inv_l))
-        scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        p_tx = scale[links.ue] * inv_l
-    n_capped = int(np.count_nonzero(p_tx > cap_w))
-    np.minimum(p_tx, cap_w, out=p_tx)
+        if scenario.power_allocation == "equal":
+            denom = links.per_ue(inv_l)
+            per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            p_tx = per_ue[links.ue]
+        else:
+            denom = links.per_ue(np.square(inv_l))
+            scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            p_tx = scale[links.ue] * inv_l
+        n_capped = int(np.count_nonzero(p_tx > cap_w))
+        np.minimum(p_tx, cap_w, out=p_tx)
 
-    budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
-    bs_load = links.per_bs(p_tx)
-    over_budget = bs_load > budget_w
-    n_budget_limited = 0
-    if over_budget.any():  # otherwise every BS scale is 1.0
-        bs_scale = np.where(over_budget, budget_w / np.maximum(bs_load, 1e-300), 1.0)
-        n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
-        p_tx *= bs_scale[links.bs]
+        bs_load = links.per_bs(p_tx)
+        over_budget = bs_load > budget_w
+        n_budget_limited = 0
+        if over_budget.any():  # otherwise every BS scale is 1.0
+            bs_scale = np.where(over_budget, budget_w / np.maximum(bs_load, 1e-300), 1.0)
+            n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
+            p_tx *= bs_scale[links.bs]
 
-    p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
-    p_rx_ue = links.per_ue(p_rx_link)
-    with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
+        p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
+        p_rx_ue = links.per_ue(p_rx_link)
+        snr_db = 10.0 * np.log10(p_rx_ue / noise_w)
     return PowerControlResult(
         p_tx_w=p_tx,
         p_rx_link_w=p_rx_link,
@@ -460,7 +541,7 @@ def _p5(x: np.ndarray) -> float:
 
 def evaluate_links(
     scenario: Scenario,
-    serving_mask: np.ndarray,
+    serving_mask: np.ndarray | _Links,
     link_loss_w: np.ndarray,
     n_clamped_links: int = 0,
 ) -> DropResult:
@@ -474,21 +555,24 @@ def evaluate_links(
     hand-built links gives deterministic reference cases. Per-UE SNRs are
     ``power_control(...).snr_db``.
     """
-    if not isinstance(serving_mask, np.ndarray) or serving_mask.dtype != bool:
-        kind = getattr(serving_mask, "dtype", type(serving_mask).__name__)
-        raise ValueError(f"serving mask must be a boolean array, got {kind}")
-    if serving_mask.shape != (scenario.n_ue, scenario.n_bs):
-        raise ValueError(
-            f"serving mask has shape {serving_mask.shape} but the scenario declares "
-            f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
-        )
-    n_links = int(np.count_nonzero(serving_mask))
-    if np.shape(link_loss_w) != (n_links,):
+    if isinstance(serving_mask, _Links):
+        links = serving_mask  # from evaluate_drop, which built the mask itself
+    else:
+        if not isinstance(serving_mask, np.ndarray) or serving_mask.dtype != bool:
+            kind = getattr(serving_mask, "dtype", type(serving_mask).__name__)
+            raise ValueError(f"serving mask must be a boolean array, got {kind}")
+        if serving_mask.shape != (scenario.n_ue, scenario.n_bs):
+            raise ValueError(
+                f"serving mask has shape {serving_mask.shape} but the scenario declares "
+                f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
+            )
+        links = _Links(serving_mask)
+    if np.shape(link_loss_w) != (len(links),):
         raise ValueError(
             f"link losses have shape {np.shape(link_loss_w)} but the serving mask "
-            f"holds {n_links} links; pass one loss per link, l_eff_w[serving_mask]"
+            f"holds {len(links)} links; pass one loss per link, l_eff_w[serving_mask]"
         )
-    pc = power_control(link_loss_w, serving_mask, scenario)
+    pc = power_control(link_loss_w, links, scenario)
 
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
@@ -556,9 +640,10 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     """One full Monte-Carlo drop, pure in the scenario (seed included)."""
     layout = generate_layout(scenario)
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-    link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, mask)
+    links = _Links(mask)
+    link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, links)
     del layout  # frees the distance matrix before power control
-    return evaluate_links(scenario, mask, link_loss_w, n_clamped_links=n_clamped)
+    return evaluate_links(scenario, links, link_loss_w, n_clamped_links=n_clamped)
 
 
 @dataclass(frozen=True)

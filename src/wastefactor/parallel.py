@@ -189,10 +189,12 @@ def mino_compose(first_stage_w: float, rx_w: float, rx_g: float) -> float:
 
     W = W_rx_parallel + (W_first_stage - 1) / G_rx_parallel.
     """
-    if first_stage_w < 1.0:
+    # NaN fails each test. An infinite first stage passes: netsim reports
+    # its own overflow, naming the drop's w_system.
+    if not first_stage_w >= 1.0:
         raise ValueError(f"first-stage waste factor must be >= 1, got {first_stage_w}")
-    if rx_w < 1.0:
+    if not rx_w >= 1.0:
         raise ValueError(f"receiver waste factor must be >= 1, got {rx_w}")
-    if rx_g <= 0.0:
+    if not rx_g > 0.0:
         raise ValueError(f"receiver gain must be > 0, got {rx_g}")
     return refer(first_stage_w, rx_w, rx_g)

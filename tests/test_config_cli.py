@@ -822,6 +822,22 @@ class TestImportCost:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_simulate_leaves_json_unloaded(self, tmp_path):
+        # Only --format json output needs the json module.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        config = CONFIGS / "simulate_small.ini"
+        probe = (
+            "import sys; from wastefactor import cli; "
+            f"code = cli.main(['simulate', {str(config)!r}, '--jobs', '1', "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'json' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.split()[-2:] == ["0", "False"]
 
     def test_scalar_calculus_leaves_numpy_unloaded(self):
         # The quickstart promises that the scalar calculus never imports

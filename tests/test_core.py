@@ -19,6 +19,7 @@ from wastefactor.core import (
     total_consumed_power,
     wasted_power,
 )
+from wastefactor.netsim import DropResult, Layout, PowerControlResult
 from wastefactor.parallel import Branch
 
 
@@ -238,11 +239,17 @@ class TestPowerHelpers:
                 lambda: total_consumed_power(2.0, 1.0, math.nan),
                 "non-path power must be >= 0 W, got nan",
             ),
+            (lambda: wasted_power(math.inf, 0.0), "waste factor must be >= 1, got inf"),
+            (
+                lambda: total_consumed_power(math.inf, 0.0),
+                "waste factor must be >= 1, got inf",
+            ),
         ],
-        ids=["nan-w", "infinite-signal", "nan-non-path"],
+        ids=["nan-w", "infinite-signal", "nan-non-path", "infinite-w", "infinite-w-total"],
     )
     def test_non_finite_operands_rejected(self, call, message):
-        # Each once returned nan or inf: NaN passed the `< 1` and `< 0` tests.
+        # Each once returned nan or inf: NaN passed the `< 1` and `< 0` tests,
+        # and an infinite W times a zero signal power gave nan.
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
@@ -275,7 +282,8 @@ RECORDS = [
 
 class TestRecordInits:
     def test_the_records_write_their_own_init(self):
-        assert {Stage, StageFlow, CascadeReport, Branch} <= set(OWN_INIT)
+        records = {Stage, StageFlow, CascadeReport, Branch, Layout, DropResult, PowerControlResult}
+        assert records <= set(OWN_INIT)
 
     @pytest.mark.parametrize("cls", OWN_INIT, ids=lambda cls: cls.__name__)
     def test_init_parameters_match_the_fields(self, cls):

@@ -117,6 +117,14 @@ class TestLayout:
             np.fill_diagonal(distance, np.inf)
             assert distance.min() >= sc.min_bs_separation_m
 
+    @pytest.mark.parametrize("n_ue, n_bs", [(1, 1), (64, 5), (512, 20)])
+    def test_drawn_distances_match_a_built_layout(self, n_ue, n_bs):
+        # generate_layout skips the finite check, not the distance helper.
+        drawn = generate_layout(dataclasses.replace(SMALL, n_ue=n_ue, n_bs=n_bs))
+        built = Layout(bs_xy_m=drawn.bs_xy_m.copy(), ue_xy_m=drawn.ue_xy_m.copy())
+        assert drawn.distance_m.shape == (n_ue, n_bs)
+        assert built.distance_m.tobytes() == drawn.distance_m.tobytes()
+
     def test_ue_placement_invariant_to_bs_count(self):
         one = generate_layout(dataclasses.replace(SMALL, n_bs=1))
         many = generate_layout(dataclasses.replace(SMALL, n_bs=20))
@@ -915,6 +923,77 @@ class TestInPlaceKernelOracle:
             assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
 
 
+class TestDropLinks:
+    """A drop derives its served links once and shares them; a mask in
+    their place gives the same bits."""
+
+    SCENARIOS = [SMALL, dataclasses.replace(SMALL, apply_shadowing=True, power_allocation="proportional")]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
+    def test_power_control_of_a_mask_matches_the_drop_call(self, monkeypatch, scenario):
+        seen = []
+
+        def recording(link_loss_w, serving, sc):
+            pc = power_control(link_loss_w, serving, sc)
+            seen.append((link_loss_w.copy(), serving, pc))
+            return pc
+
+        monkeypatch.setattr(netsim, "power_control", recording)
+        evaluate_drop(scenario)
+        [(link_loss, serving, from_drop)] = seen
+        assert isinstance(serving, netsim._Links)
+        mask = assign_serving_sets(generate_layout(scenario), scenario.serving_radius_m)
+        from_mask = power_control(link_loss, mask, scenario)
+        assert result_bits(from_mask) == result_bits(from_drop)
+        assert from_mask.links.ue.tobytes() == from_drop.links.ue.tobytes()
+        assert from_mask.links.bs.tobytes() == from_drop.links.bs.tobytes()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
+    def test_a_drop_derives_its_links_once(self, monkeypatch, scenario):
+        built = []
+
+        class CountedLinks(netsim._Links):
+            def __init__(self, serving_mask):
+                built.append(serving_mask)
+                super().__init__(serving_mask)
+
+        monkeypatch.setattr(netsim, "_Links", CountedLinks)
+        evaluate_drop(scenario)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
+    def test_losses_of_the_links_match_the_mask(self, scenario):
+        layout = generate_layout(scenario)
+        mask = assign_serving_sets(layout, scenario.serving_radius_m)
+        from_mask, clamped_mask = effective_loss_matrix(scenario, layout, mask)
+        from_links, clamped_links = effective_loss_matrix(scenario, layout, netsim._Links(mask))
+        assert (from_links.tobytes(), clamped_links) == (from_mask.tobytes(), clamped_mask)
+
+
+class TestNetsimRecords:
+    """The records that write their own __init__ stay frozen, and every
+    field lands under its own name."""
+
+    @staticmethod
+    def records():
+        layout = generate_layout(SMALL)
+        mask = assign_serving_sets(layout, SMALL.serving_radius_m)
+        link_loss, _ = effective_loss_matrix(SMALL, layout, mask)
+        return [layout, power_control(link_loss, mask, SMALL), evaluate_drop(SMALL)]
+
+    def test_assignment_is_refused(self):
+        for record in self.records():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, 1.0)
+
+    def test_fields_are_stored_under_their_names(self):
+        # replace() passes every init field by name, so a swapped store shows.
+        _, pc, result = self.records()
+        for record in (pc, result):
+            assert result_bits(dataclasses.replace(record)) == result_bits(record)
+        assert result_bits(pickle.loads(pickle.dumps(result))) == result_bits(result)
+
+
 class TestDropMemory:
     """A reference-size drop keeps at most three dense (n_ue, n_bs) float
     arrays alive at once; it peaks at 2.95 while the layout builds its
@@ -1075,6 +1154,11 @@ class TestCampaign:
         for name in names:
             monkeypatch.setattr(netsim, name, counting(name, getattr(netsim, name)))
         campaign = dataclasses.replace(self.CAMPAIGN, antenna_modes=("directional",), n_seeds=3)
-        drops, _ = run_campaign(self.BASE, campaign, jobs=1)
-        assert len(drops) == 2 * 3
-        assert calls == {name: len(drops) for name in names}
+        shadowed = dataclasses.replace(
+            self.BASE, apply_shadowing=True, power_allocation="proportional"
+        )
+        for base in (self.BASE, shadowed):
+            calls.clear()
+            drops, _ = run_campaign(base, campaign, jobs=1)
+            assert len(drops) == 2 * 3
+            assert calls == {name: len(drops) for name in names}

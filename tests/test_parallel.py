@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestMino:
             mino_compose(2.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             mino_compose(2.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 2.0, 3.0), "first-stage waste factor must be >= 1, got nan"),
+            ((2.0, math.nan, 3.0), "receiver waste factor must be >= 1, got nan"),
+            ((2.0, 2.0, math.nan), "receiver gain must be > 0, got nan"),
+        ],
+        ids=["nan-first-stage", "nan-rx-w", "nan-rx-g"],
+    )
+    def test_compose_rejects_nan(self, args, message):
+        # Each once returned nan: NaN passed the `< 1` and `<= 0` tests.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mino_compose(*args)
+
+    def test_compose_lets_an_infinite_first_stage_through(self):
+        # netsim turns it into its own w_system overflow message.
+        assert mino_compose(math.inf, 2.0, 3.0) == math.inf
 
 
 class TestNonFiniteResults:
