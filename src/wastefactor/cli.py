@@ -191,12 +191,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     records = []
     for name, reading in readings:
         energy_wh = reading.energy_wh
+        try:
+            ee_ru_value = ee_ru(reading.p_signal_w * reading.duration_h, energy_wh)
+        except ValueError as exc:
+            raise ValueError(f"reading {name!r}: {exc}") from None
         record = {
             "name": name,
             "data_volume_gb": reading.data_volume_gb,
             "energy_wh": energy_wh,
             "ee_bs_gb_per_wh": None,
-            "ee_ru": ee_ru(reading.p_signal_w * reading.duration_h, energy_wh),
+            "ee_ru": ee_ru_value,
             "w": reading.w,
             "path_energy_wh_per_gb": None,
         }

@@ -14,10 +14,13 @@ call it. :func:`power_flow` performs the explicit stage-by-stage energy
 bookkeeping that the closed form must reproduce; it is the brute-force
 oracle used throughout the test suite.
 
-The records here stay frozen dataclasses but write their own ``__init__``,
-storing each field through the instance ``__dict__``: the generated one
-calls ``object.__setattr__`` once per field, which costs more than the
-arithmetic of a short cascade.
+The records here store their fields through the instance ``__dict__``,
+not the per-field ``object.__setattr__`` of a frozen dataclass's own
+``__init__``, which costs more than a short cascade's arithmetic.
+:class:`StageFlow` and :class:`CascadeReport` take their ``__init__`` from
+:func:`wastefactor.units.record`. :class:`Stage`, ``parallel.Branch`` and
+``netsim.Layout`` write their own, because each checks or computes before
+it stores, and a ``__post_init__`` for that measured slower.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear, linear_to_db, record
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,7 @@ class Stage:
         return cls(w=1.0, g=db_to_linear(gain_db), label=label)
 
 
+@record
 @dataclass(frozen=True)
 class StageFlow:
     """Power bookkeeping for one stage inside :func:`power_flow`."""
@@ -84,17 +88,8 @@ class StageFlow:
     p_consumed_w: float  # standalone signal-path consumption: W*P_out - P_in
     p_wasted_w: float    # (W - 1) * P_out
 
-    def __init__(
-        self, label: str, p_in_w: float, p_out_w: float, p_consumed_w: float, p_wasted_w: float
-    ) -> None:
-        fields = self.__dict__
-        fields["label"] = label
-        fields["p_in_w"] = p_in_w
-        fields["p_out_w"] = p_out_w
-        fields["p_consumed_w"] = p_consumed_w
-        fields["p_wasted_w"] = p_wasted_w
 
-
+@record
 @dataclass(frozen=True)
 class CascadeReport:
     """Full energy audit of a cascade driven by a known source power.
@@ -111,25 +106,6 @@ class CascadeReport:
     p_signal_w: float
     p_consumed_path_w: float
     p_wasted_w: float
-
-    def __init__(
-        self,
-        p_source_out_w: float,
-        stages: tuple[StageFlow, ...],
-        w: float,
-        g: float,
-        p_signal_w: float,
-        p_consumed_path_w: float,
-        p_wasted_w: float,
-    ) -> None:
-        fields = self.__dict__
-        fields["p_source_out_w"] = p_source_out_w
-        fields["stages"] = stages
-        fields["w"] = w
-        fields["g"] = g
-        fields["p_signal_w"] = p_signal_w
-        fields["p_consumed_path_w"] = p_consumed_path_w
-        fields["p_wasted_w"] = p_wasted_w
 
 
 def refer(w_up: float, w_down: float, g_down: float) -> float:

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .units import dbm_to_watts
 
@@ -129,8 +129,15 @@ def load_power_log(path: str | Path) -> list[PowerSample]:
     the offending line.
     """
     path = Path(path)
+    rows = []
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = _read_rows(csv.reader(handle), path)
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#"):
+                    rows.append((reader.line_num, row))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file (no header row)")
     (line_no, header), data = rows[0], rows[1:]
@@ -151,17 +158,6 @@ def load_power_log(path: str | Path) -> list[PowerSample]:
             total = dbm_to_watts(total)
         samples.append(PowerSample(p_signal_w=signal, p_total_w=total))
     return samples
-
-
-def _read_rows(reader: Iterable[list[str]], path: Path) -> list[tuple[int, list[str]]]:
-    rows = []
-    for line_no, row in enumerate(reader, start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if all(not cell.strip() for cell in row):
-            continue
-        rows.append((line_no, row))
-    return rows
 
 
 def _parse_cell(cell: str, path: Path, line_no: int, column: str) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
 from .parallel import mino_compose
-from .units import db_to_linear, dbm_to_watts, require_finite
+from .units import db_to_linear, dbm_to_watts, record, require_finite
 
 OMNI = "omni"
 DIRECTIONAL = "directional"
@@ -216,6 +216,7 @@ class Layout:
         fields["distance_m"] = np.sqrt(d, out=d)
 
 
+@record
 @dataclass(frozen=True, eq=False)
 class DropResult:
     """Outputs of one Monte-Carlo drop (powers already scaled per km^2)."""
@@ -233,37 +234,6 @@ class DropResult:
     n_budget_limited_bs: int
     n_clamped_links: int
     n_unserved_ue: int
-
-    def __init__(
-        self,
-        wf_system_db: float,
-        w_system: float,
-        p_total_per_km2_w: float,
-        p_signal_path_per_km2_w: float,
-        p_non_path_per_km2_w: float,
-        mean_snr_db: float,
-        p5_snr_db: float,
-        frac_ue_meeting_target: float,
-        audit_rel_error: float,
-        n_capped_links: int,
-        n_budget_limited_bs: int,
-        n_clamped_links: int,
-        n_unserved_ue: int,
-    ) -> None:
-        fields = self.__dict__
-        fields["wf_system_db"] = wf_system_db
-        fields["w_system"] = w_system
-        fields["p_total_per_km2_w"] = p_total_per_km2_w
-        fields["p_signal_path_per_km2_w"] = p_signal_path_per_km2_w
-        fields["p_non_path_per_km2_w"] = p_non_path_per_km2_w
-        fields["mean_snr_db"] = mean_snr_db
-        fields["p5_snr_db"] = p5_snr_db
-        fields["frac_ue_meeting_target"] = frac_ue_meeting_target
-        fields["audit_rel_error"] = audit_rel_error
-        fields["n_capped_links"] = n_capped_links
-        fields["n_budget_limited_bs"] = n_budget_limited_bs
-        fields["n_clamped_links"] = n_clamped_links
-        fields["n_unserved_ue"] = n_unserved_ue
 
 
 _THREAD = threading.local()
@@ -435,6 +405,7 @@ class _Links:
         return np.bincount(index, weights=values, minlength=n).astype(float, copy=False)
 
 
+@record
 @dataclass(frozen=True, eq=False)
 class PowerControlResult:
     p_tx_w: np.ndarray        # (n_links,), one per served link in mask order
@@ -444,25 +415,6 @@ class PowerControlResult:
     n_capped_links: int
     n_budget_limited_bs: int
     links: _Links = field(repr=False)  # the (ue, bs) pair of each link
-
-    def __init__(
-        self,
-        p_tx_w: np.ndarray,
-        p_rx_link_w: np.ndarray,
-        p_rx_ue_w: np.ndarray,
-        snr_db: np.ndarray,
-        n_capped_links: int,
-        n_budget_limited_bs: int,
-        links: _Links,
-    ) -> None:
-        fields = self.__dict__
-        fields["p_tx_w"] = p_tx_w
-        fields["p_rx_link_w"] = p_rx_link_w
-        fields["p_rx_ue_w"] = p_rx_ue_w
-        fields["snr_db"] = snr_db
-        fields["n_capped_links"] = n_capped_links
-        fields["n_budget_limited_bs"] = n_budget_limited_bs
-        fields["links"] = links
 
 
 def power_control(
@@ -694,6 +646,7 @@ class CampaignSpec:
             ) from None
 
 
+@record
 @dataclass(frozen=True, eq=False)
 class DropRow:
     frequency_ghz: float
@@ -769,7 +722,7 @@ def run_campaign(
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = max(1, len(scenarios) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
             results = list(pool.map(evaluate_drop, scenarios, chunksize=chunksize))
     rows = [
         DropRow(

@@ -621,6 +621,16 @@ class TestFitCommand:
         assert code == 1
         assert "bogus" in err
 
+    def test_cell_over_the_csv_field_limit_is_runtime_error(self, capsys, tmp_path):
+        # Once a _csv.Error traceback.
+        path = tmp_path / "log.csv"
+        path.write_text("p_signal_w,p_total_w\n1,2\n2," + "4" * 131073 + "\n")
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "log.csv:3: field larger than field limit (131072)" in err
+        assert out == ""
+
     def test_overflowing_dbm_row_is_runtime_error(self, capsys, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("p_signal_dbm,p_total_dbm\n10,20\n4000,4010\n")
@@ -689,7 +699,7 @@ class TestMetricsCommand:
         code, out, err = run_cli(capsys, "metrics", str(path))
         assert code == 1
         assert err.startswith("error:")
-        assert "total energy must be > 0 Wh" in err
+        assert "reading 'idle': total energy must be > 0 Wh, got 0.0" in err
         assert out == ""
 
     @pytest.mark.parametrize(

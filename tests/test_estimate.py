@@ -151,6 +151,14 @@ class TestLoadPowerLog:
         with pytest.raises(ValueError, match=r"log\.csv:3.*bogus"):
             load_power_log(path)
 
+    def test_line_numbers_count_the_lines_of_a_quoted_cell(self, tmp_path):
+        # A record whose quoted cell spans two lines once shifted every
+        # later line number by one.
+        path = tmp_path / "log.csv"
+        path.write_text('p_signal_w,p_total_w\n"1\n",2\nbogus,3\n')
+        with pytest.raises(ValueError, match=r"log\.csv:4: non-numeric value 'bogus'"):
+            load_power_log(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         path = tmp_path / "log.csv"

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import math
 import pickle
@@ -1096,6 +1097,33 @@ class TestCampaign:
         parallel = run_campaign(self.BASE, self.CAMPAIGN, jobs=2)
         assert drop_csv_lines(serial[0]) == drop_csv_lines(parallel[0])
         assert aggregate_csv_lines(serial[1]) == aggregate_csv_lines(parallel[1])
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 8), (None, 8), (3, 3)])
+    def test_pool_starts_no_more_workers_than_drops(self, monkeypatch, jobs, workers):
+        # Under fork, a pool starts all max_workers processes at its first
+        # submit. A serial stand-in records the count; no process starts.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(netsim.os, "cpu_count", lambda: 64)
+        drops, aggregates = run_campaign(self.BASE, self.CAMPAIGN, jobs=jobs)
+        assert started == [workers]
+        serial = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
+        assert drop_csv_lines(drops) == drop_csv_lines(serial[0])
+        assert aggregate_csv_lines(aggregates) == aggregate_csv_lines(serial[1])
 
     def test_csv_headers(self):
         drops, aggregates = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ from wastefactor.units import (
     dbm_to_watts,
     dbw_to_watts,
     linear_to_db,
+    record,
     watts_to_dbm,
     watts_to_dbw,
 )
@@ -79,3 +81,43 @@ class TestOverflow:
         assert dbw_to_watts(3080.0) == 1e308
         assert db_to_linear(-1e308) == 0.0
         assert dbm_to_watts(-4000.0) == 0.0
+
+
+class TestRecord:
+    def test_generated_init_stores_every_field(self):
+        @record
+        @dataclasses.dataclass(frozen=True)
+        class Pair:
+            a: float
+            b: str
+
+        pair = Pair(1.0, b="x")
+        assert vars(pair) == {"a": 1.0, "b": "x"}
+        assert pair == Pair(1.0, "x") and dataclasses.replace(pair, a=2.0).a == 2.0
+        with pytest.raises(TypeError):
+            Pair(1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dataclasses.field(default=0.0),
+            dataclasses.field(default_factory=float),
+            dataclasses.field(init=False),
+        ],
+        ids=["default", "default-factory", "init-false"],
+    )
+    def test_a_field_the_init_would_skip_is_refused(self, spec):
+        cls = dataclasses.make_dataclass("R", [("a", float, spec)], frozen=True)
+        with pytest.raises(TypeError, match="record R: field 'a' has a default or init=False"):
+            record(cls)
+
+    def test_post_init_is_refused(self):
+        @dataclasses.dataclass(frozen=True)
+        class Checked:
+            a: float
+
+            def __post_init__(self):
+                pass
+
+        with pytest.raises(TypeError, match="record Checked: its __post_init__ would not run"):
+            record(Checked)
