@@ -20,6 +20,7 @@ device never gets W = infinity, it gets a non-path watt count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import singledispatch
 from typing import NamedTuple, Union
@@ -101,6 +102,13 @@ class Antenna:
             )
         if self.vswr < 1.0:
             raise ValueError(f"VSWR must be >= 1, got {self.vswr}")
+        if self.include_mismatch:
+            gamma = reflection_coefficient(self.vswr)
+            if not self.radiation_efficiency * (1.0 - gamma * gamma) > 0.0:
+                raise ValueError(
+                    f"VSWR {self.vswr} with radiation efficiency {self.radiation_efficiency} "
+                    "leaves no power to radiate"
+                )
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,9 @@ class Adc:
             raise ValueError("ADC sample rate must be > 0 Hz")
         if self.bits < 1:
             raise ValueError(f"ADC resolution must be >= 1 bit, got {self.bits}")
+        # 2.0 ** bits itself raises OverflowError past 1023 bits.
+        if self.bits > 1023 or not math.isfinite(self.power_w):
+            raise ValueError(f"ADC consumption FoM * f_s * 2^bits overflows with {self.bits} bits")
 
     @property
     def power_w(self) -> float:
@@ -375,6 +386,8 @@ class RuSpec:
         require_finite(self)
         if self.n_tx < 1:
             raise ValueError(f"n_tx must be >= 1, got {self.n_tx}")
+        if self.n_tx > sys.float_info.max:  # it scales powers as a float
+            raise ValueError("n_tx is too large to scale a power")
         if self.lo_power_w < 0.0:
             raise ValueError("LO power must be >= 0 W")
 
@@ -395,6 +408,8 @@ class UeSpec:
         require_finite(self)
         if self.n_rx < 1:
             raise ValueError(f"n_rx must be >= 1, got {self.n_rx}")
+        if self.n_rx > sys.float_info.max:  # it scales powers as a float
+            raise ValueError("n_rx is too large to scale a power")
         if self.lo_power_w < 0.0:
             raise ValueError("LO power must be >= 0 W")
 

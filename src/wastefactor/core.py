@@ -121,9 +121,14 @@ def cascade(stages: Sequence[Stage], label: str = "") -> Stage:
         raise ValueError("cascade requires at least one stage")
     w = stages[-1].w
     gain_to_sink = stages[-1].g
-    for stage in reversed(stages[:-1]):
-        w = refer(stage.w, w, gain_to_sink)
-        gain_to_sink *= stage.g
+    try:
+        for stage in reversed(stages[:-1]):
+            w = refer(stage.w, w, gain_to_sink)
+            gain_to_sink *= stage.g
+    except ZeroDivisionError:
+        raise ValueError(
+            "the stages' gain to the sink underflows to 0; they are too lossy to compose"
+        ) from None
     if not label:
         label = ">".join(s.label for s in stages if s.label)
     return Stage(w=w, g=gain_to_sink, label=label)

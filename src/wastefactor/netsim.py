@@ -32,6 +32,7 @@ numbers both ways.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -43,7 +44,7 @@ import numpy as np
 
 from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
 from .parallel import mino_compose
-from .units import db_to_linear, dbm_to_watts, record, require_finite
+from .units import db_to_linear, dbm_to_watts, record, require_finite, require_integers
 
 OMNI = "omni"
 DIRECTIONAL = "directional"
@@ -111,6 +112,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.antenna_mode not in (OMNI, DIRECTIONAL):
             raise ValueError(
                 f"antenna_mode must be {OMNI!r} or {DIRECTIONAL!r}, got {self.antenna_mode!r}"
@@ -127,6 +129,14 @@ class Scenario:
             raise ValueError("frequency and bandwidth must be > 0 Hz")
         if self.region_radius_m <= 0.0 or self.serving_radius_m <= 0.0:
             raise ValueError("region and serving radii must be > 0 m")
+        # Squared link lengths reach 8 R^2 + (h_bs - h_ue)^2 and must stay finite.
+        radius, height_delta = self.region_radius_m, self.bs_height_m - self.ue_height_m
+        if not 8.0 * radius * radius + height_delta * height_delta < math.inf:
+            raise ValueError(
+                f"region_radius_m = {radius} with antenna heights "
+                f"{self.bs_height_m} m and {self.ue_height_m} m gives squared link lengths "
+                "that overflow a float"
+            )
         if not 0.0 <= self.min_bs_separation_m < 2.0 * self.region_radius_m:
             raise ValueError("min BS separation must be in [0, 2 * region radius)")
         if self.w_bs < 1.0 or self.w_ue < 1.0:
@@ -145,6 +155,11 @@ class Scenario:
             raise ValueError(f"shadowing sigma must be >= 0 dB, got {self.sigma_db}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not self.noise_power_w > 0.0:
+            raise ValueError(
+                f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
+                f"{self.ue_noise_figure_db} gives a noise power of 0 W"
+            )
 
     @property
     def resolved_ple(self) -> float:
@@ -179,7 +194,12 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """BS and UE positions and their horizontal distance matrix.
+    """BS and UE positions and their squared horizontal distances.
+
+    ``sq_distance_m2`` is BS-major, one row of ``dx*dx + dy*dy`` per BS
+    over every UE: each pass over the geometry runs along long contiguous
+    UE rows, and the first ``k`` rows are the geometry of the first ``k``
+    BSs. ``distance_m`` derives the ``(n_ue, n_bs)`` distances from it.
 
     Built by a caller, the coordinates are checked first: a NaN distance
     would fail every radius test and still win the nearest-BS argmin.
@@ -189,7 +209,7 @@ class Layout:
 
     bs_xy_m: np.ndarray  # (n_bs, 2)
     ue_xy_m: np.ndarray  # (n_ue, 2)
-    distance_m: np.ndarray = field(init=False, repr=False)  # (n_ue, n_bs), horizontal
+    sq_distance_m2: np.ndarray = field(init=False, repr=False)  # (n_bs, n_ue), horizontal
 
     def __init__(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
         for name, xy in (("bs_xy_m", bs_xy_m), ("ue_xy_m", ue_xy_m)):
@@ -204,16 +224,22 @@ class Layout:
         return layout
 
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
-        # sqrt(dx*dx + dy*dy) in two float work arrays.
-        d = np.subtract(ue_xy_m[:, 0, None], bs_xy_m[None, :, 0], dtype=float)
+        # dx*dx + dy*dy in two float work arrays, dx = ue - bs.
+        d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
         d *= d
-        dy = np.subtract(ue_xy_m[:, 1, None], bs_xy_m[None, :, 1], dtype=float)
+        dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
         dy *= dy
         d += dy
         fields = self.__dict__
         fields["bs_xy_m"] = bs_xy_m
         fields["ue_xy_m"] = ue_xy_m
-        fields["distance_m"] = np.sqrt(d, out=d)
+        fields["sq_distance_m2"] = d
+
+    @property
+    def distance_m(self) -> np.ndarray:
+        """Horizontal UE-BS distances, ``(n_ue, n_bs)``: a transposed view
+        of the square roots of ``sq_distance_m2``, computed on each call."""
+        return np.sqrt(self.sq_distance_m2).T
 
 
 @record
@@ -265,12 +291,13 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius_m: float) -> np.ndarray:
+    """``(n, 2)`` points, each coordinate column contiguous in memory."""
     r = radius_m * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
-    xy = np.empty((n, 2))
-    np.multiply(r, np.cos(theta), out=xy[:, 0])
-    np.multiply(r, np.sin(theta), out=xy[:, 1])
-    return xy
+    xy = np.empty((2, n))
+    np.multiply(r, np.cos(theta), out=xy[0])
+    np.multiply(r, np.sin(theta), out=xy[1])
+    return xy.T
 
 
 def generate_layout(scenario: Scenario) -> Layout:
@@ -312,6 +339,24 @@ def generate_layout(scenario: Scenario) -> Layout:
                     return Layout._drawn(np.array(accepted), ue_xy)
 
 
+@functools.lru_cache(maxsize=64)
+def _sq_radius_bound(radius_m: float) -> float:
+    """The largest double whose ``math.sqrt`` is <= ``radius_m``.
+
+    ``sqrt`` is correctly rounded and monotone, so for every squared
+    distance ``sq``, ``sq <= bound`` exactly when ``sqrt(sq) <= radius_m``.
+    A NaN or negative radius bounds nothing but what it already excludes.
+    """
+    if not radius_m >= 0.0:
+        return radius_m
+    bound = radius_m * radius_m
+    while math.sqrt(bound) > radius_m:
+        bound = math.nextafter(bound, -math.inf)
+    while bound < math.inf and math.sqrt(math.nextafter(bound, math.inf)) <= radius_m:
+        bound = math.nextafter(bound, math.inf)
+    return bound
+
+
 def assign_serving_sets(
     layout: Layout, serving_radius_m: float, fallback_nearest: bool = True
 ) -> np.ndarray:
@@ -319,14 +364,43 @@ def assign_serving_sets(
     (horizontal distance); a UE covered by none gets its nearest BS when
     the fallback is enabled, otherwise an empty row.
 
-    The fallback sets every UE's first-nearest BS: a covered UE's nearest
-    BS is already inside the radius, so only uncovered rows change.
+    The mask is the transposed view of a BS-major ``(n_bs, n_ue)`` array,
+    the layout's own order. It equals ``layout.distance_m <=
+    serving_radius_m`` bit for bit, with the fallback set at the ``argmin``
+    of each uncovered row of ``layout.distance_m`` (lowest index on ties),
+    and takes no square root per pair: the radius test compares squared
+    distances with :func:`_sq_radius_bound`. The fallback sets every UE's
+    nearest BS: a covered UE's nearest BS is already inside the radius.
     """
-    distance_m = layout.distance_m
-    mask = distance_m <= serving_radius_m
+    sq = layout.sq_distance_m2
+    if fallback_nearest and len(sq) == 1:
+        return np.ones(sq.shape, dtype=bool).T  # BS 0 is every UE's nearest
+    mask = sq <= _sq_radius_bound(serving_radius_m)
     if fallback_nearest:
-        mask[np.arange(distance_m.shape[0]), distance_m.argmin(axis=1)] = True
-    return mask
+        mask |= _nearest_bs(sq)
+    return mask.T
+
+
+def _nearest_bs(sq: np.ndarray) -> np.ndarray:
+    """BS-major one-hot mask of each UE's nearest BS: the ``argmin`` of the
+    square roots of its column of ``sq``, lowest index on ties.
+
+    Squared distances that differ share a square root only within a
+    relative 2**-51 of each other, or two steps apart below the normal
+    range. So the BSs within a relative 2**-50 plus 16 such steps of a
+    UE's minimum hold every BS whose square root ties the minimum's. Where
+    each UE has just one, it is the nearest; otherwise, with ties or
+    near-ties, the square roots settle it.
+    """
+    bound = np.minimum.reduce(sq, axis=0)
+    bound *= 1.0 + 2.0 ** -50
+    bound += 2.0 ** -1070
+    near = sq <= bound
+    # Each column holds its own minimum, so n_ue in all means one each.
+    if np.count_nonzero(near) != near.shape[1]:
+        near = np.zeros(sq.shape, dtype=bool)
+        near[np.sqrt(sq).argmin(axis=0), np.arange(sq.shape[1])] = True
+    return near
 
 
 def effective_loss_matrix(
@@ -336,19 +410,18 @@ def effective_loss_matrix(
 
     Close-in path loss over the 3-D distance, optional shadowing draw,
     minus both endpoint antenna gains, for the links of ``serving_mask``
-    in its row-major order. The shadowing draw covers every
-    ``(n_ue, n_bs)`` pair, so the stream does not depend on the mask.
-    Returns the link losses and the count of links that hit the clamp.
+    in its row-major order (or the links' own order). The shadowing draw
+    covers every ``(n_ue, n_bs)`` pair, so the stream does not depend on
+    the mask. Returns the link losses and the count of links that hit the
+    clamp.
     """
+    links = serving_mask if isinstance(serving_mask, _Links) else _Links(serving_mask)
     height_delta = scenario.bs_height_m - scenario.ue_height_m
-    # Flat link indices, then a take: half the time of a boolean index.
-    if isinstance(serving_mask, _Links):
-        flat = serving_mask.flat_index
-    else:
-        flat = np.flatnonzero(serving_mask)
-    # One array carries the whole dB chain: 3-D distance, path loss,
-    # shadowing, gains, clamp, linear loss.
-    x = layout.distance_m.take(flat)
+    # One array carries the whole dB chain: horizontal distance (the square
+    # root distance_m holds), 3-D distance, path loss, shadowing, gains,
+    # clamp, linear loss.
+    x = layout.sq_distance_m2.take(links.cell)
+    np.sqrt(x, out=x)
     np.square(x, out=x)
     x += height_delta ** 2
     np.sqrt(x, out=x)
@@ -357,8 +430,8 @@ def effective_loss_matrix(
     np.multiply(10.0 * scenario.resolved_ple, x, out=x)
     np.add(fspl_1m_db(scenario.frequency_hz), x, out=x)
     if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
-        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(serving_mask.shape)
-        x += scenario.resolved_sigma_db * z.take(flat)
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
+        x += scenario.resolved_sigma_db * z[links.ue, links.bs]
     g_tx_db, g_rx_db = scenario.antenna_gains_db
     x -= g_tx_db
     x -= g_rx_db
@@ -369,8 +442,12 @@ def effective_loss_matrix(
 
 
 class _Links:
-    """The served links of a boolean ``(n_ue, n_bs)`` serving mask: one
-    ``(ue, bs)`` pair per link, in the mask's row-major order.
+    """The served links of a serving mask: one ``(ue, bs)`` pair per link.
+
+    ``_Links(mask)`` takes a boolean ``(n_ue, n_bs)`` mask in its row-major
+    order; :meth:`bs_major` takes a drop's ``(n_bs, n_ue)`` mask in its own
+    order, all of BS 0's links first. ``cell`` is each link's index into
+    the layout's BS-major geometry.
 
     A drop derives them once from its mask and hands them to
     :func:`effective_loss_matrix`, :func:`evaluate_links` and
@@ -378,20 +455,29 @@ class _Links:
 
     ``per_ue`` and ``per_bs`` sum a link array per UE and per BS in link
     order: each sum adds its links one at a time, first link first, as
-    ``np.bincount`` does. That order is the model's; it is not numpy's
+    ``np.bincount`` does. Within one UE the links run by BS, and within one
+    BS by UE, in both orders, so these sums do not depend on which of the
+    two the links came in. That order is the model's; it is not numpy's
     order for a dense ``(n_ue, n_bs)`` sum, which may differ in the last
     bits.
     """
 
     def __init__(self, serving_mask: np.ndarray) -> None:
-        self.shape = serving_mask.shape
-        self.n_ue, self.n_bs = self.shape
-        self.flat_index = np.flatnonzero(serving_mask)
+        self.n_ue, self.n_bs = serving_mask.shape
         # np.nonzero of the 2-D mask, several times faster.
-        self.ue, self.bs = np.divmod(self.flat_index, self.n_bs)
+        self.ue, self.bs = np.divmod(np.flatnonzero(serving_mask), self.n_bs)
+        self.cell = self.bs * self.n_ue + self.ue
+
+    @classmethod
+    def bs_major(cls, serving_mask_bs_major: np.ndarray) -> _Links:
+        links = object.__new__(cls)
+        links.n_bs, links.n_ue = serving_mask_bs_major.shape
+        links.cell = np.flatnonzero(serving_mask_bs_major)
+        links.bs, links.ue = np.divmod(links.cell, links.n_ue)
+        return links
 
     def __len__(self) -> int:
-        return self.flat_index.size
+        return self.cell.size
 
     def per_ue(self, values: np.ndarray) -> np.ndarray:
         return self._bincount(self.ue, values, self.n_ue)
@@ -408,7 +494,8 @@ class _Links:
 @record
 @dataclass(frozen=True, eq=False)
 class PowerControlResult:
-    p_tx_w: np.ndarray        # (n_links,), one per served link in mask order
+    p_tx_w: np.ndarray        # (n_links,), one per served link in link order
+    p_tx_bs_w: np.ndarray     # (n_bs,), p_tx_w summed per BS in link order
     p_rx_link_w: np.ndarray   # (n_links,)
     p_rx_ue_w: np.ndarray     # (n_ue,)
     snr_db: np.ndarray        # (n_ue,), -inf for unserved UEs
@@ -457,12 +544,14 @@ def power_control(
             bs_scale = np.where(over_budget, budget_w / np.maximum(bs_load, 1e-300), 1.0)
             n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
             p_tx *= bs_scale[links.bs]
+            bs_load = links.per_bs(p_tx)
 
         p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
         p_rx_ue = links.per_ue(p_rx_link)
         snr_db = 10.0 * np.log10(p_rx_ue / noise_w)
     return PowerControlResult(
         p_tx_w=p_tx,
+        p_tx_bs_w=bs_load,
         p_rx_link_w=p_rx_link,
         p_rx_ue_w=p_rx_ue,
         snr_db=snr_db,
@@ -529,6 +618,8 @@ def evaluate_links(
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
+    # Per BS first: the same bits in either link order.
+    p_tx_total = pc.p_tx_bs_w.sum()
     # Branch cascade per link, core.refer(w_bs, l, g_c) with g_c = 1 / l: the
     # effective channel stage plus the BS stage behind it, referenced to the
     # link's received power, written out on the link arrays in refer's
@@ -536,7 +627,6 @@ def evaluate_links(
     # first stage, both received-power-weighted means, so the first stage
     # collapses into a single sum over links. What overflows is caught by
     # the finite check below.
-    p_tx_total = pc.p_tx_w.sum()
     with np.errstate(all="ignore"):
         w_cascade = np.divide(1.0, link_loss_w)
         np.divide(scenario.w_bs - 1.0, w_cascade, out=w_cascade)
@@ -592,9 +682,9 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     """One full Monte-Carlo drop, pure in the scenario (seed included)."""
     layout = generate_layout(scenario)
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-    links = _Links(mask)
+    links = _Links.bs_major(mask.T)  # the layout's order: mask.T is no copy
     link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, links)
-    del layout  # frees the distance matrix before power control
+    del layout  # frees the squared distances before power control
     return evaluate_links(scenario, links, link_loss_w, n_clamped_links=n_clamped)
 
 
@@ -614,6 +704,7 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if not self.frequencies_hz or not self.antenna_modes or not self.n_bs_values:
             raise ValueError("campaign grid axes must be non-empty")
         if self.n_seeds < 1:
@@ -741,14 +832,23 @@ def run_campaign(
         wf_db = np.array([row.result.wf_system_db for row in group])
         p_total = np.array([row.result.p_total_per_km2_w for row in group])
         head = group[0]
+        with np.errstate(over="ignore"):  # a sum past the float range is caught below
+            w_mean = float(np.mean(w_linear))
+            p_total_mean = float(np.mean(p_total))
+        if not (math.isfinite(w_mean) and math.isfinite(p_total_mean)):
+            raise ValueError(
+                f"the seed means of W ({w_mean}) and of the total power ({p_total_mean} W/km^2) "
+                f"at {head.frequency_ghz:g} GHz, {head.antenna_mode}, {head.n_bs} BSs "
+                "must be finite; the scenario's waste factors overflow a float"
+            )
         aggregates.append(
             AggregateRow(
                 frequency_ghz=head.frequency_ghz,
                 antenna_mode=head.antenna_mode,
                 n_bs=head.n_bs,
-                wf_mean_db=10.0 * math.log10(float(np.mean(w_linear))),
+                wf_mean_db=10.0 * math.log10(w_mean),
                 wf_std_db=float(np.std(wf_db)),
-                p_total_mean_kw_per_km2=float(np.mean(p_total)) / 1000.0,
+                p_total_mean_kw_per_km2=p_total_mean / 1000.0,
             )
         )
     return rows, aggregates

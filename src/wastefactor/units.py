@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 
 
 def _too_large(value: float, unit: str) -> ValueError:
@@ -58,18 +59,27 @@ def watts_to_dbw(value_w: float) -> float:
 
 
 @functools.cache
-def _float_fields(cls: type) -> tuple[str, ...]:
+def _fields_of_type(cls: type, *types: str) -> tuple[str, ...]:
     # Field types are strings under ``from __future__ import annotations``.
-    return tuple(f.name for f in dataclasses.fields(cls) if f.type in ("float", "float | None"))
+    return tuple(f.name for f in dataclasses.fields(cls) if f.type in types)
 
 
 def require_finite(instance) -> None:
     """Raise ValueError naming the first float field of a dataclass instance
     that holds NaN or infinity; fields set to None pass."""
-    for name in _float_fields(type(instance)):
+    for name in _fields_of_type(type(instance), "float", "float | None"):
         value = getattr(instance, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_integers(instance) -> None:
+    """Raise ValueError naming the first int field of a dataclass instance
+    that holds no integer; numpy integers pass."""
+    for name in _fields_of_type(type(instance), "int"):
+        value = getattr(instance, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def record(cls: type) -> type:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,30 @@ from wastefactor.units import db_to_linear
 def test_device_specs_reject_non_finite_numbers(build):
     # Each of these once built and failed only later, inside stage_of.
     with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Adc(fom_j=1e-12, bits=2000), "overflows with 2000 bits"),
+        (lambda: Adc(fom_j=1e300, sample_rate_hz=1e300, bits=10), "overflows with 10 bits"),
+        (lambda: Antenna(radiation_efficiency=0.5, vswr=1e308), "leaves no power to radiate"),
+        (
+            lambda: dataclasses.replace(reference_ru_spec(), n_tx=10 ** 400),
+            "n_tx is too large to scale a power",
+        ),
+        (
+            lambda: dataclasses.replace(reference_ue_spec(), n_rx=10 ** 400),
+            "n_rx is too large to scale a power",
+        ),
+    ],
+    ids=["adc-bits", "adc-product", "antenna-vswr", "n_tx", "n_rx"],
+)
+def test_device_specs_reject_values_that_overflow(build, message):
+    # Each of these once built and then raised OverflowError or
+    # ZeroDivisionError, which the CLI printed as a traceback.
+    with pytest.raises(ValueError, match=message):
         build()
 
 

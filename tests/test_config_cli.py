@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wastefactor import cli
+from wastefactor import config as cfg
 from wastefactor.components import Adc, reference_ru_spec, reference_ue_spec
 from wastefactor.config import (
     _SCENARIO_KEYS,
@@ -994,3 +999,171 @@ class TestGoldenOutputs:
         assert (out_dir / "aggregate.csv").read_bytes() == (
             self.GOLDEN / "simulate_small_aggregate.csv"
         ).read_bytes()
+
+
+# Raw INI values for the boundary fuzz, by the parser the schema gives a
+# key: mostly numbers, huge, tiny, negative or zero, now and then malformed.
+FUZZ_NUMBERS = [
+    "0", "-0", "1", "-1", "2.5", "10", "28", "200", "-200", "1e6", "1e15", "1e-6",
+    "1e300", "-1e300", "1e308", "-1e308", "1e-308", "5e-324",
+]
+FUZZ_MALFORMED = ["", "x", "1e", "nan", "inf", "-inf", "1,", "0x1"]
+FUZZ_BY_PARSER = {
+    cfg._parse_float: FUZZ_NUMBERS,
+    cfg._parse_int: ["0", "1", "4", "-1", "18446744073709551615", "1" + "0" * 400, "2.5"],
+    cfg._parse_bool: ["yes", "off", "1", "maybe"],
+    cfg._parse_str: ["equal", "proportional", "omni"],
+}
+# Keys that set how much work a run does keep small values: the fuzz
+# leaves huge UE, BS and seed counts, long grids and long wf_c sweeps out.
+# Each holds values that run, then values that fail.
+FUZZ_SIZES = {
+    ("scenario", "n_ue"): (["1", "3", "16"], ["0", "-1", "2.5"]),
+    ("sweep", "n_bs"): (["1", "2", "1, 3"], ["0", "21", "2.5"]),
+    ("sweep", "seeds"): (["1", "2"], ["0", "-1"]),
+    ("sweep", "frequencies_ghz"): (["3.5", "28", "17, 3.5"], ["5", "1e308", "0", "-28"]),
+    ("sweep", "antenna_modes"): (["omni", "directional", "omni, directional"], ["sector"]),
+    ("sweep", "wf_c_db_start"): (["-10", "0", "60", "120"], []),
+    ("sweep", "wf_c_db_stop"): (["-10", "0", "60", "120"], []),
+    ("sweep", "wf_c_db_step"): (["1", "7.5", "1e308"], ["0", "-1", "5e-324"]),
+}
+# Size keys a simulate run always sets, so no run falls back to the
+# 600-drop reference grid of 1024 UEs.
+FUZZ_SIMULATE_SIZES = [("scenario", "n_ue"), ("sweep", "n_bs"), ("sweep", "seeds"),
+                       ("sweep", "frequencies_ghz"), ("sweep", "antenna_modes")]
+# Per multi-line key: the keys of a line that parses, then others.
+FUZZ_LINE_KEYS = {
+    ("cascade", "stages"): (
+        [["w", "g"], ["w_db", "gain_db"], ["w", "gain_db"], ["loss_db"]],
+        ["w", "g", "w_db", "gain_db", "loss_db", "bogus"],
+    ),
+    ("metrics", "readings"): (
+        [["p_signal_w", "p_non_signal_w", "p_non_path_w", "data_volume_gb", "duration_h"]],
+        ["p_signal_w", "p_non_signal_w", "p_non_path_w", "data_volume_gb", "duration_h", "bogus"],
+    ),
+}
+# The sections each command reads; a document holds mostly these.
+FUZZ_COMMANDS = {
+    "cascade": ["cascade", "ru"],
+    "system": ["ru", "ue", "sweep", "channel"],
+    "metrics": ["metrics"],
+    "simulate": ["scenario", "sweep"],
+}
+CSV_NAMES = ("drops.csv", "aggregate.csv")
+NON_FINITE_WORD = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def fuzz_value(draw, pool, bad=()):
+    """One of ``pool``, or one time in eight one of ``bad`` or a malformed
+    string."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from([*bad, *FUZZ_MALFORMED]))
+    return draw(st.sampled_from(pool))
+
+
+@st.composite
+def fuzz_lines(draw, shapes, keys):
+    """A multi-line value: lines of ``name key=value ...`` tokens, mostly
+    with the keys of one of ``shapes``, now and then a bare token."""
+    lines = []
+    for i in range(draw(st.integers(0, 3))):
+        tokens = [f"n{i}"]
+        if draw(st.integers(0, 3)):
+            line_keys = draw(st.sampled_from(shapes))
+        else:
+            line_keys = draw(st.lists(st.sampled_from(keys), max_size=3))
+        for key in line_keys:
+            tokens.append(f"{key}={fuzz_value(draw, FUZZ_NUMBERS)}")
+        if draw(st.integers(0, 9)) == 0:
+            tokens.append("bare")
+        lines.append(" ".join(tokens))
+    return "".join(f"\n    {line}" for line in lines)
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A command and an INI document built from config's own schema tables:
+    any sections, any of their keys, values huge, tiny, negative, zero or
+    malformed."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    names = draw(st.lists(st.sampled_from(FUZZ_COMMANDS[command]), unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        names.append(draw(st.sampled_from(sorted(set(cfg._SCHEMA) - set(names)))))
+    sections: dict[str, list[str]] = {}
+    for section in names:
+        schema = cfg._section_schema(section)
+        sections[section] = draw(st.lists(st.sampled_from(sorted(schema)), unique=True, max_size=4))
+    if command == "simulate":
+        for section, key in FUZZ_SIMULATE_SIZES:
+            keys = sections.setdefault(section, [])
+            if key not in keys:
+                keys.append(key)
+    text = []
+    for section, keys in sections.items():
+        text.append(f"[{section}]")
+        schema = cfg._section_schema(section)
+        for key in keys:
+            if (section, key) in FUZZ_LINE_KEYS:
+                value = draw(fuzz_lines(*FUZZ_LINE_KEYS[section, key]))
+            elif (section, key) in FUZZ_SIZES:
+                value = fuzz_value(draw, *FUZZ_SIZES[section, key])
+            else:
+                value = fuzz_value(draw, FUZZ_BY_PARSER[schema[key]])
+            text.append(f"{key} = {value}")
+    options = []
+    if command == "simulate":
+        options = ["--jobs", "1"]  # no process pool
+    elif draw(st.booleans()):
+        options = ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return command, "\n".join(text) + "\n", options
+
+
+def fuzz_small_grid(scenario_lines, seeds=1):
+    """A ``simulate`` run of two BSs at 28 GHz, omni, under ``[scenario]``
+    lines."""
+    grid = f"[sweep]\nn_bs = 2\nseeds = {seeds}\nfrequencies_ghz = 28\nantenna_modes = omni\n"
+    return "simulate", f"[scenario]\n{scenario_lines}\n{grid}", ["--jobs", "1"]
+
+
+class TestFiniteInFiniteOut:
+    """Every INI document, whatever its values, either runs to finite
+    output or fails at the boundary with the exit code and message the
+    README promises: no traceback, no warning, no quiet NaN."""
+
+    # Derandomized, so the suite repeats run to run; the examples are what
+    # wider random runs of the same strategy found, each of which once
+    # escaped cli.main as a traceback or a numpy warning, or exited 0 with
+    # inf in a CSV.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run=fuzz_runs())
+    @example(run=("system", "[ue]\nadc_fom_j = 1e-12\nadc_bits = 2000\n", []))
+    @example(run=("system", "[ru]\nantenna_vswr = 1e308\n", []))
+    @example(run=("system", "[ru]\nantenna_efficiency = 1e-308\n"
+                            "mixer_conversion_loss_db = 200\n", []))
+    @example(run=("system", f"[ue]\nn_rx = 1{'0' * 400}\n", []))
+    @example(run=fuzz_small_grid("n_ue = 1\nbandwidth_mhz = 5e-324"))
+    @example(run=fuzz_small_grid("n_ue = 16\nw_ue = 1e308", seeds=2))
+    @example(run=fuzz_small_grid("n_ue = 1\nregion_radius_m = 1e300"))
+    @example(run=fuzz_small_grid("n_ue = 1\nue_height_m = -1e308"))
+    def test_runs_end_finite_or_fail_cleanly(self, tmp_path_factory, run):
+        command, text, options = run
+        work = tmp_path_factory.mktemp("fuzz")
+        config_path = work / "run.ini"
+        config_path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        argv = [command, str(config_path), *options]
+        if command == "simulate":
+            argv += ["--out", str(work / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            outputs = [out.getvalue()]
+            if command == "simulate":
+                outputs += [(work / "out" / name).read_text() for name in CSV_NAMES]
+            assert not any(NON_FINITE_WORD.search(text) for text in outputs), outputs
+        else:
+            assert err.getvalue().startswith(("config error:", "error:")), err.getvalue()
+            assert code == (2 if err.getvalue().startswith("config error:") else 1)

@@ -102,6 +102,12 @@ class TestCascade:
         with pytest.raises(ValueError, match="at least one"):
             cascade([])
 
+    def test_gain_underflow_is_a_value_error(self):
+        # Once a ZeroDivisionError, which the CLI printed as a traceback.
+        stages = [Stage(2.0, 1.0), Stage(1e10, 1e-200), Stage(1e10, 1e-200)]
+        with pytest.raises(ValueError, match="gain to the sink underflows to 0"):
+            cascade(stages)
+
     def test_single_stage_identity(self):
         stage = Stage(3.0, 0.5, "only")
         composite = cascade([stage])

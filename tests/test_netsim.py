@@ -87,6 +87,43 @@ class TestScenario:
         with pytest.raises(ValueError, match="power_allocation"):
             Scenario(power_allocation="waterfilling")
 
+    # Each of these once built: a fractional seed ran the truncated seed
+    # (1, 1.5 and 1.9 gave one w_system), a fractional size failed later
+    # with a raw TypeError inside the kernel or the grid.
+    @pytest.mark.parametrize(
+        "build, field, value",
+        [
+            (Scenario, "seed", 1.5),
+            (Scenario, "n_bs", 2.5),
+            (Scenario, "n_ue", 10.5),
+            (CampaignSpec, "n_seeds", 2.5),
+            (CampaignSpec, "base_seed", 0.5),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            build(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"bandwidth_hz": 5e-318}, "gives a noise power of 0 W"),
+            ({"ue_noise_figure_db": -1e308}, "gives a noise power of 0 W"),
+            ({"region_radius_m": 1e300}, "squared link lengths that overflow a float"),
+            ({"ue_height_m": -1e308}, "squared link lengths that overflow a float"),
+        ],
+    )
+    def test_values_that_break_the_drop_are_rejected(self, overrides, message):
+        # Each once built: the first two ended the drop in a 0/0 warning,
+        # the last two in an overflow warning or OverflowError.
+        with pytest.raises(ValueError, match=message):
+            Scenario(**overrides)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        sc = Scenario(n_bs=np.int64(3), n_ue=np.int32(8), seed=np.uint64(5))
+        assert (sc.n_bs, sc.n_ue, sc.seed) == (3, 8, 5)
+        CampaignSpec(n_seeds=np.int64(2), base_seed=np.uint8(1))
+
     def test_target_rx_power(self):
         sc = Scenario()
         assert watts_to_dbm(sc.target_rx_power_w) == pytest.approx(-72.98, abs=5e-3)
@@ -135,6 +172,17 @@ class TestLayout:
         five = generate_layout(dataclasses.replace(SMALL, n_bs=5))
         ten = generate_layout(dataclasses.replace(SMALL, n_bs=10))
         assert np.array_equal(five.bs_xy_m, ten.bs_xy_m[:5])
+        # BS-major geometry: the first rows are the smaller layout's.
+        assert five.sq_distance_m2.tobytes() == ten.sq_distance_m2[:5].tobytes()
+
+    def test_squared_distances_are_bs_major(self):
+        layout = generate_layout(SMALL)
+        sq = layout.sq_distance_m2
+        assert sq.shape == (SMALL.n_bs, SMALL.n_ue) and sq.flags.c_contiguous
+        dx = layout.ue_xy_m[:, 0] - layout.bs_xy_m[:, 0, None]
+        dy = layout.ue_xy_m[:, 1] - layout.bs_xy_m[:, 1, None]
+        assert sq.tobytes() == (dx * dx + dy * dy).tobytes()
+        assert layout.distance_m.tobytes() == np.sqrt(sq).T.tobytes()
 
     def test_integer_coordinates(self):
         layout = Layout(bs_xy_m=np.array([[0, 0], [6, 8]]), ue_xy_m=np.array([[3, 4]]))
@@ -220,9 +268,28 @@ def where_serving(layout, serving_radius_m, fallback_nearest):
     return mask
 
 
+def one_ue_layout(*bs_xy):
+    return Layout(bs_xy_m=np.array(bs_xy, dtype=float), ue_xy_m=np.array([[0.0, 0.0]]))
+
+
+# For a 1 m radius, the largest squared distance whose root is <= 1 m is
+# 1 + 2**-52: BSs at squared distances 1, 1 + 2**-52 and 1 + 2**-51 sit one
+# ulp below, at, and one ulp above that bound.
+ULP_AROUND_THE_BOUND = one_ue_layout([1.0, 0.0], [1.0, 2.0 ** -26], [1.0 + 2.0 ** -52, 0.0])
+# Uncovered at 0.5 m; squared distances 1 + 2**-52 (BS 0) and 1 (BS 1)
+# share the root 1, so the argmin of the distances is BS 0, not BS 1.
+ROOT_TIE = one_ue_layout([1.0, 2.0 ** -26], [1.0, 0.0])
+
+
 class TestServingProperties:
     @PROPERTY_SETTINGS
     @given(case=layouts_and_radii(), fallback_nearest=st.booleans())
+    @example(case=(one_ue_layout([200.0, 0.0], [600.0, 0.0]), 200.0), fallback_nearest=False)
+    @example(case=(ULP_AROUND_THE_BOUND, 1.0), fallback_nearest=False)
+    @example(case=(one_ue_layout([-500.0, 0.0], [500.0, 0.0]), 200.0), fallback_nearest=True)
+    @example(case=(ROOT_TIE, 0.5), fallback_nearest=True)
+    @example(case=(one_ue_layout([900.0, 0.0]), 200.0), fallback_nearest=True)
+    @example(case=(one_ue_layout([900.0, 0.0]), 200.0), fallback_nearest=False)
     def test_mask_matches_where_serving(self, case, fallback_nearest):
         layout, radius = case
         mask = assign_serving_sets(layout, radius, fallback_nearest)
@@ -248,6 +315,31 @@ class TestServingProperties:
         assert np.array_equal(mask[covered], inside[covered])
         for i in np.flatnonzero(~covered):
             assert list(np.flatnonzero(mask[i])) == [np.argmin(layout.distance_m[i])]
+
+
+class TestRadiusBound:
+    @PROPERTY_SETTINGS
+    @given(radius=st.floats(min_value=0.0, allow_infinity=False))
+    @example(radius=200.0)
+    @example(radius=1.0)
+    @example(radius=0.0)
+    @example(radius=5e-324)
+    @example(radius=1e300)  # its square overflows
+    def test_bound_is_the_largest_square_with_root_within_the_radius(self, radius):
+        bound = netsim._sq_radius_bound(radius)
+        assert math.sqrt(bound) <= radius
+        assert math.sqrt(math.nextafter(bound, math.inf)) > radius
+
+    def test_examples_sit_where_they_say(self):
+        bound = netsim._sq_radius_bound(1.0)
+        assert bound == 1.0 + 2.0 ** -52
+        sq = ULP_AROUND_THE_BOUND.sq_distance_m2[:, 0].tolist()
+        assert sq == [math.nextafter(bound, 0.0), bound, math.nextafter(bound, 2.0)]
+        mask = assign_serving_sets(ULP_AROUND_THE_BOUND, 1.0, fallback_nearest=False)
+        assert mask.tolist() == [[True, True, False]]
+        assert ROOT_TIE.distance_m.tolist() == [[1.0, 1.0]]
+        assert ROOT_TIE.sq_distance_m2[0, 0] > ROOT_TIE.sq_distance_m2[1, 0]
+        assert assign_serving_sets(ROOT_TIE, 0.5).tolist() == [[True, False]]
 
 
 def scalar_bs_placement(scenario):
@@ -654,11 +746,14 @@ def where_power_control(l_eff_w, serving_mask, scenario):
     bs_scale = np.where(bs_load > budget_w, budget_w / np.maximum(bs_load, 1e-300), 1.0)
     n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
     p_tx = p_tx * bs_scale[None, :]
+    p_tx_bs = link_sum(p_tx, serving_mask, axis=0)
     p_rx_link = p_tx * inv_l
     p_rx_ue = link_sum(p_rx_link, serving_mask, axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
-    return PowerControlResult(p_tx, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited, links=None)
+    return PowerControlResult(
+        p_tx, p_tx_bs, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited, links=None
+    )
 
 
 def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
@@ -675,7 +770,7 @@ def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
     p_system_out = g_ue * total_rx
     p_path = w_system * p_system_out
     p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
-    p_tx_total = pc.p_tx_w[serving_mask].sum()
+    p_tx_total = pc.p_tx_bs_w.sum()
     channel_waste = p_tx_total - total_rx
     bs_waste = (scenario.w_bs - 1.0) * p_tx_total
     ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx
@@ -708,8 +803,8 @@ def on_links(pc, serving_mask):
     """A dense power-control result as the kernel returns it: its per-link
     arrays taken on the mask."""
     return PowerControlResult(
-        pc.p_tx_w[serving_mask], pc.p_rx_link_w[serving_mask], pc.p_rx_ue_w, pc.snr_db,
-        pc.n_capped_links, pc.n_budget_limited_bs, links=None,
+        pc.p_tx_w[serving_mask], pc.p_tx_bs_w, pc.p_rx_link_w[serving_mask], pc.p_rx_ue_w,
+        pc.snr_db, pc.n_capped_links, pc.n_budget_limited_bs, links=None,
     )
 
 
@@ -944,10 +1039,18 @@ class TestDropLinks:
         [(link_loss, serving, from_drop)] = seen
         assert isinstance(serving, netsim._Links)
         mask = assign_serving_sets(generate_layout(scenario), scenario.serving_radius_m)
-        from_mask = power_control(link_loss, mask, scenario)
-        assert result_bits(from_mask) == result_bits(from_drop)
-        assert from_mask.links.ue.tobytes() == from_drop.links.ue.tobytes()
-        assert from_mask.links.bs.tobytes() == from_drop.links.bs.tobytes()
+        # The drop's links run BS-major; the mask's row-major. Map each
+        # mask link to its place in the drop's order.
+        ue, bs = np.nonzero(mask)
+        order = np.lexsort((ue, bs)).argsort()
+        assert (from_drop.links.ue[order].tolist(), from_drop.links.bs[order].tolist()) == (
+            ue.tolist(), bs.tolist()
+        )
+        from_mask = power_control(link_loss[order], mask, scenario)
+        in_mask_order = dataclasses.replace(
+            from_drop, p_tx_w=from_drop.p_tx_w[order], p_rx_link_w=from_drop.p_rx_link_w[order]
+        )
+        assert result_bits(from_mask) == result_bits(in_mask_order)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
     def test_a_drop_derives_its_links_once(self, monkeypatch, scenario):
@@ -958,9 +1061,24 @@ class TestDropLinks:
                 built.append(serving_mask)
                 super().__init__(serving_mask)
 
+            @classmethod
+            def bs_major(cls, serving_mask_bs_major):
+                built.append(serving_mask_bs_major)
+                return super().bs_major(serving_mask_bs_major)
+
         monkeypatch.setattr(netsim, "_Links", CountedLinks)
         evaluate_drop(scenario)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
+    def test_a_drop_matches_its_mask_path(self, scenario):
+        # The drop's links run BS-major, the mask's row-major; every field
+        # agrees bit for bit, the energy audit included.
+        layout = generate_layout(scenario)
+        mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
+        link_loss, n_clamped = effective_loss_matrix(scenario, layout, mask)
+        from_mask = evaluate_links(scenario, mask, link_loss, n_clamped_links=n_clamped)
+        assert result_bits(evaluate_drop(scenario)) == result_bits(from_mask)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
     def test_losses_of_the_links_match_the_mask(self, scenario):
@@ -998,8 +1116,8 @@ class TestNetsimRecords:
 class TestDropMemory:
     """A reference-size drop keeps at most three dense (n_ue, n_bs) float
     arrays alive at once; it peaks at 2.95 while the layout builds its
-    distance matrix (numpy's broadcasting buffers included). The dense
-    in-place kernel peaked at 3.8, its np.where form at 7.4."""
+    squared distances (two work arrays plus numpy's broadcasting buffers).
+    The dense in-place kernel peaked at 3.8, its np.where form at 7.4."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1091,6 +1209,13 @@ class TestCampaign:
         w_mean = np.mean([row.result.w_system for row in group])
         assert aggregates[0].wf_mean_db == pytest.approx(10.0 * math.log10(w_mean))
         assert aggregates[0].n_bs == 1
+
+    def test_seed_mean_past_the_float_range_is_a_value_error(self):
+        # Each drop's W is finite, their sum is not: once an exit-0 run with
+        # inf in aggregate.csv and a numpy warning on stderr.
+        base = dataclasses.replace(self.BASE, w_ue=1e308)
+        with pytest.raises(ValueError, match=r"seed means of W \(inf\)"):
+            run_campaign(base, self.CAMPAIGN, jobs=1)
 
     def test_parallel_matches_serial(self):
         serial = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
