@@ -34,7 +34,7 @@ _EXPORTS_BY_MODULE = {
         "ee_network ee_ru ee_site ee_vs_wf_sweep"
     ),
     "netsim": (
-        "BAND_PRESETS CampaignSpec DropResult Layout Scenario assign_serving_sets "
+        "BAND_PRESETS CampaignSpec DropResult Layout Links Scenario assign_serving_sets "
         "evaluate_drop evaluate_links generate_layout run_campaign"
     ),
 }

@@ -358,6 +358,10 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
     return max(pl_db - channel.get("g_tx_db", 0.0) - channel.get("g_rx_db", 0.0), 0.0)
 
 
+# The default 60-120 dB channel sweep takes 60 steps.
+_MAX_SWEEP_STEPS = 100_000
+
+
 def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
     """Channel waste-figure grid for the system sweep.
 
@@ -379,10 +383,10 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
     if stop < start:
         raise ConfigError(f"{doc.path}: wf_c_db_stop must be >= wf_c_db_start")
     n_steps = (stop - start) / step
-    if not math.isfinite(n_steps):
+    if not n_steps <= _MAX_SWEEP_STEPS:  # checked before the list is built
         raise ConfigError(
             f"{doc.path}: wf_c_db_start, wf_c_db_stop and wf_c_db_step give "
-            f"{n_steps} steps; the step count must be finite"
+            f"{n_steps:g} steps; the step count must be finite and at most {_MAX_SWEEP_STEPS}"
         )
     return [start + k * step for k in range(int(round(n_steps)) + 1)]
 

@@ -54,6 +54,9 @@ STREAM_BS_LAYOUT = 2
 STREAM_SHADOWING = 3
 
 _MAX_PLACEMENT_ATTEMPTS = 100_000
+# A linear loss 10 ** (dB / 10) overflows a float past about 3082.5 dB; the
+# ceiling leaves 82.5 dB of that for shadowing draws (9 sigma at 28 GHz).
+_MAX_PATH_LOSS_DB = 3000.0
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,14 @@ class Scenario:
             raise ValueError(f"path-loss exponent must be > 0, got {self.ple}")
         if self.sigma_db is not None and self.sigma_db < 0.0:
             raise ValueError(f"shadowing sigma must be >= 0 dB, got {self.sigma_db}")
+        longest_m = max(math.hypot(2.0 * radius, height_delta), 1.0)
+        loss_db = fspl_1m_db(self.frequency_hz) + 10.0 * self.resolved_ple * math.log10(longest_m)
+        if loss_db > _MAX_PATH_LOSS_DB:
+            raise ValueError(
+                f"region_radius_m = {radius} gives links of up to {longest_m:g} m, whose "
+                f"close-in path loss of {loss_db:.1f} dB passes the "
+                f"{_MAX_PATH_LOSS_DB:g} dB ceiling of a linear loss"
+            )
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.noise_power_w > 0.0:
@@ -404,18 +415,16 @@ def _nearest_bs(sq: np.ndarray) -> np.ndarray:
 
 
 def effective_loss_matrix(
-    scenario: Scenario, layout: Layout, serving_mask: np.ndarray | _Links
+    scenario: Scenario, layout: Layout, links: Links
 ) -> tuple[np.ndarray, int]:
     """Effective loss of each served link (linear, clamped at the W = 1 floor).
 
     Close-in path loss over the 3-D distance, optional shadowing draw,
-    minus both endpoint antenna gains, for the links of ``serving_mask``
-    in its row-major order (or the links' own order). The shadowing draw
-    covers every ``(n_ue, n_bs)`` pair, so the stream does not depend on
-    the mask. Returns the link losses and the count of links that hit the
-    clamp.
+    minus both endpoint antenna gains, one per link in the links' order.
+    The shadowing draw covers every ``(n_ue, n_bs)`` pair, so the stream
+    does not depend on the links. Returns the link losses and the count of
+    links that hit the clamp.
     """
-    links = serving_mask if isinstance(serving_mask, _Links) else _Links(serving_mask)
     height_delta = scenario.bs_height_m - scenario.ue_height_m
     # One array carries the whole dB chain: horizontal distance (the square
     # root distance_m holds), 3-D distance, path loss, shadowing, gains,
@@ -441,54 +450,44 @@ def effective_loss_matrix(
     return np.power(10.0, x, out=x), n_clamped
 
 
-class _Links:
-    """The served links of a serving mask: one ``(ue, bs)`` pair per link.
+class Links:
+    """The served links of a boolean ``(n_ue, n_bs)`` serving mask, one
+    ``(ue, bs)`` pair each: the drop kernels' one serving input.
 
-    ``_Links(mask)`` takes a boolean ``(n_ue, n_bs)`` mask in its row-major
-    order; :meth:`bs_major` takes a drop's ``(n_bs, n_ue)`` mask in its own
-    order, all of BS 0's links first. ``cell`` is each link's index into
-    the layout's BS-major geometry.
-
-    A drop derives them once from its mask and hands them to
-    :func:`effective_loss_matrix`, :func:`evaluate_links` and
-    :func:`power_control`, which each accept a mask in their place.
+    The links run BS-major, all of BS 0's first: ``Links(mask)`` enumerates
+    ``mask.T``, which for a drop's mask is the layout's BS-major array, no
+    copy. ``cell`` is each link's index into that geometry; a dense
+    ``(n_ue, n_bs)`` matrix gives each link its value as
+    ``dense[links.ue, links.bs]``.
 
     ``per_ue`` and ``per_bs`` sum a link array per UE and per BS in link
-    order: each sum adds its links one at a time, first link first, as
-    ``np.bincount`` does. Within one UE the links run by BS, and within one
-    BS by UE, in both orders, so these sums do not depend on which of the
-    two the links came in. That order is the model's; it is not numpy's
-    order for a dense ``(n_ue, n_bs)`` sum, which may differ in the last
-    bits.
+    order, first link first, as ``np.bincount`` adds. Within one UE the
+    links run by BS and within one BS by UE, as in the mask's row-major
+    order, so the sums are those of either order. That order is the
+    model's, not numpy's for a dense ``(n_ue, n_bs)`` sum, which may
+    differ in the last bits.
     """
 
     def __init__(self, serving_mask: np.ndarray) -> None:
-        self.n_ue, self.n_bs = serving_mask.shape
-        # np.nonzero of the 2-D mask, several times faster.
-        self.ue, self.bs = np.divmod(np.flatnonzero(serving_mask), self.n_bs)
-        self.cell = self.bs * self.n_ue + self.ue
-
-    @classmethod
-    def bs_major(cls, serving_mask_bs_major: np.ndarray) -> _Links:
-        links = object.__new__(cls)
-        links.n_bs, links.n_ue = serving_mask_bs_major.shape
-        links.cell = np.flatnonzero(serving_mask_bs_major)
-        links.bs, links.ue = np.divmod(links.cell, links.n_ue)
-        return links
+        mask = serving_mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 2):
+            is_array = isinstance(mask, np.ndarray)
+            kind = f"a {mask.ndim}-D {mask.dtype} array" if is_array else type(mask).__name__
+            raise ValueError(f"serving mask must be a 2-D boolean array, got {kind}")
+        by_bs = mask.T
+        self.n_bs, self.n_ue = by_bs.shape
+        self.cell = np.flatnonzero(by_bs)
+        self.bs, self.ue = np.divmod(self.cell, self.n_ue)
 
     def __len__(self) -> int:
         return self.cell.size
 
+    # bincount returns integer zeros when there are no links.
     def per_ue(self, values: np.ndarray) -> np.ndarray:
-        return self._bincount(self.ue, values, self.n_ue)
+        return np.bincount(self.ue, weights=values, minlength=self.n_ue).astype(float, copy=False)
 
     def per_bs(self, values: np.ndarray) -> np.ndarray:
-        return self._bincount(self.bs, values, self.n_bs)
-
-    @staticmethod
-    def _bincount(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-        # bincount returns integer zeros when there are no links.
-        return np.bincount(index, weights=values, minlength=n).astype(float, copy=False)
+        return np.bincount(self.bs, weights=values, minlength=self.n_bs).astype(float, copy=False)
 
 
 @record
@@ -501,24 +500,20 @@ class PowerControlResult:
     snr_db: np.ndarray        # (n_ue,), -inf for unserved UEs
     n_capped_links: int
     n_budget_limited_bs: int
-    links: _Links = field(repr=False)  # the (ue, bs) pair of each link
 
 
-def power_control(
-    link_loss_w: np.ndarray, serving_mask: np.ndarray | _Links, scenario: Scenario
-) -> PowerControlResult:
+def power_control(link_loss_w: np.ndarray, links: Links, scenario: Scenario) -> PowerControlResult:
     """Set per-link transmit powers so each UE's combined (non-coherent)
     received power hits the SNR target.
 
-    ``link_loss_w`` holds one effective loss per served link, in the
-    row-major order of ``serving_mask`` (``l_eff_w[serving_mask]`` of a
-    dense loss matrix). Equal allocation splits one transmit level across
-    a UE's serving links; proportional allocation loads better links
-    harder (p_tx proportional to the link gain). Each link then clips to
-    the per-link cap, and any BS whose summed load exceeds its budget has
-    all its links scaled down proportionally. SNR is recomputed after both.
+    ``link_loss_w`` holds one effective loss per link of ``links``, in
+    their order (``l_eff_w[links.ue, links.bs]`` of a dense loss matrix).
+    Equal allocation splits one transmit level across a UE's serving
+    links; proportional allocation loads better links harder (p_tx
+    proportional to the link gain). Each link then clips to the per-link
+    cap, and any BS whose summed load exceeds its budget has all its links
+    scaled down proportionally. SNR is recomputed after both.
     """
-    links = serving_mask if isinstance(serving_mask, _Links) else _Links(serving_mask)
     # Scenario.target_rx_power_w, with the noise power kept for the SNR.
     noise_w = scenario.noise_power_w
     target = noise_w * db_to_linear(scenario.target_snr_db)
@@ -557,7 +552,6 @@ def power_control(
         snr_db=snr_db,
         n_capped_links=n_capped,
         n_budget_limited_bs=n_budget_limited,
-        links=links,
     )
 
 
@@ -581,37 +575,27 @@ def _p5(x: np.ndarray) -> float:
 
 
 def evaluate_links(
-    scenario: Scenario,
-    serving_mask: np.ndarray | _Links,
-    link_loss_w: np.ndarray,
-    n_clamped_links: int = 0,
+    scenario: Scenario, links: Links, link_loss_w: np.ndarray, n_clamped_links: int = 0
 ) -> DropResult:
-    """Score an explicit link realization (serving mask + link losses).
+    """Score an explicit link realization (served links + link losses).
 
-    ``serving_mask`` is the boolean ``(n_ue, n_bs)`` serving mask of
+    ``links`` are the :class:`Links` of a serving mask, such as the one of
     :func:`assign_serving_sets`, and ``link_loss_w`` the effective loss of
-    each served link in the mask's row-major order, i.e.
-    ``l_eff_w[serving_mask]`` of a dense loss matrix. This is the
-    composition core behind :func:`evaluate_drop`; driving it directly with
-    hand-built links gives deterministic reference cases. Per-UE SNRs are
+    each link in their order, i.e. ``l_eff_w[links.ue, links.bs]`` of a
+    dense loss matrix. This is the composition core behind
+    :func:`evaluate_drop`; driving it directly with hand-built links gives
+    deterministic reference cases. Per-UE SNRs are
     ``power_control(...).snr_db``.
     """
-    if isinstance(serving_mask, _Links):
-        links = serving_mask  # from evaluate_drop, which built the mask itself
-    else:
-        if not isinstance(serving_mask, np.ndarray) or serving_mask.dtype != bool:
-            kind = getattr(serving_mask, "dtype", type(serving_mask).__name__)
-            raise ValueError(f"serving mask must be a boolean array, got {kind}")
-        if serving_mask.shape != (scenario.n_ue, scenario.n_bs):
-            raise ValueError(
-                f"serving mask has shape {serving_mask.shape} but the scenario declares "
-                f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
-            )
-        links = _Links(serving_mask)
+    if (links.n_ue, links.n_bs) != (scenario.n_ue, scenario.n_bs):
+        raise ValueError(
+            f"serving mask has shape {(links.n_ue, links.n_bs)} but the scenario declares "
+            f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
+        )
     if np.shape(link_loss_w) != (len(links),):
         raise ValueError(
             f"link losses have shape {np.shape(link_loss_w)} but the serving mask "
-            f"holds {len(links)} links; pass one loss per link, l_eff_w[serving_mask]"
+            f"holds {len(links)} links; pass one loss per link, l_eff_w[links.ue, links.bs]"
         )
     pc = power_control(link_loss_w, links, scenario)
 
@@ -631,7 +615,7 @@ def evaluate_links(
         w_cascade = np.divide(1.0, link_loss_w)
         np.divide(scenario.w_bs - 1.0, w_cascade, out=w_cascade)
         np.add(link_loss_w, w_cascade, out=w_cascade)
-        consumed_per_ue = pc.links.per_ue(np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade))
+        consumed_per_ue = links.per_ue(np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade))
         w_mino1 = consumed_per_ue.sum() / total_rx
         g_ue = db_to_linear(scenario.g_ue_db)
         w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
@@ -682,7 +666,7 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     """One full Monte-Carlo drop, pure in the scenario (seed included)."""
     layout = generate_layout(scenario)
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-    links = _Links.bs_major(mask.T)  # the layout's order: mask.T is no copy
+    links = Links(mask)  # mask.T is the layout's BS-major array: no copy
     link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, links)
     del layout  # frees the squared distances before power control
     return evaluate_links(scenario, links, link_loss_w, n_clamped_links=n_clamped)

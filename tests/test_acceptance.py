@@ -25,6 +25,7 @@ from wastefactor.estimate import PowerSample, fit_waste_factor
 from wastefactor.metrics import EquipmentReading, ee_bs, ee_ru
 from wastefactor.netsim import (
     CampaignSpec,
+    Links,
     Scenario,
     evaluate_drop,
     evaluate_links,
@@ -220,9 +221,9 @@ def test_criterion_08_simulation_trends(reference_campaign):
 
     # (e) deterministic two-link reference drop
     sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
-    serving = np.eye(2, dtype=bool)
+    links = Links(np.eye(2, dtype=bool))
     l_eff = np.array([[1e7, 1e30], [1e30, 1e8]])
-    result = evaluate_links(sc, serving, l_eff[serving])
+    result = evaluate_links(sc, links, l_eff[links.ue, links.bs])
     assert result.wf_system_db == pytest.approx(78.17, abs=0.01)
     closed_form = 33.0 + (8.25e8 - 1.0) / (10.0 ** 1.1)
     assert result.w_system == pytest.approx(closed_form, rel=1e-9)

@@ -547,9 +547,7 @@ class TestSystemCommand:
         ids=["tiny-step", "huge-span"],
     )
     def test_non_finite_step_count_is_config_error(self, capsys, tmp_path, lines):
-        # Both once printed an OverflowError traceback. A finite but huge
-        # count (wf_c_db_step = 1e-300) is left untested: the sweep would
-        # try to hold every point in memory.
+        # Both once printed an OverflowError traceback.
         path = tmp_path / "s.ini"
         path.write_text(f"[sweep]\n{lines}\n")
         code, out, err = run_cli(capsys, "system", str(path))
@@ -558,6 +556,31 @@ class TestSystemCommand:
         assert "wf_c_db_start, wf_c_db_stop and wf_c_db_step" in err
         assert "step count must be finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "lines, count",
+        [
+            ("wf_c_db_start = 0\nwf_c_db_stop = 1e308\nwf_c_db_step = 1", "1e+308"),
+            ("wf_c_db_step = 1e-300", "6e+301"),
+            ("wf_c_db_start = 0\nwf_c_db_stop = 100001\nwf_c_db_step = 1", "100001"),
+        ],
+        ids=["huge-stop", "tiny-step", "one-past-the-cap"],
+    )
+    def test_huge_step_count_is_config_error(self, capsys, tmp_path, lines, count):
+        # The first two once built the sweep as a list until memory ran out.
+        path = tmp_path / "s.ini"
+        path.write_text(f"[sweep]\n{lines}\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert f"wf_c_db_start, wf_c_db_stop and wf_c_db_step give {count} steps" in err
+        assert "at most 100000" in err
+
+    def test_a_sweep_at_the_cap_is_built(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[sweep]\nwf_c_db_start = 0\nwf_c_db_stop = 100000\nwf_c_db_step = 1\n")
+        sweep = cfg.wf_c_sweep_from_config(cfg.load_config(path))
+        assert (len(sweep), sweep[-1]) == (100_001, 100_000.0)
 
 
     @pytest.mark.parametrize(
@@ -1024,8 +1047,8 @@ FUZZ_SIZES = {
     ("sweep", "frequencies_ghz"): (["3.5", "28", "17, 3.5"], ["5", "1e308", "0", "-28"]),
     ("sweep", "antenna_modes"): (["omni", "directional", "omni, directional"], ["sector"]),
     ("sweep", "wf_c_db_start"): (["-10", "0", "60", "120"], []),
-    ("sweep", "wf_c_db_stop"): (["-10", "0", "60", "120"], []),
-    ("sweep", "wf_c_db_step"): (["1", "7.5", "1e308"], ["0", "-1", "5e-324"]),
+    ("sweep", "wf_c_db_stop"): (["-10", "0", "60", "120"], ["1e308"]),
+    ("sweep", "wf_c_db_step"): (["1", "7.5", "1e308"], ["0", "-1", "5e-324", "1e-300"]),
 }
 # Size keys a simulate run always sets, so no run falls back to the
 # 600-drop reference grid of 1024 UEs.
@@ -1145,6 +1168,7 @@ class TestFiniteInFiniteOut:
     @example(run=fuzz_small_grid("n_ue = 16\nw_ue = 1e308", seeds=2))
     @example(run=fuzz_small_grid("n_ue = 1\nregion_radius_m = 1e300"))
     @example(run=fuzz_small_grid("n_ue = 1\nue_height_m = -1e308"))
+    @example(run=fuzz_small_grid("n_ue = 4\nregion_radius_m = 1e150"))
     def test_runs_end_finite_or_fail_cleanly(self, tmp_path_factory, run):
         command, text, options = run
         work = tmp_path_factory.mktemp("fuzz")

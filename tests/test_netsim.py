@@ -20,6 +20,7 @@ from wastefactor.netsim import (
     CampaignSpec,
     DropResult,
     Layout,
+    Links,
     PowerControlResult,
     Scenario,
     STREAM_BS_LAYOUT,
@@ -111,6 +112,12 @@ class TestScenario:
             ({"ue_noise_figure_db": -1e308}, "gives a noise power of 0 W"),
             ({"region_radius_m": 1e300}, "squared link lengths that overflow a float"),
             ({"ue_height_m": -1e308}, "squared link lengths that overflow a float"),
+            # Once overflowed the linear loss with a numpy warning, then
+            # failed the drop on a NaN waste factor.
+            (
+                {"frequency_hz": 28e9, "region_radius_m": 1e150},
+                r"region_radius_m = 1e\+150 .* 3097.5 dB passes the 3000 dB ceiling",
+            ),
         ],
     )
     def test_values_that_break_the_drop_are_rejected(self, overrides, message):
@@ -118,6 +125,10 @@ class TestScenario:
         # the last two in an overflow warning or OverflowError.
         with pytest.raises(ValueError, match=message):
             Scenario(**overrides)
+
+    def test_a_region_under_the_path_loss_ceiling_constructs(self):
+        # About 2779 dB at 3.5 GHz; the same region at 28 GHz is rejected above.
+        assert Scenario(frequency_hz=3.5e9, region_radius_m=1e150).region_radius_m == 1e150
 
     def test_integer_fields_accept_numpy_integers(self):
         sc = Scenario(n_bs=np.int64(3), n_ue=np.int32(8), seed=np.uint64(5))
@@ -401,9 +412,9 @@ class TestShadowing:
     def test_shadowing_changes_losses_but_not_geometry(self):
         layout = generate_layout(SMALL)
         every_pair = np.ones(layout.distance_m.shape, dtype=bool)
-        plain, _ = effective_loss_matrix(SMALL, layout, every_pair)
+        plain, _ = effective_loss_matrix(SMALL, layout, Links(every_pair))
         shadowed, _ = effective_loss_matrix(
-            dataclasses.replace(SMALL, apply_shadowing=True), layout, every_pair
+            dataclasses.replace(SMALL, apply_shadowing=True), layout, Links(every_pair)
         )
         assert plain.shape == shadowed.shape
         assert not np.allclose(plain, shadowed)
@@ -411,8 +422,8 @@ class TestShadowing:
     def test_shadowing_off_by_default_is_deterministic_model(self):
         layout = generate_layout(SMALL)
         mask = assign_serving_sets(layout, SMALL.serving_radius_m)
-        l1, _ = effective_loss_matrix(SMALL, layout, mask)
-        l2, _ = effective_loss_matrix(SMALL, layout, mask)
+        l1, _ = effective_loss_matrix(SMALL, layout, Links(mask))
+        l2, _ = effective_loss_matrix(SMALL, layout, Links(mask))
         assert np.array_equal(l1, l2)
 
     def test_clamp_floor(self):
@@ -426,7 +437,7 @@ class TestShadowing:
             ue_xy_m=np.array([[0.0, 1.0], [5.0, 0.0], [9.0, 0.0], [700.0, 0.0]]),
         )
         mask = assign_serving_sets(layout, sc.serving_radius_m)
-        l_eff, n_clamped = effective_loss_matrix(sc, layout, mask)
+        l_eff, n_clamped = effective_loss_matrix(sc, layout, Links(mask))
         assert n_clamped > 0
         assert l_eff.min() == 1.0
 
@@ -439,11 +450,11 @@ class TestShadowing:
         )
         layout = Layout(bs_xy_m=np.array([[0.0, 0.0]]), ue_xy_m=np.array([[0.0, 0.3], [0.0, 1.0]]))
         mask = assign_serving_sets(layout, sc.serving_radius_m, sc.fallback_nearest)
-        l_eff, n_clamped = effective_loss_matrix(sc, layout, mask)
+        l_eff, n_clamped = effective_loss_matrix(sc, layout, Links(mask))
         assert mask.tolist() == [[True], [False]]
         assert (l_eff.tolist(), n_clamped) == ([1.0], 1)
         every_pair = np.ones((2, 1), dtype=bool)
-        assert effective_loss_matrix(sc, layout, every_pair)[1] == 2
+        assert effective_loss_matrix(sc, layout, Links(every_pair))[1] == 2
 
 
 class TestSubstreams:
@@ -499,7 +510,7 @@ class TestPowerControl:
     def test_single_link_hits_target(self):
         sc = self._one_link_scenario()
         l_eff = np.array([10.0 ** 8.0])  # 80 dB
-        pc = power_control(l_eff, np.array([[True]]), sc)
+        pc = power_control(l_eff, Links(np.array([[True]])), sc)
         assert watts_to_dbm(pc.p_tx_w[0]) == pytest.approx(7.02, abs=5e-3)
         assert pc.snr_db[0] == pytest.approx(10.0, abs=1e-9)
         assert pc.n_capped_links == 0
@@ -507,7 +518,7 @@ class TestPowerControl:
     def test_cap_limits_single_link(self):
         sc = self._one_link_scenario()
         l_eff = np.array([10.0 ** 9.0])  # 90 dB needs 17 dBm
-        pc = power_control(l_eff, np.array([[True]]), sc)
+        pc = power_control(l_eff, Links(np.array([[True]])), sc)
         assert watts_to_dbm(pc.p_tx_w[0]) == pytest.approx(10.0, abs=1e-9)
         assert pc.snr_db[0] == pytest.approx(2.98, abs=5e-3)
         assert pc.n_capped_links == 1
@@ -515,7 +526,7 @@ class TestPowerControl:
     def test_two_equal_links_split_power(self):
         sc = dataclasses.replace(Scenario(n_ue=1, n_bs=2, frequency_hz=28e9))
         l_eff = np.full(2, 10.0 ** 8.0)
-        pc = power_control(l_eff, np.array([[True, True]]), sc)
+        pc = power_control(l_eff, Links(np.array([[True, True]])), sc)
         single = dbm_to_watts(7.02)
         assert pc.p_tx_w[0] == pytest.approx(single / 2.0, rel=2e-3)
         assert pc.snr_db[0] == pytest.approx(10.0, abs=1e-9)
@@ -526,7 +537,7 @@ class TestPowerControl:
             power_allocation="proportional",
         )
         l_eff = np.array([1e7, 1e8])
-        pc = power_control(l_eff, np.array([[True, True]]), sc)
+        pc = power_control(l_eff, Links(np.array([[True, True]])), sc)
         assert pc.p_tx_w[0] > pc.p_tx_w[1]
         assert pc.snr_db[0] == pytest.approx(10.0, abs=1e-9)
 
@@ -537,14 +548,14 @@ class TestPowerControl:
             Scenario(n_ue=64, n_bs=1, frequency_hz=28e9), per_link_cap_dbm=40.0
         )
         l_eff = np.full(64, 10.0 ** 11.0)
-        pc = power_control(l_eff, np.ones((64, 1), dtype=bool), sc)
+        pc = power_control(l_eff, Links(np.ones((64, 1), dtype=bool)), sc)
         assert pc.n_budget_limited_bs == 1
         assert pc.p_tx_w.sum() == pytest.approx(dbm_to_watts(50.0), rel=1e-9)
         assert np.all(pc.snr_db < 10.0)
 
     def test_unserved_ue_has_no_power(self):
         sc = dataclasses.replace(Scenario(n_ue=2, n_bs=1, frequency_hz=28e9))
-        pc = power_control(np.array([1e8]), np.array([[True], [False]]), sc)
+        pc = power_control(np.array([1e8]), Links(np.array([[True], [False]])), sc)
         assert pc.p_rx_ue_w[1] == 0.0
         assert np.isneginf(pc.snr_db[1])
 
@@ -555,9 +566,9 @@ class TestEvaluateLinks:
         # branch W = 15 L, equal received powers, so the first stage is
         # (15e7 + 15e8)/2 and the system W follows in closed form.
         sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
-        serving = np.eye(2, dtype=bool)
+        links = Links(np.eye(2, dtype=bool))
         l_eff = np.array([[1e7, 1e30], [1e30, 1e8]])
-        result = evaluate_links(sc, serving, l_eff[serving])
+        result = evaluate_links(sc, links, l_eff[links.ue, links.bs])
         expected_w = 33.0 + (8.25e8 - 1.0) / (10.0 ** 1.1)
         assert result.w_system == pytest.approx(expected_w, rel=1e-9)
         assert result.wf_system_db == pytest.approx(78.17, abs=0.01)
@@ -573,12 +584,13 @@ class TestEvaluateLinks:
         )
         layout = generate_layout(sc)
         mask = assign_serving_sets(layout, sc.serving_radius_m)
-        link_loss, n_clamped = effective_loss_matrix(sc, layout, mask)
-        result = evaluate_links(sc, mask, link_loss, n_clamped_links=n_clamped)
+        links = Links(mask)
+        link_loss, n_clamped = effective_loss_matrix(sc, layout, links)
+        result = evaluate_links(sc, links, link_loss, n_clamped_links=n_clamped)
 
-        pc = power_control(link_loss, mask, sc)
+        pc = power_control(link_loss, links, sc)
         l_eff, p_rx_link = np.ones(mask.shape), np.zeros(mask.shape)
-        l_eff[mask], p_rx_link[mask] = link_loss, pc.p_rx_link_w
+        l_eff[links.ue, links.bs], p_rx_link[links.ue, links.bs] = link_loss, pc.p_rx_link_w
         w_mpar = []
         for i in range(sc.n_ue):
             branches = [
@@ -602,7 +614,7 @@ class TestEvaluateLinks:
         # All channels at the clamp and ideal BSs: the system W collapses
         # to the UE waste factor.
         sc = dataclasses.replace(Scenario(n_ue=3, n_bs=1, frequency_hz=28e9), w_bs=1.0)
-        serving = np.ones((3, 1), dtype=bool)
+        serving = Links(np.ones((3, 1), dtype=bool))
         result = evaluate_links(sc, serving, np.ones(3))
         assert result.w_system == pytest.approx(sc.w_ue, rel=1e-12)
         assert result.wf_system_db == pytest.approx(10.0 * math.log10(33.0), abs=1e-9)
@@ -610,14 +622,14 @@ class TestEvaluateLinks:
     def test_shape_mismatch_rejected(self):
         sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
         with pytest.raises(ValueError, match="serving mask .* declares"):
-            evaluate_links(sc, np.ones((1, 1), dtype=bool), np.ones(1))
+            evaluate_links(sc, Links(np.ones((1, 1), dtype=bool)), np.ones(1))
         with pytest.raises(ValueError, match="serving mask .* declares"):
-            evaluate_links(sc, np.ones((2, 1), dtype=bool), np.ones(2))
+            evaluate_links(sc, Links(np.ones((2, 1), dtype=bool)), np.ones(2))
         with pytest.raises(ValueError, match="holds 4 links"):
-            evaluate_links(sc, np.ones((2, 2), dtype=bool), np.ones(3))
+            evaluate_links(sc, Links(np.ones((2, 2), dtype=bool)), np.ones(3))
         # A dense loss matrix is not one loss per link.
         with pytest.raises(ValueError, match="holds 2 links"):
-            evaluate_links(sc, np.eye(2, dtype=bool), np.ones((2, 2)))
+            evaluate_links(sc, Links(np.eye(2, dtype=bool)), np.ones((2, 2)))
 
     @pytest.mark.parametrize(
         "serving",
@@ -629,13 +641,18 @@ class TestEvaluateLinks:
             [np.array([0]), np.array([1])],
             np.eye(2, dtype=int),
             np.eye(2),
+            np.ones(2, dtype=bool),
+            np.ones((2, 2, 2), dtype=bool),
+            [[True, False], [False, True]],
         ],
-        ids=["negative-index", "empty-float-set", "index-lists", "int-matrix", "float-matrix"],
+        ids=[
+            "negative-index", "empty-float-set", "index-lists", "int-matrix", "float-matrix",
+            "1-D", "3-D", "nested-list",
+        ],
     )
     def test_only_a_boolean_mask_is_accepted(self, serving):
-        sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
         with pytest.raises(ValueError, match="serving mask"):
-            evaluate_links(sc, serving, np.full(2, 1e8))
+            Links(serving)
 
 
 class TestEvaluateDrop:
@@ -679,7 +696,7 @@ class TestEvaluateDrop:
 
     def test_no_coverage_at_all_is_an_error(self):
         sc = Scenario(n_ue=2, n_bs=1, frequency_hz=28e9, fallback_nearest=False)
-        serving = np.zeros((2, 1), dtype=bool)
+        serving = Links(np.zeros((2, 1), dtype=bool))
         with pytest.raises(ValueError, match="no UE receives"):
             evaluate_links(sc, serving, np.empty(0))
 
@@ -687,7 +704,7 @@ class TestEvaluateDrop:
         # Once returned w_system = inf and a NaN audit, with numpy warnings.
         sc = Scenario(n_ue=2, n_bs=1, frequency_hz=28e9, w_bs=1e308)
         with pytest.raises(ValueError, match="w_system = inf"):
-            evaluate_links(sc, np.ones((2, 1), dtype=bool), np.full(2, 1e8))
+            evaluate_links(sc, Links(np.ones((2, 1), dtype=bool)), np.full(2, 1e8))
 
 
 # The kernel's arithmetic on the dense (n_ue, n_bs) matrix in its np.where
@@ -751,9 +768,7 @@ def where_power_control(l_eff_w, serving_mask, scenario):
     p_rx_ue = link_sum(p_rx_link, serving_mask, axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
-    return PowerControlResult(
-        p_tx, p_tx_bs, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited, links=None
-    )
+    return PowerControlResult(p_tx, p_tx_bs, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited)
 
 
 def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
@@ -799,12 +814,12 @@ def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
     )
 
 
-def on_links(pc, serving_mask):
+def on_links(pc, links):
     """A dense power-control result as the kernel returns it: its per-link
-    arrays taken on the mask."""
+    arrays taken on the BS-major links."""
     return PowerControlResult(
-        pc.p_tx_w[serving_mask], pc.p_tx_bs_w, pc.p_rx_link_w[serving_mask], pc.p_rx_ue_w,
-        pc.snr_db, pc.n_capped_links, pc.n_budget_limited_bs, links=None,
+        pc.p_tx_w[links.ue, links.bs], pc.p_tx_bs_w, pc.p_rx_link_w[links.ue, links.bs],
+        pc.p_rx_ue_w, pc.snr_db, pc.n_capped_links, pc.n_budget_limited_bs,
     )
 
 
@@ -813,8 +828,6 @@ def result_bits(result):
     out = []
     for f in dataclasses.fields(result):
         value = getattr(result, f.name)
-        if f.name == "links":
-            continue
         if isinstance(value, np.ndarray):
             out.append((value.dtype.str, value.shape, value.tobytes()))
         elif isinstance(value, float):
@@ -945,7 +958,8 @@ class TestInPlaceKernelOracle:
     )
     def test_budget_cases_limit_what_they_say(self, case, n_limited):
         scenario, mask, l_eff = case
-        pc = power_control(l_eff[mask], mask, scenario)
+        links = Links(mask)
+        pc = power_control(l_eff[links.ue, links.bs], links, scenario)
         assert pc.n_budget_limited_bs == n_limited
         if case is BUDGET_AT_LOAD:
             budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
@@ -959,22 +973,23 @@ class TestInPlaceKernelOracle:
     @example(case=BUDGET_EXCEEDED)
     def test_power_control_and_links_match_where_forms(self, case):
         scenario, mask, l_eff = case
-        link_loss = l_eff[mask]
+        links = Links(mask)
+        link_loss = l_eff[links.ue, links.bs]
         mask_before, loss_before = mask.tobytes(), link_loss.tobytes()
         with np.errstate(all="ignore"):
-            expected_pc = on_links(where_power_control(l_eff, mask, scenario), mask)
-        got_pc = power_control(link_loss, mask, scenario)
+            expected_pc = on_links(where_power_control(l_eff, mask, scenario), links)
+        got_pc = power_control(link_loss, links, scenario)
         assert result_bits(got_pc) == result_bits(expected_pc)
-        ue, bs = np.nonzero(mask)
-        assert (got_pc.links.ue.tolist(), got_pc.links.bs.tolist()) == (ue.tolist(), bs.tolist())
+        bs, ue = np.nonzero(mask.T)
+        assert (links.ue.tolist(), links.bs.tolist()) == (ue.tolist(), bs.tolist())
         try:
             with np.errstate(all="ignore"):
                 expected = where_evaluate_links(scenario, mask, l_eff, n_clamped_links=3)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                evaluate_links(scenario, mask, link_loss, n_clamped_links=3)
+                evaluate_links(scenario, links, link_loss, n_clamped_links=3)
         else:
-            got = evaluate_links(scenario, mask, link_loss, n_clamped_links=3)
+            got = evaluate_links(scenario, links, link_loss, n_clamped_links=3)
             assert result_bits(got) == result_bits(expected)
         assert mask.tobytes() == mask_before
         assert link_loss.tobytes() == loss_before
@@ -995,12 +1010,15 @@ class TestInPlaceKernelOracle:
         assert layout.distance_m.tobytes() == where_distance(layout).tobytes()
         distance_before = layout.distance_m.tobytes()
         mask = assign_serving_sets(layout, scenario.serving_radius_m)
-        link_loss, n_clamped = effective_loss_matrix(scenario, layout, mask)
+        links = Links(mask)
+        link_loss, n_clamped = effective_loss_matrix(scenario, layout, links)
         expected, expected_clamped = where_effective_loss(scenario, layout.distance_m, mask)
-        assert (link_loss.tobytes(), n_clamped) == (expected[mask].tobytes(), expected_clamped)
+        assert (link_loss.tobytes(), n_clamped) == (
+            expected[links.ue, links.bs].tobytes(), expected_clamped
+        )
         assert layout.distance_m.tobytes() == distance_before
         mask_before, loss_before = mask.tobytes(), link_loss.tobytes()
-        evaluate_links(scenario, mask, link_loss, n_clamped_links=n_clamped)
+        evaluate_links(scenario, links, link_loss, n_clamped_links=n_clamped)
         assert mask.tobytes() == mask_before
         assert link_loss.tobytes() == loss_before
 
@@ -1019,9 +1037,48 @@ class TestInPlaceKernelOracle:
             assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
 
 
+EMPTY_ROWS_AND_COLUMNS = np.array(
+    [[False, True, False, True], [False, False, False, False], [False, True, False, False]]
+)
+
+
+class TestLinks:
+    """``Links(mask)`` holds the mask's pairs BS-major, and sums per UE and
+    per BS add them as the dense oracle's ``link_sum`` does."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        mask=st.tuples(st.integers(1, 12), st.integers(1, 20)).flatmap(
+            lambda shape: serving_masks(*shape)
+        ),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(mask=np.array([[True]]), seed=0)
+    @example(mask=np.zeros((3, 2), dtype=bool), seed=0)
+    @example(mask=EMPTY_ROWS_AND_COLUMNS, seed=1)
+    @example(mask=EMPTY_ROWS_AND_COLUMNS.T, seed=2)
+    def test_links_are_the_mask_pairs_bs_major(self, mask, seed):
+        mask_before = mask.tobytes()
+        links = Links(mask)
+        n_ue, n_bs = mask.shape
+        ue, bs = np.nonzero(mask)
+        order = np.lexsort((ue, bs))
+        assert (links.n_ue, links.n_bs) == (n_ue, n_bs)
+        assert (links.ue.tolist(), links.bs.tolist()) == (ue[order].tolist(), bs[order].tolist())
+        assert links.cell.tolist() == (links.bs * n_ue + links.ue).tolist()
+        assert len(links) == mask.sum()
+        # Mixed signs and magnitudes, so the order of the additions shows.
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal(mask.shape) * 10.0 ** rng.uniform(-8.0, 8.0, mask.shape)
+        values = dense[links.ue, links.bs]
+        assert links.per_ue(values).tobytes() == link_sum(dense, mask, axis=1).tobytes()
+        assert links.per_bs(values).tobytes() == link_sum(dense, mask, axis=0).tobytes()
+        assert mask.tobytes() == mask_before
+
+
 class TestDropLinks:
-    """A drop derives its served links once and shares them; a mask in
-    their place gives the same bits."""
+    """A drop derives its served links once and shares them; the links of
+    its mask, built by a caller, give the same bits."""
 
     SCENARIOS = [SMALL, dataclasses.replace(SMALL, apply_shadowing=True, power_allocation="proportional")]
 
@@ -1037,56 +1094,44 @@ class TestDropLinks:
         monkeypatch.setattr(netsim, "power_control", recording)
         evaluate_drop(scenario)
         [(link_loss, serving, from_drop)] = seen
-        assert isinstance(serving, netsim._Links)
-        mask = assign_serving_sets(generate_layout(scenario), scenario.serving_radius_m)
-        # The drop's links run BS-major; the mask's row-major. Map each
-        # mask link to its place in the drop's order.
-        ue, bs = np.nonzero(mask)
-        order = np.lexsort((ue, bs)).argsort()
-        assert (from_drop.links.ue[order].tolist(), from_drop.links.bs[order].tolist()) == (
-            ue.tolist(), bs.tolist()
-        )
-        from_mask = power_control(link_loss[order], mask, scenario)
-        in_mask_order = dataclasses.replace(
-            from_drop, p_tx_w=from_drop.p_tx_w[order], p_rx_link_w=from_drop.p_rx_link_w[order]
-        )
-        assert result_bits(from_mask) == result_bits(in_mask_order)
+        assert isinstance(serving, Links)
+        links = Links(assign_serving_sets(generate_layout(scenario), scenario.serving_radius_m))
+        assert (serving.ue.tolist(), serving.bs.tolist()) == (links.ue.tolist(), links.bs.tolist())
+        from_mask = power_control(link_loss, links, scenario)
+        assert result_bits(from_mask) == result_bits(from_drop)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
     def test_a_drop_derives_its_links_once(self, monkeypatch, scenario):
         built = []
 
-        class CountedLinks(netsim._Links):
+        class CountedLinks(Links):
             def __init__(self, serving_mask):
                 built.append(serving_mask)
                 super().__init__(serving_mask)
 
-            @classmethod
-            def bs_major(cls, serving_mask_bs_major):
-                built.append(serving_mask_bs_major)
-                return super().bs_major(serving_mask_bs_major)
-
-        monkeypatch.setattr(netsim, "_Links", CountedLinks)
+        monkeypatch.setattr(netsim, "Links", CountedLinks)
         evaluate_drop(scenario)
         assert len(built) == 1
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
     def test_a_drop_matches_its_mask_path(self, scenario):
-        # The drop's links run BS-major, the mask's row-major; every field
-        # agrees bit for bit, the energy audit included.
+        # Every field agrees bit for bit, the energy audit included.
         layout = generate_layout(scenario)
         mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-        link_loss, n_clamped = effective_loss_matrix(scenario, layout, mask)
-        from_mask = evaluate_links(scenario, mask, link_loss, n_clamped_links=n_clamped)
+        links = Links(mask)
+        link_loss, n_clamped = effective_loss_matrix(scenario, layout, links)
+        from_mask = evaluate_links(scenario, links, link_loss, n_clamped_links=n_clamped)
         assert result_bits(evaluate_drop(scenario)) == result_bits(from_mask)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=["equal", "shadowed-proportional"])
     def test_losses_of_the_links_match_the_mask(self, scenario):
+        # The drop's mask is a transposed view; a caller's row-major copy
+        # gives the same links and losses.
         layout = generate_layout(scenario)
         mask = assign_serving_sets(layout, scenario.serving_radius_m)
-        from_mask, clamped_mask = effective_loss_matrix(scenario, layout, mask)
-        from_links, clamped_links = effective_loss_matrix(scenario, layout, netsim._Links(mask))
-        assert (from_links.tobytes(), clamped_links) == (from_mask.tobytes(), clamped_mask)
+        from_view, clamped_view = effective_loss_matrix(scenario, layout, Links(mask))
+        from_copy, clamped_copy = effective_loss_matrix(scenario, layout, Links(mask.copy(order="C")))
+        assert (from_copy.tobytes(), clamped_copy) == (from_view.tobytes(), clamped_view)
 
 
 class TestNetsimRecords:
@@ -1097,8 +1142,9 @@ class TestNetsimRecords:
     def records():
         layout = generate_layout(SMALL)
         mask = assign_serving_sets(layout, SMALL.serving_radius_m)
-        link_loss, _ = effective_loss_matrix(SMALL, layout, mask)
-        return [layout, power_control(link_loss, mask, SMALL), evaluate_drop(SMALL)]
+        links = Links(mask)
+        link_loss, _ = effective_loss_matrix(SMALL, layout, links)
+        return [layout, power_control(link_loss, links, SMALL), evaluate_drop(SMALL)]
 
     def test_assignment_is_refused(self):
         for record in self.records():
