@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, get_args, get_type_hints
 
 from .core import Stage
-from .netsim import CampaignSpec, Scenario
+from .netsim import CampaignSpec, Scenario, campaign_scenarios
 from .units import db_to_linear
 
 if TYPE_CHECKING:
@@ -117,13 +117,12 @@ def _field_keys(cls: type, renames: dict[str, str], without: tuple[str, ...]) ->
 # from [sweep] or from the band presets, so [scenario] has no key for them.
 _GRID_FIELDS = ("frequency_hz", "antenna_mode", "n_bs", "ple", "sigma_db")
 _SCENARIO_KEYS = _field_keys(Scenario, {"bandwidth_hz": "bandwidth_mhz"}, _GRID_FIELDS)
-# The campaign's base seed is [scenario] seed; _CAMPAIGN_KEYS adds it.
+# The campaign's base seed is the base scenario's seed; see campaign_from_config.
 _SWEEP_KEYS = _field_keys(
     CampaignSpec,
     {"frequencies_hz": "frequencies_ghz", "n_bs_values": "n_bs", "n_seeds": "seeds"},
     ("base_seed",),
 )
-_CAMPAIGN_KEYS = {**_SWEEP_KEYS, "seed": "base_seed"}
 
 # [ru]/[ue] key -> field path into RuSpec/UeSpec.
 _RU_KEYS = {
@@ -317,20 +316,23 @@ def campaign_from_config(
     base_seed_override: int | None = None,
 ) -> CampaignSpec:
     """Campaign grid from [sweep]; missing keys keep the CampaignSpec defaults.
-    The base seed is [scenario] seed unless overridden."""
+
+    The base seed is [scenario] seed unless overridden. Every grid cell is
+    built from the configured [scenario] base, so a value that fails in any
+    cell, a band without a preset or a seed range past 64 bits is an
+    ``invalid [sweep]`` error here, before any drop runs.
+    """
+    base = scenario_from_config(doc, seed_override=base_seed_override)
     sweep = doc.sections.get("sweep", {})
     values = {key: value for key, value in sweep.items() if key in _SWEEP_KEYS}
     if seeds_override is not None:
         values["seeds"] = seeds_override
-    base_seed = doc.get("scenario", "seed") if base_seed_override is None else base_seed_override
-    if base_seed is not None:
-        values["seed"] = base_seed
     try:
-        # One replace sets the seed count and the base seed together, so
-        # CampaignSpec checks the seed range the run will use.
-        return _override(CampaignSpec(), _CAMPAIGN_KEYS, values)
+        campaign = _override(CampaignSpec(base_seed=base.seed), _SWEEP_KEYS, values)
+        campaign_scenarios(base, campaign)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc
+    return campaign
 
 
 def channel_wf_from_config(doc: ConfigDocument) -> float:

@@ -54,9 +54,12 @@ STREAM_BS_LAYOUT = 2
 STREAM_SHADOWING = 3
 
 _MAX_PLACEMENT_ATTEMPTS = 100_000
-# A linear loss 10 ** (dB / 10) overflows a float past about 3082.5 dB; the
-# ceiling leaves 82.5 dB of that for shadowing draws (9 sigma at 28 GHz).
+# A linear loss 10 ** (dB / 10) overflows a float past about 3082.5 dB. The
+# close-in loss of the longest link stays under a 3000 dB ceiling, and with
+# shadowing on, that loss plus a 9-sigma draw stays under the overflow point:
+# every band preset fits (9 * 8.98 = 80.8 dB at 28 GHz).
 _MAX_PATH_LOSS_DB = 3000.0
+_LOSS_OVERFLOW_DB = 3082.5
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,14 @@ BAND_PRESETS: dict[float, BandParams] = {
 
 def _known_bands() -> str:
     return ", ".join(f"{f/1e9:g} GHz" for f in sorted(BAND_PRESETS))
+
+
+class _NoPreset(ValueError):
+    """A band with no preset and no explicit ple/sigma_db; the grid words it."""
+
+
+class _BadSeed(ValueError):
+    """A seed outside 64 bits; the grid names the seed range it came from."""
 
 
 # Fixed physical apertures: 1 m x 1 m at the BS, 3 cm x 3 cm at the UE,
@@ -148,7 +159,7 @@ class Scenario:
             raise ValueError("non-path powers must be >= 0 W")
         if self.ple is None or self.sigma_db is None:
             if self.frequency_hz not in BAND_PRESETS:
-                raise ValueError(
+                raise _NoPreset(
                     f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
                     f"give ple and sigma_db explicitly or use one of: {_known_bands()}"
                 )
@@ -164,8 +175,14 @@ class Scenario:
                 f"close-in path loss of {loss_db:.1f} dB passes the "
                 f"{_MAX_PATH_LOSS_DB:g} dB ceiling of a linear loss"
             )
+        if self.apply_shadowing and loss_db + 9.0 * self.resolved_sigma_db > _LOSS_OVERFLOW_DB:
+            raise ValueError(
+                f"sigma_db = {self.resolved_sigma_db} lets a 9-sigma shadowing draw on the "
+                f"{loss_db:.1f} dB close-in path loss of the longest link pass the "
+                f"{_LOSS_OVERFLOW_DB:g} dB overflow point of a linear loss"
+            )
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise _BadSeed(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.noise_power_w > 0.0:
             raise ValueError(
                 f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
@@ -693,32 +710,6 @@ class CampaignSpec:
             raise ValueError("campaign grid axes must be non-empty")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        # Each axis value must make a valid cell; Scenario holds the rules.
-        # Cells take ple and sigma_db from the band presets, so a band
-        # without one fails here, where the message can say so; the
-        # stand-in path-loss row lifts Scenario's own preset check.
-        for frequency_hz in self.frequencies_hz:
-            Scenario(frequency_hz=frequency_hz, ple=2.0, sigma_db=0.0)
-            if frequency_hz not in BAND_PRESETS:
-                raise ValueError(
-                    f"no path-loss preset for {frequency_hz/1e9:g} GHz; grid cells take "
-                    f"ple and sigma_db from the band presets, which cover {_known_bands()}"
-                )
-        for mode in self.antenna_modes:
-            Scenario(antenna_mode=mode)
-        for n_bs in self.n_bs_values:
-            Scenario(n_bs=n_bs)
-        # Cells copy their seed in unchecked (see campaign_scenarios), so
-        # both ends of the seed range must make valid cells here.
-        last_seed = self.base_seed + self.n_seeds - 1
-        try:
-            Scenario(seed=self.base_seed)
-            Scenario(seed=last_seed)
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}; the grid's {self.n_seeds} seeds run from {self.base_seed} "
-                f"to {last_seed}"
-            ) from None
 
 
 @record
@@ -749,26 +740,39 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     band presets, and, in omni cells, ``per_link_cap_dbm`` set to the
     campaign's omni cap; every other field of ``base`` carries over.
 
-    Each (frequency, mode, n_bs) cell is validated once; its seed variants
-    are copies with only ``seed`` set, from the range ``CampaignSpec``
-    checked.
+    This is where a grid is checked: each (frequency, mode, n_bs) cell is
+    built once from ``base`` with the first seed, so ``Scenario``'s rules
+    run on the real cell, and the first cell is built once more with the
+    last seed. A ``ValueError`` names the failing cell, the band presets
+    or the seed range. The seed variants are copies with only ``seed`` set.
     """
-    seeds = range(campaign.base_seed, campaign.base_seed + campaign.n_seeds)
+    first = campaign.base_seed
+    last = first + campaign.n_seeds - 1
     cells = []
     for frequency_hz in campaign.frequencies_hz:
         for mode in campaign.antenna_modes:
             cap = campaign.omni_per_link_cap_dbm if mode == OMNI else base.per_link_cap_dbm
             for n_bs in campaign.n_bs_values:
-                cell = replace(
-                    base,
-                    frequency_hz=frequency_hz,
-                    antenna_mode=mode,
-                    n_bs=n_bs,
-                    per_link_cap_dbm=cap,
-                    ple=None,
-                    sigma_db=None,
-                )
-                for seed in seeds:
+                try:
+                    cell = replace(base, frequency_hz=frequency_hz, antenna_mode=mode, n_bs=n_bs,
+                                   per_link_cap_dbm=cap, ple=None, sigma_db=None, seed=first)
+                    if not cells:
+                        replace(cell, seed=last)
+                except _BadSeed as exc:
+                    raise ValueError(
+                        f"{exc}; the grid's {campaign.n_seeds} seeds run from {first} to {last}"
+                    ) from None
+                except ValueError as exc:
+                    message = str(exc)
+                    if isinstance(exc, _NoPreset):
+                        message = (
+                            f"no path-loss preset for {frequency_hz/1e9:g} GHz; grid cells take "
+                            f"ple and sigma_db from the band presets, which cover {_known_bands()}"
+                        )
+                    raise ValueError(
+                        f"{message}; in the {frequency_hz/1e9:g} GHz {mode} {n_bs}-BS grid cell"
+                    ) from None
+                for seed in range(first, last + 1):
                     copy = object.__new__(Scenario)
                     copy.__dict__.update(cell.__dict__, seed=seed)
                     cells.append(copy)

@@ -45,19 +45,6 @@ def watts_to_dbm(value_w: float) -> float:
     return 10.0 * math.log10(value_w) + 30.0
 
 
-def dbw_to_watts(value_dbw: float) -> float:
-    try:
-        return 10.0 ** (value_dbw / 10.0)
-    except OverflowError:
-        raise _too_large(value_dbw, "dBW") from None
-
-
-def watts_to_dbw(value_w: float) -> float:
-    if value_w <= 0.0:
-        raise ValueError(f"power must be > 0 W to express in dBW, got {value_w}")
-    return 10.0 * math.log10(value_w)
-
-
 @functools.cache
 def _fields_of_type(cls: type, *types: str) -> tuple[str, ...]:
     # Field types are strings under ``from __future__ import annotations``.

@@ -425,6 +425,21 @@ class TestSweepAxisValues:
         assert f"invalid [sweep]: {message}" in err
         assert not out_dir.exists()
 
+    def test_region_past_the_ceiling_at_a_sweep_band_exits_2(self, capsys, tmp_path):
+        # Valid at the 3.5 GHz [scenario] base, so it once passed the config
+        # layer and exited 1 with "error:" in the first grid cell.
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[scenario]\nn_ue = 4\nregion_radius_m = 1e150\n"
+            "[sweep]\nn_bs = 2\nseeds = 1\nfrequencies_ghz = 28\nantenna_modes = omni\n"
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "invalid [sweep]: region_radius_m = 1e+150 " in err
+        assert "; in the 28 GHz omni 2-BS grid cell" in err
+        assert not out_dir.exists()
 
     def test_band_without_preset_names_the_presets(self, capsys, tmp_path):
         # Once hinted "give ple and sigma_db explicitly", which no INI key does.
@@ -1028,7 +1043,7 @@ class TestGoldenOutputs:
 # key: mostly numbers, huge, tiny, negative or zero, now and then malformed.
 FUZZ_NUMBERS = [
     "0", "-0", "1", "-1", "2.5", "10", "28", "200", "-200", "1e6", "1e15", "1e-6",
-    "1e300", "-1e300", "1e308", "-1e308", "1e-308", "5e-324",
+    "1e150", "1e300", "-1e300", "1e308", "-1e308", "1e-308", "5e-324",
 ]
 FUZZ_MALFORMED = ["", "x", "1e", "nan", "inf", "-inf", "1,", "0x1"]
 FUZZ_BY_PARSER = {

@@ -118,17 +118,35 @@ class TestScenario:
                 {"frequency_hz": 28e9, "region_radius_m": 1e150},
                 r"region_radius_m = 1e\+150 .* 3097.5 dB passes the 3000 dB ceiling",
             ),
+            # Once overflowed the linear loss on a shadowing draw, then
+            # failed the drop on a NaN waste factor.
+            (
+                {"frequency_hz": 28e9, "n_ue": 64, "n_bs": 2, "ple": 2.02, "sigma_db": 1500.0,
+                 "apply_shadowing": True},
+                r"sigma_db = 1500.0 .* 3082.5 dB overflow point of a linear loss",
+            ),
         ],
     )
     def test_values_that_break_the_drop_are_rejected(self, overrides, message):
         # Each once built: the first two ended the drop in a 0/0 warning,
-        # the last two in an overflow warning or OverflowError.
+        # the next two in an overflow warning or OverflowError.
         with pytest.raises(ValueError, match=message):
             Scenario(**overrides)
 
     def test_a_region_under_the_path_loss_ceiling_constructs(self):
         # About 2779 dB at 3.5 GHz; the same region at 28 GHz is rejected above.
         assert Scenario(frequency_hz=3.5e9, region_radius_m=1e150).region_radius_m == 1e150
+
+    @pytest.mark.parametrize("frequency_hz", [17e9, 28e9])
+    def test_preset_shadowing_fits_under_the_path_loss_ceiling(self, frequency_hz):
+        # A region whose longest link sits just under the 3000 dB ceiling
+        # (3.5 GHz cannot reach it: its squared link lengths overflow first).
+        preset = BAND_PRESETS[frequency_hz]
+        longest_m = 10.0 ** ((2999.9 - fspl_1m_db(frequency_hz)) / (10.0 * preset.ple))
+        sc = Scenario(frequency_hz=frequency_hz, region_radius_m=longest_m / 2.0, apply_shadowing=True)
+        assert sc.resolved_sigma_db == preset.sigma_db
+        with pytest.raises(ValueError, match="sigma_db"):
+            dataclasses.replace(sc, sigma_db=9.2)  # 9 * 9.2 = 82.8 dB: past 3082.5 dB
 
     def test_integer_fields_accept_numpy_integers(self):
         sc = Scenario(n_bs=np.int64(3), n_ue=np.int32(8), seed=np.uint64(5))
@@ -1238,14 +1256,26 @@ class TestCampaign:
                     cell.seed = 0
 
     def test_seed_range_must_fit_64_bits(self):
-        CampaignSpec(base_seed=2 ** 64 - 2, n_seeds=2)
+        cells = campaign_scenarios(self.BASE, CampaignSpec(base_seed=2 ** 64 - 2, n_seeds=2))
+        assert cells[-1].seed == 2 ** 64 - 1
+        # Cells get their seeds unchecked, so the grid checks both ends.
         with pytest.raises(ValueError, match=(
             "got 18446744073709551616; the grid's 2 seeds run from "
             "18446744073709551615 to 18446744073709551616"
         )):
-            CampaignSpec(base_seed=2 ** 64 - 1, n_seeds=2)
+            campaign_scenarios(self.BASE, CampaignSpec(base_seed=2 ** 64 - 1, n_seeds=2))
         with pytest.raises(ValueError, match="got -1; the grid's 20 seeds run from -1 to 18"):
-            CampaignSpec(base_seed=-1)
+            campaign_scenarios(self.BASE, CampaignSpec(base_seed=-1))
+
+    def test_cells_are_checked_on_the_real_base(self):
+        # Valid at the 3.5 GHz base, past the path-loss ceiling at 28 GHz:
+        # once accepted by a grid checked on a default stand-in base.
+        base = dataclasses.replace(Scenario(), region_radius_m=1e150)
+        with pytest.raises(ValueError, match=(
+            r"region_radius_m = 1e\+150 .* 3000 dB ceiling of a linear loss; "
+            "in the 28 GHz omni 1-BS grid cell"
+        )):
+            campaign_scenarios(base, CampaignSpec(frequencies_hz=(28e9,)))
 
     def test_rows_and_aggregates(self):
         drops, aggregates = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
@@ -1327,8 +1357,15 @@ class TestCampaign:
         ],
     )
     def test_every_axis_value_makes_a_valid_cell(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            CampaignSpec(**{field: value})
+        if field == "omni_per_link_cap_dbm":
+            # The grid's own field: checked at construction.
+            with pytest.raises(ValueError, match=message):
+                CampaignSpec(**{field: value})
+            return
+        # An axis value is checked in the cells built from the base.
+        campaign = CampaignSpec(**{field: value})
+        with pytest.raises(ValueError, match=f"{message}.*; in the .* grid cell$"):
+            campaign_scenarios(Scenario(), campaign)
 
     def test_run_campaign_calls_each_kernel_once_per_drop(self, monkeypatch):
         # Per-layer tracing wraps these module attributes and divides each

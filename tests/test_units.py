@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 
 import pytest
@@ -7,11 +6,9 @@ import pytest
 from wastefactor.units import (
     db_to_linear,
     dbm_to_watts,
-    dbw_to_watts,
     linear_to_db,
     record,
     watts_to_dbm,
-    watts_to_dbw,
 )
 
 
@@ -41,24 +38,15 @@ class TestPowerConversions:
         assert dbm_to_watts(0.0) == pytest.approx(1e-3)
         assert watts_to_dbm(10.0) == pytest.approx(40.0)
 
-    def test_dbw_anchors(self):
-        assert dbw_to_watts(0.0) == 1.0
-        assert watts_to_dbw(100.0) == pytest.approx(20.0)
-
     def test_round_trip(self):
         for watts in (1e-15, 2.5e-3, 1.0, 120.0, 3.2e4):
             assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
-            assert dbw_to_watts(watts_to_dbw(watts)) == pytest.approx(watts, rel=1e-12)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             watts_to_dbm(0.0)
         with pytest.raises(ValueError):
-            watts_to_dbw(-1.0)
-
-    def test_dbm_dbw_offset(self):
-        assert watts_to_dbm(7.0) - watts_to_dbw(7.0) == pytest.approx(30.0)
-        assert math.isclose(dbm_to_watts(47.0), dbw_to_watts(17.0), rel_tol=1e-12)
+            watts_to_dbm(-1.0)
 
 
 class TestOverflow:
@@ -68,7 +56,6 @@ class TestOverflow:
             (db_to_linear, 1e308, "dB"),
             (db_to_linear, 3090.0, "dB"),
             (dbm_to_watts, 4000.0, "dBm"),
-            (dbw_to_watts, 3090.0, "dBW"),
         ],
     )
     def test_overflow_is_a_value_error_naming_the_value(self, convert, value, unit):
@@ -78,7 +65,6 @@ class TestOverflow:
     def test_edges_still_convert(self):
         assert db_to_linear(3080.0) == 1e308
         assert dbm_to_watts(3110.0) == 1e308
-        assert dbw_to_watts(3080.0) == 1e308
         assert db_to_linear(-1e308) == 0.0
         assert dbm_to_watts(-4000.0) == 0.0
 
