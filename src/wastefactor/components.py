@@ -111,6 +111,14 @@ class Antenna:
                 )
 
 
+def _check_active_powers(spec: PowerAmplifier | GenericActive, device: str) -> None:
+    """The rule of a device given by its DC draw and signal in/out powers."""
+    if spec.p_dc_w <= 0.0 or spec.p_in_w <= 0.0 or spec.p_out_w <= 0.0:
+        raise ValueError(f"{device} powers must be > 0 W")
+    if spec.p_out_w >= spec.p_dc_w + spec.p_in_w:
+        raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
+
+
 @dataclass(frozen=True)
 class PowerAmplifier:
     """PA from either a PAE datasheet figure or explicit DC/in/out powers."""
@@ -139,12 +147,7 @@ class PowerAmplifier:
         else:
             if any(p is None for p in powers):
                 raise ValueError("power-specified PA requires p_dc_w, p_in_w and p_out_w")
-            if self.p_dc_w <= 0.0 or self.p_in_w <= 0.0 or self.p_out_w <= 0.0:
-                raise ValueError("PA powers must be > 0 W")
-            if self.p_out_w >= self.p_dc_w + self.p_in_w:
-                raise ValueError(
-                    "P_out >= P_DC + P_in implies W < 1, which is unphysical"
-                )
+            _check_active_powers(self, "PA")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
 
@@ -234,10 +237,7 @@ class GenericActive:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.p_dc_w <= 0.0 or self.p_in_w <= 0.0 or self.p_out_w <= 0.0:
-            raise ValueError("active device powers must be > 0 W")
-        if self.p_out_w >= self.p_dc_w + self.p_in_w:
-            raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
+        _check_active_powers(self, "active device")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
 
@@ -299,16 +299,19 @@ def _(spec: Antenna) -> ConvertedDevice:
     return ConvertedDevice(Stage(w=1.0 / efficiency, g=efficiency, label="antenna"), 0.0)
 
 
+def _active_stage(spec: PowerAmplifier | GenericActive, label: str) -> Stage:
+    """W = (P_DC + P_in) / P_out and G = P_out / P_in."""
+    return Stage(
+        w=(spec.p_dc_w + spec.p_in_w) / spec.p_out_w, g=spec.p_out_w / spec.p_in_w, label=label
+    )
+
+
 @stage_of.register
 def _(spec: PowerAmplifier) -> ConvertedDevice:
     if spec.pae is not None:
         stage = Stage(w=1.0 / spec.pae, g=db_to_linear(spec.gain_db), label="pa")
     else:
-        stage = Stage(
-            w=(spec.p_dc_w + spec.p_in_w) / spec.p_out_w,
-            g=spec.p_out_w / spec.p_in_w,
-            label="pa",
-        )
+        stage = _active_stage(spec, "pa")
     return ConvertedDevice(stage, spec.quiescent_w)
 
 
@@ -342,12 +345,7 @@ def _(spec: Adc) -> ConvertedDevice:
 
 @stage_of.register
 def _(spec: GenericActive) -> ConvertedDevice:
-    stage = Stage(
-        w=(spec.p_dc_w + spec.p_in_w) / spec.p_out_w,
-        g=spec.p_out_w / spec.p_in_w,
-        label="active",
-    )
-    return ConvertedDevice(stage, spec.quiescent_w)
+    return ConvertedDevice(_active_stage(spec, "active"), spec.quiescent_w)
 
 
 @stage_of.register

@@ -113,9 +113,9 @@ def _field_keys(cls: type, renames: dict[str, str], without: tuple[str, ...]) ->
 # Each dataclass-backed section is a key -> field-path table into its
 # dataclass; the field's annotation gives the key's parser.
 #
-# netsim.campaign_scenarios sets these Scenario fields in every grid cell,
-# from [sweep] or from the band presets, so [scenario] has no key for them.
-_GRID_FIELDS = ("frequency_hz", "antenna_mode", "n_bs", "ple", "sigma_db")
+# netsim.campaign_scenarios sets these Scenario fields in every grid cell
+# from [sweep], so [scenario] has no key for them.
+_GRID_FIELDS = ("frequency_hz", "antenna_mode", "n_bs")
 _SCENARIO_KEYS = _field_keys(Scenario, {"bandwidth_hz": "bandwidth_mhz"}, _GRID_FIELDS)
 # The campaign's base seed is the base scenario's seed; see campaign_from_config.
 _SWEEP_KEYS = _field_keys(

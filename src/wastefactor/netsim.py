@@ -55,11 +55,15 @@ STREAM_SHADOWING = 3
 
 _MAX_PLACEMENT_ATTEMPTS = 100_000
 # A linear loss 10 ** (dB / 10) overflows a float past about 3082.5 dB. The
-# close-in loss of the longest link stays under a 3000 dB ceiling, and with
-# shadowing on, that loss plus a 9-sigma draw stays under the overflow point:
-# every band preset fits (9 * 8.98 = 80.8 dB at 28 GHz).
+# close-in loss of the longest link stays under a 3000 dB ceiling, which
+# leaves 82.5 dB for a shadowing draw: a 9-sigma draw of every band preset
+# fits (9 * 8.98 = 80.8 dB at 28 GHz), and a test keeps it so.
 _MAX_PATH_LOSS_DB = 3000.0
-_LOSS_OVERFLOW_DB = 3082.5
+# Layout adds dy*dy in blocks of at most this many UE-BS pairs (80 KiB): a
+# whole dy array beside the result left a 1024-UE, 20-BS drop's heap a few
+# KiB under glibc's dynamic trim threshold, so whether each such drop gave
+# memory back to the OS and faulted it in again hung on the heap's layout.
+_DY_BLOCK_PAIRS = 10_240
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,6 @@ def _known_bands() -> str:
     return ", ".join(f"{f/1e9:g} GHz" for f in sorted(BAND_PRESETS))
 
 
-class _NoPreset(ValueError):
-    """A band with no preset and no explicit ple/sigma_db; the grid words it."""
-
-
 class _BadSeed(ValueError):
     """A seed outside 64 bits; the grid names the seed range it came from."""
 
@@ -96,7 +96,11 @@ UE_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=9.0e-4)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Simulation configuration; defaults reproduce the reference setup."""
+    """Simulation configuration; defaults reproduce the reference setup.
+
+    The path-loss exponent and shadowing sigma come from the band preset
+    of ``frequency_hz`` (:data:`BAND_PRESETS`); see :attr:`band`.
+    """
 
     frequency_hz: float = 3.5e9
     antenna_mode: str = DIRECTIONAL
@@ -117,8 +121,6 @@ class Scenario:
     g_ue_db: float = 11.0
     p_non_path_bs_w: float = 140.0
     p_non_path_ue_w: float = 1.0
-    ple: float | None = None        # None: looked up in BAND_PRESETS
-    sigma_db: float | None = None   # None: looked up in BAND_PRESETS
     apply_shadowing: bool = False   # see module docstring
     fallback_nearest: bool = True
     power_allocation: str = "equal"  # or "proportional" (to link gain)
@@ -157,29 +159,18 @@ class Scenario:
             raise ValueError("device waste factors must be >= 1")
         if self.p_non_path_bs_w < 0.0 or self.p_non_path_ue_w < 0.0:
             raise ValueError("non-path powers must be >= 0 W")
-        if self.ple is None or self.sigma_db is None:
-            if self.frequency_hz not in BAND_PRESETS:
-                raise _NoPreset(
-                    f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
-                    f"give ple and sigma_db explicitly or use one of: {_known_bands()}"
-                )
-        if self.ple is not None and self.ple <= 0.0:
-            raise ValueError(f"path-loss exponent must be > 0, got {self.ple}")
-        if self.sigma_db is not None and self.sigma_db < 0.0:
-            raise ValueError(f"shadowing sigma must be >= 0 dB, got {self.sigma_db}")
+        if self.frequency_hz not in BAND_PRESETS:
+            raise ValueError(
+                f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
+                f"the band presets cover {_known_bands()}"
+            )
         longest_m = max(math.hypot(2.0 * radius, height_delta), 1.0)
-        loss_db = fspl_1m_db(self.frequency_hz) + 10.0 * self.resolved_ple * math.log10(longest_m)
+        loss_db = fspl_1m_db(self.frequency_hz) + 10.0 * self.band.ple * math.log10(longest_m)
         if loss_db > _MAX_PATH_LOSS_DB:
             raise ValueError(
                 f"region_radius_m = {radius} gives links of up to {longest_m:g} m, whose "
                 f"close-in path loss of {loss_db:.1f} dB passes the "
                 f"{_MAX_PATH_LOSS_DB:g} dB ceiling of a linear loss"
-            )
-        if self.apply_shadowing and loss_db + 9.0 * self.resolved_sigma_db > _LOSS_OVERFLOW_DB:
-            raise ValueError(
-                f"sigma_db = {self.resolved_sigma_db} lets a 9-sigma shadowing draw on the "
-                f"{loss_db:.1f} dB close-in path loss of the longest link pass the "
-                f"{_LOSS_OVERFLOW_DB:g} dB overflow point of a linear loss"
             )
         if not 0 <= self.seed < 2 ** 64:
             raise _BadSeed(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -190,14 +181,9 @@ class Scenario:
             )
 
     @property
-    def resolved_ple(self) -> float:
-        return self.ple if self.ple is not None else BAND_PRESETS[self.frequency_hz].ple
-
-    @property
-    def resolved_sigma_db(self) -> float:
-        if self.sigma_db is not None:
-            return self.sigma_db
-        return BAND_PRESETS[self.frequency_hz].sigma_db
+    def band(self) -> BandParams:
+        """The close-in exponent and shadowing sigma of this band."""
+        return BAND_PRESETS[self.frequency_hz]
 
     @property
     def antenna_gains_db(self) -> tuple[float, float]:
@@ -252,12 +238,18 @@ class Layout:
         return layout
 
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
-        # dx*dx + dy*dy in two float work arrays, dx = ue - bs.
+        # dx*dx + dy*dy, dx = ue - bs, with dy*dy in blocks of whole BS rows.
         d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
         d *= d
-        dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
-        dy *= dy
-        d += dy
+        n_bs = len(d)
+        rows = max(1, _DY_BLOCK_PAIRS // max(len(ue_xy_m), 1))
+        dy = np.empty((min(rows, n_bs), len(ue_xy_m)))
+        for start in range(0, n_bs, rows):
+            stop = min(start + rows, n_bs)
+            block = dy[: stop - start]
+            np.subtract(ue_xy_m[:, 1], bs_xy_m[start:stop, 1, None], out=block, dtype=float)
+            block *= block
+            d[start:stop] += block
         fields = self.__dict__
         fields["bs_xy_m"] = bs_xy_m
         fields["ue_xy_m"] = ue_xy_m
@@ -453,11 +445,12 @@ def effective_loss_matrix(
     np.sqrt(x, out=x)
     np.maximum(x, 1.0, out=x)
     np.log10(x, out=x)
-    np.multiply(10.0 * scenario.resolved_ple, x, out=x)
+    band = scenario.band
+    np.multiply(10.0 * band.ple, x, out=x)
     np.add(fspl_1m_db(scenario.frequency_hz), x, out=x)
-    if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
+    if scenario.apply_shadowing and band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
-        x += scenario.resolved_sigma_db * z[links.ue, links.bs]
+        x += band.sigma_db * z[links.ue, links.bs]
     g_tx_db, g_rx_db = scenario.antenna_gains_db
     x -= g_tx_db
     x -= g_rx_db
@@ -736,15 +729,15 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     """Grid cells in deterministic order (frequency, mode, n_bs, seed).
 
     Each cell is ``base`` with ``frequency_hz``, ``antenna_mode``, ``n_bs``
-    and ``seed`` set from the grid, ``ple`` and ``sigma_db`` reset to the
-    band presets, and, in omni cells, ``per_link_cap_dbm`` set to the
-    campaign's omni cap; every other field of ``base`` carries over.
+    and ``seed`` set from the grid and, in omni cells, ``per_link_cap_dbm``
+    set to the campaign's omni cap; every other field of ``base`` carries
+    over.
 
     This is where a grid is checked: each (frequency, mode, n_bs) cell is
     built once from ``base`` with the first seed, so ``Scenario``'s rules
     run on the real cell, and the first cell is built once more with the
-    last seed. A ``ValueError`` names the failing cell, the band presets
-    or the seed range. The seed variants are copies with only ``seed`` set.
+    last seed. A ``ValueError`` names the failing cell or the seed range.
+    The seed variants are copies with only ``seed`` set.
     """
     first = campaign.base_seed
     last = first + campaign.n_seeds - 1
@@ -755,7 +748,7 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
             for n_bs in campaign.n_bs_values:
                 try:
                     cell = replace(base, frequency_hz=frequency_hz, antenna_mode=mode, n_bs=n_bs,
-                                   per_link_cap_dbm=cap, ple=None, sigma_db=None, seed=first)
+                                   per_link_cap_dbm=cap, seed=first)
                     if not cells:
                         replace(cell, seed=last)
                 except _BadSeed as exc:
@@ -763,14 +756,8 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
                         f"{exc}; the grid's {campaign.n_seeds} seeds run from {first} to {last}"
                     ) from None
                 except ValueError as exc:
-                    message = str(exc)
-                    if isinstance(exc, _NoPreset):
-                        message = (
-                            f"no path-loss preset for {frequency_hz/1e9:g} GHz; grid cells take "
-                            f"ple and sigma_db from the band presets, which cover {_known_bands()}"
-                        )
                     raise ValueError(
-                        f"{message}; in the {frequency_hz/1e9:g} GHz {mode} {n_bs}-BS grid cell"
+                        f"{exc}; in the {frequency_hz/1e9:g} GHz {mode} {n_bs}-BS grid cell"
                     ) from None
                 for seed in range(first, last + 1):
                     copy = object.__new__(Scenario)
@@ -784,9 +771,9 @@ def run_campaign(
 ) -> tuple[list[DropRow], list[AggregateRow]]:
     """Evaluate the whole grid, optionally fanning drops across processes.
 
-    The grid sets the base scenario's frequency, antenna mode, BS count,
-    seed, path-loss exponent and shadowing sigma in every cell, and its
-    per-link cap in omni cells; see :func:`campaign_scenarios`.
+    The grid sets the base scenario's frequency, antenna mode, BS count
+    and seed in every cell, and its per-link cap in omni cells; see
+    :func:`campaign_scenarios`.
 
     Results are keyed and merged in grid order, so the output is
     identical for any worker count.

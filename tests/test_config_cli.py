@@ -367,11 +367,6 @@ class TestNonFiniteInput:
         assert err.startswith("config error:")
         assert f"{key!r} in [scenario]" in err
 
-    @pytest.mark.parametrize("field", ["ple", "sigma_db"])
-    def test_optional_floats_must_be_finite_when_set(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            Scenario(**{field: math.inf})
-
 
 class TestOverflowingInput:
     """Finite inputs that overflow inside the program: the first two once
@@ -447,7 +442,10 @@ class TestSweepAxisValues:
         path.write_text("[sweep]\nfrequencies_ghz = 5\n")
         code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(tmp_path / "out"))
         assert code == 2
-        assert "no path-loss preset for 5 GHz; grid cells take ple and sigma_db from the band presets" in err
+        assert (
+            "invalid [sweep]: no path-loss preset for 5 GHz; the band presets cover "
+            "3.5 GHz, 17 GHz, 28 GHz; in the 5 GHz omni 1-BS grid cell"
+        ) in err
         assert "3.5 GHz, 17 GHz, 28 GHz" in err
         assert "explicitly" not in err
 

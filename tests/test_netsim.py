@@ -65,7 +65,7 @@ class TestScenario:
         assert BAND_PRESETS[3.5e9].sigma_db == 4.89
         assert BAND_PRESETS[17e9].ple == 2.00
         assert BAND_PRESETS[28e9].sigma_db == 8.98
-        assert Scenario(frequency_hz=17e9).resolved_ple == 2.00
+        assert Scenario(frequency_hz=17e9).band == BAND_PRESETS[17e9]
 
     def test_omni_gains_are_zero(self):
         sc = Scenario(antenna_mode="omni")
@@ -81,10 +81,11 @@ class TestScenario:
             Scenario(n_bs=0)
         with pytest.raises(ValueError, match="n_bs"):
             Scenario(n_bs=21)
-        with pytest.raises(ValueError, match="preset"):
+        with pytest.raises(
+            ValueError,
+            match="^no path-loss preset for 60 GHz; the band presets cover 3.5 GHz, 17 GHz, 28 GHz$",
+        ):
             Scenario(frequency_hz=60e9)
-        # An explicit path-loss row makes any frequency valid.
-        Scenario(frequency_hz=60e9, ple=2.1, sigma_db=3.0)
         with pytest.raises(ValueError, match="power_allocation"):
             Scenario(power_allocation="waterfilling")
 
@@ -118,13 +119,9 @@ class TestScenario:
                 {"frequency_hz": 28e9, "region_radius_m": 1e150},
                 r"region_radius_m = 1e\+150 .* 3097.5 dB passes the 3000 dB ceiling",
             ),
-            # Once overflowed the linear loss on a shadowing draw, then
-            # failed the drop on a NaN waste factor.
-            (
-                {"frequency_hz": 28e9, "n_ue": 64, "n_bs": 2, "ple": 2.02, "sigma_db": 1500.0,
-                 "apply_shadowing": True},
-                r"sigma_db = 1500.0 .* 3082.5 dB overflow point of a linear loss",
-            ),
+            # With an explicit path-loss exponent, once overflowed the
+            # linear loss on its negative directional antenna gains.
+            ({"frequency_hz": 1e-141}, "no path-loss preset"),
         ],
     )
     def test_values_that_break_the_drop_are_rejected(self, overrides, message):
@@ -144,9 +141,14 @@ class TestScenario:
         preset = BAND_PRESETS[frequency_hz]
         longest_m = 10.0 ** ((2999.9 - fspl_1m_db(frequency_hz)) / (10.0 * preset.ple))
         sc = Scenario(frequency_hz=frequency_hz, region_radius_m=longest_m / 2.0, apply_shadowing=True)
-        assert sc.resolved_sigma_db == preset.sigma_db
-        with pytest.raises(ValueError, match="sigma_db"):
-            dataclasses.replace(sc, sigma_db=9.2)  # 9 * 9.2 = 82.8 dB: past 3082.5 dB
+        assert sc.band == preset
+
+    @pytest.mark.parametrize("frequency_hz", sorted(BAND_PRESETS))
+    def test_preset_9_sigma_draw_stays_a_finite_linear_loss(self, frequency_hz):
+        # Scenario bounds only the close-in loss, so a preset sigma above
+        # about 9.17 dB would let a 9-sigma draw overflow the linear loss.
+        sigma_db = BAND_PRESETS[frequency_hz].sigma_db
+        assert math.isfinite(10.0 ** ((netsim._MAX_PATH_LOSS_DB + 9.0 * sigma_db) / 10.0))
 
     def test_integer_fields_accept_numpy_integers(self):
         sc = Scenario(n_bs=np.int64(3), n_ue=np.int32(8), seed=np.uint64(5))
@@ -205,13 +207,15 @@ class TestLayout:
         assert five.sq_distance_m2.tobytes() == ten.sq_distance_m2[:5].tobytes()
 
     def test_squared_distances_are_bs_major(self):
-        layout = generate_layout(SMALL)
-        sq = layout.sq_distance_m2
-        assert sq.shape == (SMALL.n_bs, SMALL.n_ue) and sq.flags.c_contiguous
-        dx = layout.ue_xy_m[:, 0] - layout.bs_xy_m[:, 0, None]
-        dy = layout.ue_xy_m[:, 1] - layout.bs_xy_m[:, 1, None]
-        assert sq.tobytes() == (dx * dx + dy * dy).tobytes()
-        assert layout.distance_m.tobytes() == np.sqrt(sq).T.tobytes()
+        # dy*dy in one block of BS rows, then in 10 + 5 and 2 + 2 + 2 + 1.
+        for n_ue, n_bs in [(SMALL.n_ue, SMALL.n_bs), (1024, 15), (4000, 7)]:
+            layout = generate_layout(dataclasses.replace(SMALL, n_ue=n_ue, n_bs=n_bs))
+            sq = layout.sq_distance_m2
+            assert sq.shape == (n_bs, n_ue) and sq.flags.c_contiguous
+            dx = layout.ue_xy_m[:, 0] - layout.bs_xy_m[:, 0, None]
+            dy = layout.ue_xy_m[:, 1] - layout.bs_xy_m[:, 1, None]
+            assert sq.tobytes() == (dx * dx + dy * dy).tobytes()
+            assert layout.distance_m.tobytes() == np.sqrt(sq).T.tobytes()
 
     def test_integer_coordinates(self):
         layout = Layout(bs_xy_m=np.array([[0, 0], [6, 8]]), ue_xy_m=np.array([[3, 4]]))
@@ -749,12 +753,12 @@ def where_distance(layout):
 def where_effective_loss(scenario, distance_m, serving_mask):
     height_delta = scenario.bs_height_m - scenario.ue_height_m
     d3 = np.sqrt(distance_m ** 2 + height_delta ** 2)
-    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.resolved_ple * np.log10(
+    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.band.ple * np.log10(
         np.maximum(d3, 1.0)
     )
-    if scenario.apply_shadowing and scenario.resolved_sigma_db > 0.0:
+    if scenario.apply_shadowing and scenario.band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
-        pl_db = pl_db + scenario.resolved_sigma_db * z
+        pl_db = pl_db + scenario.band.sigma_db * z
     g_tx_db, g_rx_db = scenario.antenna_gains_db
     eff_db = pl_db - g_tx_db - g_rx_db
     n_clamped = int(np.count_nonzero((eff_db < 0.0) & serving_mask))
@@ -1179,9 +1183,9 @@ class TestNetsimRecords:
 
 class TestDropMemory:
     """A reference-size drop keeps at most three dense (n_ue, n_bs) float
-    arrays alive at once; it peaks at 2.95 while the layout builds its
-    squared distances (two work arrays plus numpy's broadcasting buffers).
-    The dense in-place kernel peaked at 3.8, its np.where form at 7.4."""
+    arrays alive at once; it peaks at 2.45 (2.57 with shadowing on). With
+    a whole dy work array the layout peaked at 2.95, the dense in-place
+    kernel at 3.8, its np.where form at 7.4."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1226,7 +1230,7 @@ class TestCampaign:
 
     def test_cells_match_replace_per_seed(self):
         campaign = dataclasses.replace(self.CAMPAIGN, n_bs_values=(1, 3, 20), n_seeds=3)
-        base = dataclasses.replace(self.BASE, seed=1, ple=2.5, sigma_db=1.0)
+        base = dataclasses.replace(self.BASE, seed=1)
         expected = [
             dataclasses.replace(
                 base,
@@ -1234,8 +1238,6 @@ class TestCampaign:
                 antenna_mode=mode,
                 n_bs=n_bs,
                 per_link_cap_dbm=campaign.omni_per_link_cap_dbm if mode == "omni" else base.per_link_cap_dbm,
-                ple=None,
-                sigma_db=None,
                 seed=campaign.base_seed + offset,
             )
             for frequency_hz in campaign.frequencies_hz
