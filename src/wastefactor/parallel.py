@@ -45,7 +45,16 @@ def _weighted_mean(
     powers: Sequence[float], w: Sequence[float], mode: CombiningMode
 ) -> float:
     """Power-weighted waste factor of parallel signals: the power they
-    consume, sum(p_i W_i), over the power they deliver once merged."""
+    consume, sum(p_i W_i), over the power they deliver once merged.
+
+    The weights are ratio-scale, so tiny ones are first scaled up by an
+    even power of two, which is exact: subnormal products such as
+    5e-324 * 1.5 would otherwise round the mean outside [min W, max W].
+    """
+    _, exponent = math.frexp(max(powers))
+    shift = -(exponent + (exponent & 1))
+    if shift > 0:
+        powers = [math.ldexp(p, shift) for p in powers]
     mean = sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
     if not math.isfinite(mean):
         raise _overflow("the power-weighted waste factor", mean)

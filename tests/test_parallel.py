@@ -33,6 +33,14 @@ class TestCombineBranches:
         branches = [branch(7.5, 2.0, 0.3)] * 4
         assert combine_branches(branches, NONCOH) == pytest.approx(7.5, rel=1e-12)
 
+    @pytest.mark.parametrize("weight", [5e-324, 1e-310, 1e-300])
+    def test_tiny_weights_are_only_a_ratio(self, weight):
+        # Subnormal products once rounded the first mean to 2.0.
+        same = [branch(1.5, 1.0, weight)] * 2
+        assert combine_branches(same, NONCOH) == pytest.approx(1.5, rel=1e-12)
+        assert combine_branches(same, COH) == pytest.approx(0.75, rel=1e-12)
+        assert mino_first_stage([weight] * 2, [2.0, 4.0]) == pytest.approx(3.0, rel=1e-12)
+
     def test_coherent_combining_gain(self):
         branches = [branch(3.0, 1.0, 1.0), branch(3.0, 1.0, 1.0)]
         assert combine_branches(branches, COH) == pytest.approx(1.5, rel=1e-12)
