@@ -15,6 +15,11 @@ optional non-path power term through :func:`stage_of`:
 
 Quiescent or standby draw of amplifiers is likewise non-path: an idle
 device never gets W = infinity, it gets a non-path watt count.
+
+:func:`build_ru` and :func:`build_ue` compose :func:`ru_devices` and
+:func:`ue_devices` by one chain rule: the stage is the devices' cascade
+(identical parallel chains collapse), and the non-path power is the shared
+devices once, plus the chain count times the per-chain devices, plus the LO.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import singledispatch
 from typing import NamedTuple, Union
 
 from .core import Stage, cascade
-from .units import db_to_linear, require_finite
+from .units import db_to_linear, require_finite, require_integers
 
 
 def reflection_coefficient(vswr: float) -> float:
@@ -139,11 +144,11 @@ class PowerAmplifier:
             raise ValueError(
                 "specify a PA either by (pae, gain_db) or by (p_dc_w, p_in_w, p_out_w)"
             )
+        if (self.gain_db is None) == by_pae:
+            raise ValueError("a PA takes gain_db with pae, and only with pae")
         if by_pae:
             if not 0.0 < self.pae <= 1.0:
                 raise ValueError(f"PAE must be in (0, 1], got {self.pae}")
-            if self.gain_db is None:
-                raise ValueError("PAE-specified PA requires gain_db")
         else:
             if any(p is None for p in powers):
                 raise ValueError("power-specified PA requires p_dc_w, p_in_w and p_out_w")
@@ -211,6 +216,7 @@ class Adc:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.fom_j < 0.0:
             raise ValueError("ADC figure of merit must be >= 0 J/step")
         if self.sample_rate_hz <= 0.0:
@@ -368,6 +374,19 @@ def pae_from_walker(pae2: float, p_in_w: float, p_dc_w: float, gain: float) -> f
     return (1.0 / pae2) * (1.0 + p_in_w / p_dc_w) * (1.0 - 1.0 / gain)
 
 
+def _check_radio(spec: RuSpec | UeSpec, chains: str) -> None:
+    """The rule of a radio's chain count, named by ``chains``, and LO power."""
+    require_finite(spec)
+    require_integers(spec)
+    n = getattr(spec, chains)
+    if n < 1:
+        raise ValueError(f"{chains} must be >= 1, got {n}")
+    if n > sys.float_info.max:  # it scales powers as a float
+        raise ValueError(f"{chains} is too large to scale a power")
+    if spec.lo_power_w < 0.0:
+        raise ValueError("LO power must be >= 0 W")
+
+
 @dataclass(frozen=True)
 class RuSpec:
     """Radio unit: DAC and mixer feeding n_tx identical (PS, PA, antenna) chains."""
@@ -381,13 +400,7 @@ class RuSpec:
     lo_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.n_tx < 1:
-            raise ValueError(f"n_tx must be >= 1, got {self.n_tx}")
-        if self.n_tx > sys.float_info.max:  # it scales powers as a float
-            raise ValueError("n_tx is too large to scale a power")
-        if self.lo_power_w < 0.0:
-            raise ValueError("LO power must be >= 0 W")
+        _check_radio(self, "n_tx")
 
 
 @dataclass(frozen=True)
@@ -403,61 +416,45 @@ class UeSpec:
     lo_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.n_rx < 1:
-            raise ValueError(f"n_rx must be >= 1, got {self.n_rx}")
-        if self.n_rx > sys.float_info.max:  # it scales powers as a float
-            raise ValueError("n_rx is too large to scale a power")
-        if self.lo_power_w < 0.0:
-            raise ValueError("LO power must be >= 0 W")
-
-
-# The first two RU devices (DAC, mixer) feed all n_tx transmit chains.
-_RU_SHARED_DEVICES = 2
+        _check_radio(self, "n_rx")
 
 
 def ru_devices(spec: RuSpec) -> tuple[DeviceSpec, ...]:
-    """The RU's devices source first: DAC > mixer > PS > PA > antenna."""
+    """The RU's devices source first: DAC > mixer > PS > PA > antenna; the
+    last three repeat once per transmit chain."""
     return (spec.dac, spec.mixer, spec.phase_shifter, spec.pa, spec.antenna)
 
 
+def ue_devices(spec: UeSpec) -> tuple[DeviceSpec, ...]:
+    """The UE's devices source first: antenna > LNA > PS > mixer, then the
+    ADC when there is one; the first three repeat once per receive chain."""
+    devices = (spec.antenna, spec.lna, spec.phase_shifter, spec.mixer)
+    return devices if spec.adc is None else devices + (spec.adc,)
+
+
+def _build_radio(devices: tuple, chain: range, n: int, lo_w: float, label: str) -> ConvertedDevice:
+    """The module docstring's chain rule; ``chain`` holds the per-chain positions."""
+    stages = []
+    shared = per_chain = 0.0
+    for i, device in enumerate(devices):
+        stage, non_path_w = stage_of(device)
+        stages.append(stage)
+        if i in chain:
+            per_chain += non_path_w
+        else:
+            shared += non_path_w
+    return ConvertedDevice(cascade(stages, label=label), shared + n * per_chain + lo_w)
+
+
 def build_ru(spec: RuSpec) -> ConvertedDevice:
-    """Composite RU stage: identical parallel transmit chains collapse, so the
-    result equals the plain source-first cascade of :func:`ru_devices`.
-    Per-chain non-path contributions scale with n_tx."""
-    devices = [stage_of(device) for device in ru_devices(spec)]
-    stage = cascade([device.stage for device in devices], label="ru")
-    shared = devices[:_RU_SHARED_DEVICES]
-    per_chain = devices[_RU_SHARED_DEVICES:]
-    non_path = (
-        sum(device.non_path_w for device in shared)
-        + spec.n_tx * sum(device.non_path_w for device in per_chain)
-        + spec.lo_power_w
-    )
-    return ConvertedDevice(stage, non_path)
+    """Composite RU stage and non-path power of :func:`ru_devices`."""
+    return _build_radio(ru_devices(spec), range(2, 5), spec.n_tx, spec.lo_power_w, "ru")
 
 
 def build_ue(spec: UeSpec) -> ConvertedDevice:
-    """Composite UE stage: antenna > LNA > PS chains into mixer; the ADC adds
-    only non-path power (its stage is an ideal wire)."""
-    antenna = stage_of(spec.antenna)
-    lna = stage_of(spec.lna)
-    ps = stage_of(spec.phase_shifter)
-    mixer = stage_of(spec.mixer)
-    stages = [antenna.stage, lna.stage, ps.stage, mixer.stage]
-    adc_non_path = 0.0
-    if spec.adc is not None:
-        adc = stage_of(spec.adc)
-        stages.append(adc.stage)
-        adc_non_path = adc.non_path_w
-    stage = cascade(stages, label="ue")
-    non_path = (
-        spec.n_rx * (antenna.non_path_w + lna.non_path_w + ps.non_path_w)
-        + mixer.non_path_w
-        + adc_non_path
-        + spec.lo_power_w
-    )
-    return ConvertedDevice(stage, non_path)
+    """Composite UE stage and non-path power of :func:`ue_devices`; the ADC
+    adds only non-path power (its stage is an ideal wire)."""
+    return _build_radio(ue_devices(spec), range(0, 3), spec.n_rx, spec.lo_power_w, "ue")
 
 
 def end_to_end(ru: Stage, channel: Stage, ue: Stage) -> Stage:

@@ -51,9 +51,10 @@ def _weighted_mean(
     even power of two, which is exact: subnormal products such as
     5e-324 * 1.5 would otherwise round the mean outside [min W, max W].
     """
-    _, exponent = math.frexp(max(powers))
-    shift = -(exponent + (exponent & 1))
-    if shift > 0:
+    top = max(powers)
+    if top < 0.25:
+        _, exponent = math.frexp(top)
+        shift = -(exponent + (exponent & 1))
         powers = [math.ldexp(p, shift) for p in powers]
     mean = sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
     if not math.isfinite(mean):

@@ -71,6 +71,21 @@ def test_device_specs_reject_values_that_overflow(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(reference_ru_spec(), n_tx=2.5), "n_tx must be an integer"),
+        (lambda: dataclasses.replace(reference_ue_spec(), n_rx=1.5), "n_rx must be an integer"),
+        (lambda: Adc(fom_j=1e-12, bits=10.5), "bits must be an integer"),
+    ],
+    ids=["n_tx", "n_rx", "adc-bits"],
+)
+def test_device_specs_reject_non_integer_counts(build, message):
+    # Each of these once built and scaled a power by the fractional count.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestVswrHelpers:
     def test_reflection_coefficient(self):
         assert reflection_coefficient(1.0) == 0.0
@@ -166,6 +181,8 @@ class TestActiveDevices:
             PowerAmplifier(pae=1.5, gain_db=10.0)
         with pytest.raises(ValueError, match="unphysical"):
             PowerAmplifier(p_dc_w=1.0, p_in_w=1.0, p_out_w=2.5)
+        with pytest.raises(ValueError, match="gain_db"):
+            PowerAmplifier(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0, gain_db=99.0)
 
     def test_generic_active_example(self):
         stage, _ = stage_of(GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0))
@@ -349,6 +366,25 @@ class TestUeComposition:
         result = build_ue(with_adc)
         assert result.stage.w == pytest.approx(base.stage.w, rel=1e-15)
         assert result.non_path_w == pytest.approx(1.024, rel=1e-12)
+
+    def test_per_chain_non_path_scales_with_n_rx(self):
+        spec = reference_ue_spec()
+        spec = UeSpec(
+            antenna=spec.antenna,
+            lna=Lna(gain_db=20.0, quiescent_w=0.25),
+            phase_shifter=spec.phase_shifter,
+            mixer=spec.mixer,
+            adc=Adc(fom_j=1e-12, sample_rate_hz=1e9, bits=10),
+            n_rx=4,
+            lo_power_w=1.5,
+        )
+        result = build_ue(spec)
+        # The LNA draws once per chain; the ADC and the LO once per UE.
+        assert result.non_path_w == pytest.approx(4 * 0.25 + 1.024 + 1.5)
+        # W itself is unchanged by the chain count: identical chains collapse.
+        assert result.stage.w == pytest.approx(
+            build_ue(reference_ue_spec()).stage.w, rel=1e-12
+        )
 
 
 class TestEndToEnd:

@@ -898,6 +898,8 @@ class TestImportCost:
             "import sys; "
             "from wastefactor import channel, components, core, parallel; "
             "core.power_flow([core.Stage(2.0, 10.0), core.Stage(4.0, 5.0)], 1.0); "
+            "components.build_ru(components.reference_ru_spec()); "
+            "components.build_ue(components.reference_ue_spec()); "
             "print('numpy' in sys.modules)"
         )
         out = subprocess.run(

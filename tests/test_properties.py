@@ -3,7 +3,8 @@
 The cascade law must agree with explicit energy bookkeeping; a
 non-coherent parallel group is a weighted mean of its branches, and
 coherent combining can only lower that mean; the parallel compositions
-are that one law and that one mean, bit for bit; every drop conserves energy
+are that one law and that one mean, bit for bit; both radios compose
+their devices by one chain rule, bit for bit; every drop conserves energy
 and ends no better than the UE's own waste factor. Two properties of the
 simulator itself ride along: its p5 SNR shortcut equals
 ``np.percentile`` bit for bit, and campaign output does not depend on the
@@ -16,6 +17,22 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wastefactor.components import (
+    Adc,
+    Antenna,
+    Dac,
+    Lna,
+    Mixer,
+    PhaseShifter,
+    PowerAmplifier,
+    RuSpec,
+    UeSpec,
+    build_ru,
+    build_ue,
+    ru_devices,
+    stage_of,
+    ue_devices,
+)
 from wastefactor.core import Stage, cascade, power_flow
 from wastefactor.netsim import (
     BAND_PRESETS,
@@ -111,6 +128,56 @@ def test_mino_first_stage_is_the_non_coherent_combine(outputs):
     group = [Branch(Stage(w_j, 1.0), p) for p, w_j in outputs]
     combined = combine_branches(group, CombiningMode.NON_COHERENT)
     assert mino_first_stage(powers, w).hex() == combined.hex()
+
+
+antennas = st.builds(Antenna, radiation_efficiency=st.floats(0.1, 1.0), vswr=st.floats(1.0, 3.0))
+phase_shifters = st.builds(
+    PhaseShifter, insertion_loss_db=st.floats(0.0, 10.0), reflection_loss_db=st.floats(0.0, 20.0)
+)
+mixers = st.builds(Mixer, conversion_loss_db=st.floats(0.0, 12.0))
+chain_counts = st.integers(1, 8)
+watts = st.floats(0.0, 10.0)
+ru_specs = st.builds(
+    RuSpec,
+    dac=st.builds(Dac, efficiency=st.floats(0.1, 1.0)),
+    mixer=mixers,
+    phase_shifter=phase_shifters,
+    pa=st.builds(
+        PowerAmplifier, pae=st.floats(0.05, 1.0), gain_db=st.floats(0.0, 60.0), quiescent_w=watts
+    ),
+    antenna=antennas,
+    n_tx=chain_counts,
+    lo_power_w=watts,
+)
+ue_specs = st.builds(
+    UeSpec,
+    antenna=antennas,
+    lna=st.builds(Lna, gain_db=st.floats(0.0, 40.0), quiescent_w=watts),
+    phase_shifter=phase_shifters,
+    mixer=mixers,
+    adc=st.none() | st.builds(Adc, fom_j=st.floats(0.0, 1e-11), bits=st.integers(1, 16)),
+    n_rx=chain_counts,
+    lo_power_w=watts,
+)
+
+
+def non_path_sum(devices):
+    return sum(stage_of(device).non_path_w for device in devices)
+
+
+@settings(PROPERTIES, derandomize=True)
+@given(ru=ru_specs, ue=ue_specs)
+def test_both_radios_compose_by_one_chain_rule(ru, ue):
+    ue_shared = (ue.mixer,) if ue.adc is None else (ue.mixer, ue.adc)
+    for built, devices, label, shared, per_chain, n_chains, lo_power_w in (
+        (build_ru(ru), ru_devices(ru), "ru", (ru.dac, ru.mixer),
+         (ru.phase_shifter, ru.pa, ru.antenna), ru.n_tx, ru.lo_power_w),
+        (build_ue(ue), ue_devices(ue), "ue", ue_shared,
+         (ue.antenna, ue.lna, ue.phase_shifter), ue.n_rx, ue.lo_power_w),
+    ):
+        assert built.stage == cascade([stage_of(d).stage for d in devices], label=label)
+        expected = non_path_sum(shared) + n_chains * non_path_sum(per_chain) + lo_power_w
+        assert built.non_path_w == expected
 
 
 scenarios = st.builds(
