@@ -7,11 +7,12 @@ per-UE power control to an SNR target under per-link and per-BS caps,
 then collapse the whole network into a single waste factor:
 
 * per link, the BS stage and its effective channel form one branch
-  cascade referenced to the link's received power;
-* per UE, the serving branches combine non-coherently into a MISO group;
-* an imaginary sink sums all UE outputs non-coherently, so the two-stage
-  composition W_system = W_ue + (W_first_stage - 1)/G_ue yields one
-  system-level number, plus area-normalized power totals.
+  cascade, W = W_bs * L; per UE, the serving branches combine
+  non-coherently into a MISO group; an imaginary sink sums all UE
+  outputs non-coherently. Every BS has the same W_bs, so this
+  first stage is two sums, W_bs * P_tx / P_rx over the whole network;
+* the two-stage composition W_system = W_ue + (W_first_stage - 1)/G_ue
+  yields one system-level number, plus area-normalized power totals.
 
 Randomness is counter-based (Philox) and split into named substreams
 (UE layout / BS layout / link shadowing), so adding BSs never perturbs
@@ -505,7 +506,6 @@ class Links:
 class PowerControlResult:
     p_tx_w: np.ndarray        # (n_links,), one per served link in link order
     p_tx_bs_w: np.ndarray     # (n_bs,), p_tx_w summed per BS in link order
-    p_rx_link_w: np.ndarray   # (n_links,)
     p_rx_ue_w: np.ndarray     # (n_ue,)
     snr_db: np.ndarray        # (n_ue,), -inf for unserved UEs
     n_capped_links: int
@@ -551,13 +551,11 @@ def power_control(link_loss_w: np.ndarray, links: Links, scenario: Scenario) -> 
             p_tx *= bs_scale[links.bs]
             bs_load = links.per_bs(p_tx)
 
-        p_rx_link = np.multiply(p_tx, inv_l, out=inv_l)
-        p_rx_ue = links.per_ue(p_rx_link)
+        p_rx_ue = links.per_ue(np.multiply(p_tx, inv_l, out=inv_l))
         snr_db = 10.0 * np.log10(p_rx_ue / noise_w)
     return PowerControlResult(
         p_tx_w=p_tx,
         p_tx_bs_w=bs_load,
-        p_rx_link_w=p_rx_link,
         p_rx_ue_w=p_rx_ue,
         snr_db=snr_db,
         n_capped_links=n_capped,
@@ -607,30 +605,25 @@ def evaluate_links(
             f"link losses have shape {np.shape(link_loss_w)} but the serving mask "
             f"holds {len(links)} links; pass one loss per link, l_eff_w[links.ue, links.bs]"
         )
+    if len(links) and not (link_loss_w.min() >= 1.0 and link_loss_w.max() < math.inf):  # NaN fails
+        lo, hi = link_loss_w.min(), link_loss_w.max()
+        raise ValueError(f"link losses must be finite and >= 1 (the W = 1 floor); got {lo} to {hi}")
     pc = power_control(link_loss_w, links, scenario)
 
-    total_rx = pc.p_rx_ue_w.sum()
+    total_rx = float(pc.p_rx_ue_w.sum())
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
     # Per BS first: the same bits in either link order.
-    p_tx_total = pc.p_tx_bs_w.sum()
-    # Branch cascade per link, core.refer(w_bs, l, g_c) with g_c = 1 / l: the
-    # effective channel stage plus the BS stage behind it, referenced to the
-    # link's received power, written out on the link arrays in refer's
-    # operand order. Then the per-UE MISO group and the imaginary-sink
-    # first stage, both received-power-weighted means, so the first stage
-    # collapses into a single sum over links. What overflows is caught by
-    # the finite check below.
-    with np.errstate(all="ignore"):
-        w_cascade = np.divide(1.0, link_loss_w)
-        np.divide(scenario.w_bs - 1.0, w_cascade, out=w_cascade)
-        np.add(link_loss_w, w_cascade, out=w_cascade)
-        consumed_per_ue = links.per_ue(np.multiply(pc.p_rx_link_w, w_cascade, out=w_cascade))
-        w_mino1 = consumed_per_ue.sum() / total_rx
-        g_ue = db_to_linear(scenario.g_ue_db)
-        w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
-        p_system_out = g_ue * total_rx
-        p_path = w_system * p_system_out
+    p_tx_total = float(pc.p_tx_bs_w.sum())
+    # Each branch cascade is core.refer(w_bs, l, 1 / l) = w_bs * l, and the
+    # MISO groups and the sink's first stage are received-power-weighted
+    # means, so the first stage is w_bs * P_tx / P_rx. Losses >= 1 give
+    # P_tx >= P_rx; the floor undoes the rounding of sums added in other
+    # orders. These floats overflow to inf, caught by the finite check.
+    g_ue = db_to_linear(scenario.g_ue_db)
+    w_system = mino_compose(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
+    p_system_out = g_ue * total_rx
+    p_path = w_system * p_system_out
     p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
 
     area_km2 = math.pi * (scenario.region_radius_m / 1000.0) ** 2
@@ -642,9 +635,13 @@ def evaluate_links(
             f"w_system = {w_system} with {p_total_per_km2} W/km^2 in total is not finite; "
             "the scenario's losses and waste factors overflow a float"
         )
+    if p_path == 0.0:
+        raise ValueError(f"g_ue_db = {scenario.g_ue_db} makes the system output underflow to 0 W")
 
-    # Independent bottom-up audit: system output plus every waste term,
-    # from per-link quantities only.
+    # Bottom-up audit: system output plus every waste term. With the first
+    # stage as two sums this ledger and p_path are two forms of one
+    # identity, so it checks rounding; the composition law itself is
+    # checked against core and parallel by the tests.
     channel_waste = p_tx_total - total_rx
     bs_waste = (scenario.w_bs - 1.0) * p_tx_total
     ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx

@@ -599,38 +599,17 @@ class TestEvaluateLinks:
         assert result.audit_rel_error <= 1e-12
 
     def test_matches_parallel_module_composition(self):
-        # Dual route: the vectorized drop pipeline against the branch-level
-        # composition through parallel.combine_branches / mino_*.
+        # Dual route: the drop pipeline against the branch-level composition
+        # of branch_law_w_system, on one shadowed drop.
         sc = dataclasses.replace(
             SMALL, n_ue=16, n_bs=3, apply_shadowing=True, seed=11
         )
         layout = generate_layout(sc)
-        mask = assign_serving_sets(layout, sc.serving_radius_m)
-        links = Links(mask)
+        links = Links(assign_serving_sets(layout, sc.serving_radius_m))
         link_loss, n_clamped = effective_loss_matrix(sc, layout, links)
         result = evaluate_links(sc, links, link_loss, n_clamped_links=n_clamped)
-
-        pc = power_control(link_loss, links, sc)
-        l_eff, p_rx_link = np.ones(mask.shape), np.zeros(mask.shape)
-        l_eff[links.ue, links.bs], p_rx_link[links.ue, links.bs] = link_loss, pc.p_rx_link_w
-        w_mpar = []
-        for i in range(sc.n_ue):
-            branches = [
-                Branch(
-                    stage=cascade(
-                        [
-                            Stage(sc.w_bs, 10.0 ** 3.0),
-                            Stage(l_eff[i, j], 1.0 / l_eff[i, j]),
-                        ]
-                    ),
-                    weight=p_rx_link[i, j],
-                )
-                for j in np.flatnonzero(mask[i])
-            ]
-            w_mpar.append(combine_branches(branches, CombiningMode.NON_COHERENT))
-        w_first = mino_first_stage(list(pc.p_rx_ue_w), w_mpar)
-        w_system = mino_compose(w_first, sc.w_ue, 10.0 ** 1.1)
-        assert result.w_system == pytest.approx(w_system, rel=1e-12)
+        expected = branch_law_w_system(sc, links, link_loss)
+        assert result.w_system == pytest.approx(expected, rel=1e-12)
 
     def test_lossless_floor(self):
         # All channels at the clamp and ideal BSs: the system W collapses
@@ -640,6 +619,11 @@ class TestEvaluateLinks:
         result = evaluate_links(sc, serving, np.ones(3))
         assert result.w_system == pytest.approx(sc.w_ue, rel=1e-12)
         assert result.wf_system_db == pytest.approx(10.0 * math.log10(33.0), abs=1e-9)
+        # Here P_tx, summed per BS, rounds an ulp below P_rx, summed per UE:
+        # the first stage stays at its floor of 1 and W at W_ue.
+        sc = dataclasses.replace(sc, n_ue=2, n_bs=3)
+        serving = Links(np.array([[True, True, True], [True, False, False]]))
+        assert evaluate_links(sc, serving, np.ones(4)).w_system == sc.w_ue
 
     def test_shape_mismatch_rejected(self):
         sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
@@ -652,6 +636,15 @@ class TestEvaluateLinks:
         # A dense loss matrix is not one loss per link.
         with pytest.raises(ValueError, match="holds 2 links"):
             evaluate_links(sc, Links(np.eye(2, dtype=bool)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, 0.5, math.nan, math.inf])
+    def test_impossible_link_losses_rejected(self, bad):
+        # -1 once scored quietly, 0 warned from power control, 0.5 passed
+        # with w_bs = 15 and NaN failed only inside mino_compose.
+        sc = Scenario(n_ue=2, n_bs=2, frequency_hz=28e9)
+        link_loss = np.array([1e8, bad, 1e7, 1.0])
+        with pytest.raises(ValueError, match=r"finite and >= 1 \(the W = 1 floor\)"):
+            evaluate_links(sc, Links(np.ones((2, 2), dtype=bool)), link_loss)
 
     @pytest.mark.parametrize(
         "serving",
@@ -728,6 +721,13 @@ class TestEvaluateDrop:
         with pytest.raises(ValueError, match="w_system = inf"):
             evaluate_links(sc, Links(np.ones((2, 1), dtype=bool)), np.full(2, 1e8))
 
+    def test_system_output_underflow_is_an_error(self):
+        # Once a NaN audit with a numpy warning: ideal BSs and lossless links
+        # give a first stage of 1, so no overflow catches the tiny UE gain.
+        sc = Scenario(n_ue=1, n_bs=1, frequency_hz=28e9, w_bs=1.0, g_ue_db=-3200.0)
+        with pytest.raises(ValueError, match="g_ue_db = -3200.0 makes the system output underflow"):
+            evaluate_links(sc, Links(np.ones((1, 1), dtype=bool)), np.ones(1))
+
 
 # The kernel's arithmetic on the dense (n_ue, n_bs) matrix in its np.where
 # form, a fresh temporary per step: the oracle for the link-list kernel.
@@ -786,28 +786,23 @@ def where_power_control(l_eff_w, serving_mask, scenario):
     n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
     p_tx = p_tx * bs_scale[None, :]
     p_tx_bs = link_sum(p_tx, serving_mask, axis=0)
-    p_rx_link = p_tx * inv_l
-    p_rx_ue = link_sum(p_rx_link, serving_mask, axis=1)
+    p_rx_ue = link_sum(p_tx * inv_l, serving_mask, axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
-    return PowerControlResult(p_tx, p_tx_bs, p_rx_link, p_rx_ue, snr_db, n_capped, n_budget_limited)
+    return PowerControlResult(p_tx, p_tx_bs, p_rx_ue, snr_db, n_capped, n_budget_limited)
 
 
 def where_evaluate_links(scenario, serving_mask, l_eff_w, n_clamped_links=0):
     pc = where_power_control(l_eff_w, serving_mask, scenario)
-    g_c = np.where(serving_mask, 1.0 / l_eff_w, 1.0)
-    w_cascade = np.where(serving_mask, l_eff_w + (scenario.w_bs - 1.0) / g_c, 0.0)
     total_rx = pc.p_rx_ue_w.sum()
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
-    consumed_per_ue = link_sum(pc.p_rx_link_w * w_cascade, serving_mask, axis=1)
-    w_mino1 = consumed_per_ue.sum() / total_rx
+    p_tx_total = pc.p_tx_bs_w.sum()
     g_ue = db_to_linear(scenario.g_ue_db)
-    w_system = mino_compose(w_mino1, scenario.w_ue, g_ue)
+    w_system = mino_compose(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
     p_system_out = g_ue * total_rx
     p_path = w_system * p_system_out
     p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
-    p_tx_total = pc.p_tx_bs_w.sum()
     channel_waste = p_tx_total - total_rx
     bs_waste = (scenario.w_bs - 1.0) * p_tx_total
     ue_waste = (scenario.w_ue - 1.0) * g_ue * total_rx
@@ -840,8 +835,8 @@ def on_links(pc, links):
     """A dense power-control result as the kernel returns it: its per-link
     arrays taken on the BS-major links."""
     return PowerControlResult(
-        pc.p_tx_w[links.ue, links.bs], pc.p_tx_bs_w, pc.p_rx_link_w[links.ue, links.bs],
-        pc.p_rx_ue_w, pc.snr_db, pc.n_capped_links, pc.n_budget_limited_bs,
+        pc.p_tx_w[links.ue, links.bs], pc.p_tx_bs_w, pc.p_rx_ue_w, pc.snr_db,
+        pc.n_capped_links, pc.n_budget_limited_bs,
     )
 
 
@@ -1057,6 +1052,46 @@ class TestInPlaceKernelOracle:
                 evaluate_drop(scenario)
         else:
             assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
+
+
+def branch_law_w_system(scenario, links, link_loss):
+    """The paper's composition law branch by branch, through core and
+    parallel: each link's BS stage cascaded with its channel, weighted by
+    the link's received power p_tx / loss; the branches of each served UE
+    combined non-coherently (MISO); the UEs' groups weighted by their
+    received powers into the imaginary sink's first stage (MINO), then
+    terminated by the UE stage."""
+    pc = power_control(link_loss, links, scenario)
+    weights = (pc.p_tx_w / link_loss).tolist()
+    groups = collections.defaultdict(list)
+    for k, (ue, loss) in enumerate(zip(links.ue.tolist(), link_loss.tolist())):
+        stage = cascade([Stage(scenario.w_bs, 10.0 ** 3.0), Stage(loss, 1.0 / loss)])
+        groups[ue].append(Branch(stage=stage, weight=weights[k]))
+    served = sorted(groups)
+    w_first = mino_first_stage(
+        pc.p_rx_ue_w[served].tolist(),
+        [combine_branches(groups[ue], CombiningMode.NON_COHERENT) for ue in served],
+    )
+    return mino_compose(w_first, scenario.w_ue, db_to_linear(scenario.g_ue_db))
+
+
+class TestBranchLaw:
+    """evaluate_links' two sums against the per-branch composition law."""
+
+    @settings(PROPERTY_SETTINGS, derandomize=True)
+    @given(case=link_realizations())
+    @example(case=BUDGET_NOT_REACHED)
+    @example(case=BUDGET_AT_LOAD)
+    @example(case=BUDGET_EXCEEDED)
+    def test_two_sums_match_the_branch_law(self, case):
+        scenario, mask, l_eff = case
+        links = Links(mask)
+        link_loss = l_eff[links.ue, links.bs]
+        try:
+            w_system = evaluate_links(scenario, links, link_loss).w_system
+        except ValueError:
+            return  # no UE is served: there is no first stage to compose
+        assert w_system == pytest.approx(branch_law_w_system(scenario, links, link_loss), rel=1e-12)
 
 
 EMPTY_ROWS_AND_COLUMNS = np.array(
