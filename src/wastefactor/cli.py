@@ -298,7 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except cfg.ConfigError as exc:
         return _die_config(str(exc))
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         return _die_runtime(str(exc))
 
 

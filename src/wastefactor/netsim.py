@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -96,11 +97,29 @@ UE_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=9.0e-4)
 
 
 @dataclass(frozen=True)
+class LinkBudget:
+    """What every drop of a :class:`Scenario` reads and no seed changes."""
+
+    band: BandParams                       # the BAND_PRESETS entry of the frequency
+    anchor_loss_db: float                  # close-in loss at the 1 m anchor
+    height_delta_m: float                  # BS height minus UE height
+    antenna_gains_db: tuple[float, float]  # (BS, UE): aperture gains, 0 dB when omni
+    noise_power_w: float                   # UE noise floor
+    target_rx_power_w: float               # received power at the SNR target
+    per_link_cap_w: float
+    per_bs_budget_w: float
+    g_ue: float                            # UE gain, linear
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Simulation configuration; defaults reproduce the reference setup.
 
-    The path-loss exponent and shadowing sigma come from the band preset
-    of ``frequency_hz`` (:data:`BAND_PRESETS`); see :attr:`band`.
+    Building a scenario derives its :class:`LinkBudget` once, as
+    ``link_budget``. That is not a field: ``==``, ``hash``, ``repr`` and
+    the ``[scenario]`` keys ignore it, ``replace`` derives it anew, and the
+    seed copies of :func:`campaign_scenarios` share their cell's. A dB
+    value whose linear form overflows fails here.
     """
 
     frequency_hz: float = 3.5e9
@@ -165,8 +184,10 @@ class Scenario:
                 f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
                 f"the band presets cover {_known_bands()}"
             )
+        band = BAND_PRESETS[self.frequency_hz]
+        anchor_loss_db = fspl_1m_db(self.frequency_hz)
         longest_m = max(math.hypot(2.0 * radius, height_delta), 1.0)
-        loss_db = fspl_1m_db(self.frequency_hz) + 10.0 * self.band.ple * math.log10(longest_m)
+        loss_db = anchor_loss_db + 10.0 * band.ple * math.log10(longest_m)
         if loss_db > _MAX_PATH_LOSS_DB:
             raise ValueError(
                 f"region_radius_m = {radius} gives links of up to {longest_m:g} m, whose "
@@ -175,36 +196,24 @@ class Scenario:
             )
         if not 0 <= self.seed < 2 ** 64:
             raise _BadSeed(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.noise_power_w > 0.0:
+        noise_power_w = dbm_to_watts(noise_power_dbm(self.bandwidth_hz, self.ue_noise_figure_db))
+        if not noise_power_w > 0.0:
             raise ValueError(
                 f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
                 f"{self.ue_noise_figure_db} gives a noise power of 0 W"
             )
-
-    @property
-    def band(self) -> BandParams:
-        """The close-in exponent and shadowing sigma of this band."""
-        return BAND_PRESETS[self.frequency_hz]
-
-    @property
-    def antenna_gains_db(self) -> tuple[float, float]:
-        """(BS, UE) gains: aperture gains when directional, 0 dB when omni."""
-        if self.antenna_mode == OMNI:
-            return 0.0, 0.0
-        return (
-            aperture_gain_db(BS_APERTURE, self.frequency_hz),
-            aperture_gain_db(UE_APERTURE, self.frequency_hz),
+        gains_db = (0.0, 0.0) if self.antenna_mode == OMNI else tuple(
+            aperture_gain_db(a, self.frequency_hz) for a in (BS_APERTURE, UE_APERTURE))
+        # One attribute, not nine: CPython 3.11 shares an instance's attribute
+        # table with its class up to 29 names; past that, each scenario of a
+        # grid would hold a 1.6 KB dict of its own.
+        self.__dict__["link_budget"] = LinkBudget(
+            band=band, anchor_loss_db=anchor_loss_db, height_delta_m=height_delta,
+            antenna_gains_db=gains_db, noise_power_w=noise_power_w,
+            target_rx_power_w=noise_power_w * db_to_linear(self.target_snr_db),
+            per_link_cap_w=dbm_to_watts(self.per_link_cap_dbm),
+            per_bs_budget_w=dbm_to_watts(self.per_bs_budget_dbm), g_ue=db_to_linear(self.g_ue_db),
         )
-
-    @property
-    def noise_power_w(self) -> float:
-        return dbm_to_watts(
-            noise_power_dbm(self.bandwidth_hz, self.ue_noise_figure_db)
-        )
-
-    @property
-    def target_rx_power_w(self) -> float:
-        return self.noise_power_w * db_to_linear(self.target_snr_db)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,24 +444,24 @@ def effective_loss_matrix(
     does not depend on the links. Returns the link losses and the count of
     links that hit the clamp.
     """
-    height_delta = scenario.bs_height_m - scenario.ue_height_m
+    link_budget = scenario.link_budget
     # One array carries the whole dB chain: horizontal distance (the square
     # root distance_m holds), 3-D distance, path loss, shadowing, gains,
     # clamp, linear loss.
     x = layout.sq_distance_m2.take(links.cell)
     np.sqrt(x, out=x)
     np.square(x, out=x)
-    x += height_delta ** 2
+    x += link_budget.height_delta_m ** 2
     np.sqrt(x, out=x)
     np.maximum(x, 1.0, out=x)
     np.log10(x, out=x)
-    band = scenario.band
+    band = link_budget.band
     np.multiply(10.0 * band.ple, x, out=x)
-    np.add(fspl_1m_db(scenario.frequency_hz), x, out=x)
+    np.add(link_budget.anchor_loss_db, x, out=x)
     if scenario.apply_shadowing and band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
         x += band.sigma_db * z[links.ue, links.bs]
-    g_tx_db, g_rx_db = scenario.antenna_gains_db
+    g_tx_db, g_rx_db = link_budget.antenna_gains_db
     x -= g_tx_db
     x -= g_rx_db
     n_clamped = int(np.count_nonzero(x < 0.0))
@@ -524,11 +533,9 @@ def power_control(link_loss_w: np.ndarray, links: Links, scenario: Scenario) -> 
     cap, and any BS whose summed load exceeds its budget has all its links
     scaled down proportionally. SNR is recomputed after both.
     """
-    # Scenario.target_rx_power_w, with the noise power kept for the SNR.
-    noise_w = scenario.noise_power_w
-    target = noise_w * db_to_linear(scenario.target_snr_db)
-    cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
-    budget_w = dbm_to_watts(scenario.per_bs_budget_dbm)
+    link_budget = scenario.link_budget
+    noise_w, target = link_budget.noise_power_w, link_budget.target_rx_power_w
+    cap_w, budget_w = link_budget.per_link_cap_w, link_budget.per_bs_budget_w
     with np.errstate(divide="ignore", over="ignore"):
         inv_l = 1.0 / link_loss_w
         if scenario.power_allocation == "equal":
@@ -620,7 +627,7 @@ def evaluate_links(
     # means, so the first stage is w_bs * P_tx / P_rx. Losses >= 1 give
     # P_tx >= P_rx; the floor undoes the rounding of sums added in other
     # orders. These floats overflow to inf, caught by the finite check.
-    g_ue = db_to_linear(scenario.g_ue_db)
+    g_ue = scenario.link_budget.g_ue
     w_system = mino_compose(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
     p_system_out = g_ue * total_rx
     p_path = w_system * p_system_out
@@ -734,7 +741,8 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     built once from ``base`` with the first seed, so ``Scenario``'s rules
     run on the real cell, and the first cell is built once more with the
     last seed. A ``ValueError`` names the failing cell or the seed range.
-    The seed variants are copies with only ``seed`` set.
+    The seed variants are copies with only ``seed`` set: they share the
+    cell's ``link_budget``.
     """
     first = campaign.base_seed
     last = first + campaign.n_seeds - 1
@@ -772,13 +780,16 @@ def run_campaign(
     and seed in every cell, and its per-link cap in omni cells; see
     :func:`campaign_scenarios`.
 
-    Results are keyed and merged in grid order, so the output is
-    identical for any worker count.
+    ``jobs`` is the worker count, ``None`` for ``os.cpu_count()``; 1 runs
+    the drops in the calling process. Results are keyed and merged in grid
+    order, so the output is identical for any worker count.
     """
-    scenarios = campaign_scenarios(base, campaign)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(scenarios) == 1:
+    elif not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
+    scenarios = campaign_scenarios(base, campaign)
+    if jobs == 1 or len(scenarios) == 1:
         results = [evaluate_drop(s) for s in scenarios]
     else:
         # Imported here: multiprocessing costs every serial run its import time.

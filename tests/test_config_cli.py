@@ -368,30 +368,59 @@ class TestNonFiniteInput:
         assert f"{key!r} in [scenario]" in err
 
 
+# section, line, what the message names, exit code. A dB value whose linear
+# form overflows fails where its Scenario is built, a config error; the
+# first two rows once printed an OverflowError traceback, then exited 1.
+OVERFLOWING_INPUT = [
+    ("scenario", "target_snr_db = 1e308", "1e+308 dB", 2),
+    ("scenario", "per_link_cap_dbm = 4000", "4000.0 dBm", 2),
+    ("scenario", "per_bs_budget_dbm = 4000", "4000.0 dBm", 2),
+    ("scenario", "g_ue_db = 1e308", "1e+308 dB", 2),
+    ("sweep", "omni_per_link_cap_dbm = 4000", "4000.0 dBm is too large to convert to linear "
+     "units; in the 28 GHz omni 1-BS grid cell", 2),
+    ("scenario", "w_bs = 1e308", "w_system", 1),
+    ("scenario", "g_ue_db = -3200", "w_system = inf", 1),
+]
+
+
 class TestOverflowingInput:
-    """Finite inputs that overflow inside the program: the first two once
-    printed an OverflowError traceback, ``w_bs = 1e308`` exited 0 with
-    ``inf,nan,inf`` in aggregate.csv and numpy warnings on stderr."""
+    """Finite inputs that overflow inside the program. ``w_bs = 1e308``
+    once exited 0 with ``inf,nan,inf`` in aggregate.csv and numpy warnings
+    on stderr; a UE gain that underflows to 0 still fails per drop."""
 
     @pytest.mark.parametrize(
-        "line, named",
-        [
-            ("target_snr_db = 1e308", "1e+308 dB"),
-            ("per_link_cap_dbm = 4000", "4000.0 dBm"),
-            ("w_bs = 1e308", "w_system"),
-        ],
+        "section, line, named, code",
+        [pytest.param(*row, id=f"{row[1]}-{row[2]}") for row in OVERFLOWING_INPUT],
     )
-    def test_simulate_fails_with_a_message(self, capsys, tmp_path, line, named):
+    def test_simulate_fails_with_a_message(self, capsys, tmp_path, section, line, named, code):
+        sweep = "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 1\n"
         path = tmp_path / "huge.ini"
+        path.write_text(f"[scenario]\nn_ue = 16\n{line}\n{sweep}" if section == "scenario"
+                        else f"[scenario]\nn_ue = 16\n{sweep}{line}\n")
+        out_dir = tmp_path / "out"
+        code_got, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
+        assert code_got == code
+        if code == 2:
+            assert err.startswith("config error:")
+            assert f"invalid [{section}]: " in err
+        else:
+            assert err.startswith("error:")
+        assert named in err
+        assert not out_dir.exists()
+
+    def test_ue_count_past_any_address_space_fails_with_a_message(self, capsys, tmp_path):
+        # Once a numpy _ArrayMemoryError traceback. 1e17 UEs need 711 PiB,
+        # more than any 64-bit address space holds, so nothing is allocated.
+        path = tmp_path / "many.ini"
         path.write_text(
-            f"[scenario]\nn_ue = 16\n{line}\n"
+            "[scenario]\nn_ue = 100000000000000000\n"
             "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 1\n"
         )
         out_dir = tmp_path / "out"
         code, _, err = run_cli(capsys, "simulate", str(path), "--jobs", "1", "--out", str(out_dir))
         assert code == 1
         assert err.startswith("error:")
-        assert named in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
 

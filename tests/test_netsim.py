@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st, target
 from hypothesis.extra.numpy import arrays
 
 from wastefactor.channel import fspl_1m_db
+from wastefactor.config import _SCENARIO_KEYS
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
 from wastefactor import netsim
@@ -65,12 +66,12 @@ class TestScenario:
         assert BAND_PRESETS[3.5e9].sigma_db == 4.89
         assert BAND_PRESETS[17e9].ple == 2.00
         assert BAND_PRESETS[28e9].sigma_db == 8.98
-        assert Scenario(frequency_hz=17e9).band == BAND_PRESETS[17e9]
+        assert Scenario(frequency_hz=17e9).link_budget.band == BAND_PRESETS[17e9]
 
     def test_omni_gains_are_zero(self):
         sc = Scenario(antenna_mode="omni")
-        assert sc.antenna_gains_db == (0.0, 0.0)
-        bs_db, ue_db = Scenario(antenna_mode="directional").antenna_gains_db
+        assert sc.link_budget.antenna_gains_db == (0.0, 0.0)
+        bs_db, ue_db = Scenario(antenna_mode="directional").link_budget.antenna_gains_db
         assert bs_db == pytest.approx(31.36, abs=0.02)
         assert ue_db == pytest.approx(0.90, abs=0.02)
 
@@ -141,7 +142,7 @@ class TestScenario:
         preset = BAND_PRESETS[frequency_hz]
         longest_m = 10.0 ** ((2999.9 - fspl_1m_db(frequency_hz)) / (10.0 * preset.ple))
         sc = Scenario(frequency_hz=frequency_hz, region_radius_m=longest_m / 2.0, apply_shadowing=True)
-        assert sc.band == preset
+        assert sc.link_budget.band == preset
 
     @pytest.mark.parametrize("frequency_hz", sorted(BAND_PRESETS))
     def test_preset_9_sigma_draw_stays_a_finite_linear_loss(self, frequency_hz):
@@ -157,7 +158,7 @@ class TestScenario:
 
     def test_target_rx_power(self):
         sc = Scenario()
-        assert watts_to_dbm(sc.target_rx_power_w) == pytest.approx(-72.98, abs=5e-3)
+        assert watts_to_dbm(sc.link_budget.target_rx_power_w) == pytest.approx(-72.98, abs=5e-3)
 
 
 class TestLayout:
@@ -753,13 +754,12 @@ def where_distance(layout):
 def where_effective_loss(scenario, distance_m, serving_mask):
     height_delta = scenario.bs_height_m - scenario.ue_height_m
     d3 = np.sqrt(distance_m ** 2 + height_delta ** 2)
-    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * scenario.band.ple * np.log10(
-        np.maximum(d3, 1.0)
-    )
-    if scenario.apply_shadowing and scenario.band.sigma_db > 0.0:
+    band = scenario.link_budget.band
+    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * band.ple * np.log10(np.maximum(d3, 1.0))
+    if scenario.apply_shadowing and band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
-        pl_db = pl_db + scenario.band.sigma_db * z
-    g_tx_db, g_rx_db = scenario.antenna_gains_db
+        pl_db = pl_db + band.sigma_db * z
+    g_tx_db, g_rx_db = scenario.link_budget.antenna_gains_db
     eff_db = pl_db - g_tx_db - g_rx_db
     n_clamped = int(np.count_nonzero((eff_db < 0.0) & serving_mask))
     eff_db = np.maximum(eff_db, 0.0)
@@ -768,7 +768,7 @@ def where_effective_loss(scenario, distance_m, serving_mask):
 
 def where_power_control(l_eff_w, serving_mask, scenario):
     inv_l = np.where(serving_mask, 1.0 / l_eff_w, 0.0)
-    target = scenario.target_rx_power_w
+    target = scenario.link_budget.target_rx_power_w
     cap_w = dbm_to_watts(scenario.per_link_cap_dbm)
     if scenario.power_allocation == "equal":
         denom = link_sum(inv_l, serving_mask, axis=1)
@@ -788,7 +788,7 @@ def where_power_control(l_eff_w, serving_mask, scenario):
     p_tx_bs = link_sum(p_tx, serving_mask, axis=0)
     p_rx_ue = link_sum(p_tx * inv_l, serving_mask, axis=1)
     with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(p_rx_ue / scenario.noise_power_w)
+        snr_db = 10.0 * np.log10(p_rx_ue / scenario.link_budget.noise_power_w)
     return PowerControlResult(p_tx, p_tx_bs, p_rx_ue, snr_db, n_capped, n_budget_limited)
 
 
@@ -873,8 +873,9 @@ def serving_masks(draw, n_ue, n_bs):
 
 @st.composite
 def link_realizations(draw):
-    """A scenario, a serving mask and losses: the clamp floor up to 150 dB on
-    the mask, the values above (inf, nan, 0, 1e308, any float) off it."""
+    """A scenario, a serving mask of at least one link and losses: the clamp
+    floor up to 150 dB on the mask, the values above (inf, nan, 0, 1e308,
+    any float) off it."""
     n_ue = draw(st.integers(1, 12))
     n_bs = draw(st.integers(1, 20))
     scenario = Scenario(
@@ -887,6 +888,8 @@ def link_realizations(draw):
         w_bs=draw(st.floats(1.0, 100.0)),
     )
     mask = draw(serving_masks(n_ue, n_bs))
+    # At least one served link: the no-link case has its own test.
+    mask[draw(st.integers(0, n_ue - 1)), draw(st.integers(0, n_bs - 1))] = True
     on = draw(st.one_of(
         arrays(np.float64, (n_ue, n_bs), elements=st.floats(1.0, 1e15)),
         st.integers(0, 2 ** 32 - 1).map(
@@ -1087,10 +1090,7 @@ class TestBranchLaw:
         scenario, mask, l_eff = case
         links = Links(mask)
         link_loss = l_eff[links.ue, links.bs]
-        try:
-            w_system = evaluate_links(scenario, links, link_loss).w_system
-        except ValueError:
-            return  # no UE is served: there is no first stage to compose
+        w_system = evaluate_links(scenario, links, link_loss).w_system
         assert w_system == pytest.approx(branch_law_w_system(scenario, links, link_loss), rel=1e-12)
 
 
@@ -1244,6 +1244,68 @@ class TestDropMemory:
         assert (peak - before) / (sc.n_ue * sc.n_bs * 8) <= 3.0
 
 
+SCENARIO_FIELDS = [
+    "frequency_hz", "antenna_mode", "n_bs", "n_ue", "region_radius_m", "bs_height_m",
+    "ue_height_m", "min_bs_separation_m", "serving_radius_m", "bandwidth_hz", "target_snr_db",
+    "ue_noise_figure_db", "per_link_cap_dbm", "per_bs_budget_dbm", "w_bs", "w_ue", "g_ue_db",
+    "p_non_path_bs_w", "p_non_path_ue_w", "apply_shadowing", "fallback_nearest",
+    "power_allocation", "seed",
+]
+
+
+def budget_bits(scenario):
+    """A scenario's link budget as bytes: equal when bit-identical."""
+    return np.hstack(dataclasses.astuple(scenario.link_budget)).tobytes()
+
+
+class TestLinkBudget:
+    """The link budget Scenario derives once per cell, beside its fields."""
+
+    def test_budget_adds_no_field_key_or_property(self):
+        assert [f.name for f in dataclasses.fields(Scenario)] == SCENARIO_FIELDS
+        # The grid sets the first three fields, so [scenario] has keys for the rest.
+        assert _SCENARIO_KEYS == {
+            "bandwidth_mhz" if name == "bandwidth_hz" else name: name for name in SCENARIO_FIELDS[3:]
+        }
+        sc = Scenario()
+        assert "link_budget" in vars(sc) and "link_budget" not in repr(sc)
+        for name in ("link_budget", "band", "antenna_gains_db", "noise_power_w", "target_rx_power_w"):
+            assert not hasattr(Scenario, name)
+
+    def test_budget_values(self):
+        sc = Scenario(frequency_hz=28e9, per_link_cap_dbm=20.0, per_bs_budget_dbm=40.0, g_ue_db=10.0)
+        budget = sc.link_budget
+        assert budget.anchor_loss_db == fspl_1m_db(28e9)
+        assert budget.height_delta_m == 13.5
+        assert (budget.per_link_cap_w, budget.per_bs_budget_w, budget.g_ue) == (0.1, 10.0, 10.0)
+        assert budget.target_rx_power_w == budget.noise_power_w * 10.0
+
+    @settings(PROPERTY_SETTINGS, derandomize=True)
+    @given(
+        frequency_hz=st.sampled_from(sorted(BAND_PRESETS)),
+        mode=st.sampled_from(["omni", "directional"]),
+        n_bs=st.integers(1, 20),
+        n_seeds=st.integers(1, 5),
+        base_seed=st.integers(0, 2 ** 64 - 6),
+        levels_db=st.lists(st.floats(-60.0, 60.0), min_size=5, max_size=5),
+        bs_height_m=st.floats(1.5, 50.0),
+    )
+    def test_seed_copies_share_the_budget_replace_derives(
+        self, frequency_hz, mode, n_bs, n_seeds, base_seed, levels_db, bs_height_m
+    ):
+        snr, cap, budget, g_ue, omni_cap = levels_db
+        base = Scenario(target_snr_db=snr, per_link_cap_dbm=cap, per_bs_budget_dbm=budget,
+                        g_ue_db=g_ue, bs_height_m=bs_height_m, seed=base_seed)
+        campaign = CampaignSpec(frequencies_hz=(frequency_hz,), antenna_modes=(mode,),
+                                n_bs_values=(n_bs,), n_seeds=n_seeds, base_seed=base_seed,
+                                omni_per_link_cap_dbm=omni_cap)
+        cells = campaign_scenarios(base, campaign)
+        assert len(cells) == n_seeds
+        for cell in cells:
+            assert cell.link_budget is cells[0].link_budget
+            assert budget_bits(cell) == budget_bits(dataclasses.replace(cells[0], seed=cell.seed))
+
+
 class TestCampaign:
     CAMPAIGN = CampaignSpec(
         frequencies_hz=(28e9,),
@@ -1329,6 +1391,13 @@ class TestCampaign:
         base = dataclasses.replace(self.BASE, w_ue=1e308)
         with pytest.raises(ValueError, match=r"seed means of W \(inf\)"):
             run_campaign(base, self.CAMPAIGN, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5])
+    def test_jobs_must_be_none_or_a_positive_integer(self, jobs):
+        # 0 and -3 once ran serially without a word; 2.5 raised a TypeError
+        # from inside the pool.
+        with pytest.raises(ValueError, match=rf"jobs must be None or an integer >= 1, got {jobs}$"):
+            run_campaign(self.BASE, self.CAMPAIGN, jobs=jobs)
 
     def test_parallel_matches_serial(self):
         serial = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
