@@ -33,7 +33,6 @@ numbers both ways.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -101,9 +100,8 @@ class LinkBudget:
     """What every drop of a :class:`Scenario` reads and no seed changes."""
 
     band: BandParams                       # the BAND_PRESETS entry of the frequency
-    anchor_loss_db: float                  # close-in loss at the 1 m anchor
     height_delta_m: float                  # BS height minus UE height
-    antenna_gains_db: tuple[float, float]  # (BS, UE): aperture gains, 0 dB when omni
+    loss_scale: float                      # 1 m anchor loss over both antenna gains, linear
     noise_power_w: float                   # UE noise floor
     target_rx_power_w: float               # received power at the SNR target
     per_link_cap_w: float
@@ -119,7 +117,7 @@ class Scenario:
     ``link_budget``. That is not a field: ``==``, ``hash``, ``repr`` and
     the ``[scenario]`` keys ignore it, ``replace`` derives it anew, and the
     seed copies of :func:`campaign_scenarios` share their cell's. A dB
-    value whose linear form overflows fails here.
+    value whose linear form overflows fails here, naming its field.
     """
 
     frequency_hz: float = 3.5e9
@@ -196,24 +194,35 @@ class Scenario:
             )
         if not 0 <= self.seed < 2 ** 64:
             raise _BadSeed(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        noise_power_w = dbm_to_watts(noise_power_dbm(self.bandwidth_hz, self.ue_noise_figure_db))
+        noise_inputs = (f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
+                        f"{self.ue_noise_figure_db} gives a noise power")
+        noise_power_w = _linear(f"{noise_inputs}:", dbm_to_watts,
+                                noise_power_dbm(self.bandwidth_hz, self.ue_noise_figure_db))
         if not noise_power_w > 0.0:
-            raise ValueError(
-                f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
-                f"{self.ue_noise_figure_db} gives a noise power of 0 W"
-            )
-        gains_db = (0.0, 0.0) if self.antenna_mode == OMNI else tuple(
+            raise ValueError(f"{noise_inputs} of 0 W")
+        g_bs_db, g_ue_db = (0.0, 0.0) if self.antenna_mode == OMNI else (
             aperture_gain_db(a, self.frequency_hz) for a in (BS_APERTURE, UE_APERTURE))
-        # One attribute, not nine: CPython 3.11 shares an instance's attribute
+        # One attribute, not eight: CPython 3.11 shares an instance's attribute
         # table with its class up to 29 names; past that, each scenario of a
         # grid would hold a 1.6 KB dict of its own.
         self.__dict__["link_budget"] = LinkBudget(
-            band=band, anchor_loss_db=anchor_loss_db, height_delta_m=height_delta,
-            antenna_gains_db=gains_db, noise_power_w=noise_power_w,
-            target_rx_power_w=noise_power_w * db_to_linear(self.target_snr_db),
-            per_link_cap_w=dbm_to_watts(self.per_link_cap_dbm),
-            per_bs_budget_w=dbm_to_watts(self.per_bs_budget_dbm), g_ue=db_to_linear(self.g_ue_db),
+            band=band, height_delta_m=height_delta, noise_power_w=noise_power_w,
+            loss_scale=db_to_linear(anchor_loss_db - g_bs_db - g_ue_db),
+            target_rx_power_w=noise_power_w * _linear(
+                "target_snr_db =", db_to_linear, self.target_snr_db),
+            per_link_cap_w=_linear("per_link_cap_dbm =", dbm_to_watts, self.per_link_cap_dbm),
+            per_bs_budget_w=_linear("per_bs_budget_dbm =", dbm_to_watts, self.per_bs_budget_dbm),
+            g_ue=_linear("g_ue_db =", db_to_linear, self.g_ue_db),
         )
+
+
+def _linear(named: str, convert, value: float) -> float:
+    """``convert(value)``; a value whose linear form overflows fails with
+    ``named`` before its message, e.g. ``g_ue_db = 1e+308 dB is too large``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{named} {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,24 +378,6 @@ def generate_layout(scenario: Scenario) -> Layout:
                     return Layout._drawn(np.array(accepted), ue_xy)
 
 
-@functools.lru_cache(maxsize=64)
-def _sq_radius_bound(radius_m: float) -> float:
-    """The largest double whose ``math.sqrt`` is <= ``radius_m``.
-
-    ``sqrt`` is correctly rounded and monotone, so for every squared
-    distance ``sq``, ``sq <= bound`` exactly when ``sqrt(sq) <= radius_m``.
-    A NaN or negative radius bounds nothing but what it already excludes.
-    """
-    if not radius_m >= 0.0:
-        return radius_m
-    bound = radius_m * radius_m
-    while math.sqrt(bound) > radius_m:
-        bound = math.nextafter(bound, -math.inf)
-    while bound < math.inf and math.sqrt(math.nextafter(bound, math.inf)) <= radius_m:
-        bound = math.nextafter(bound, math.inf)
-    return bound
-
-
 def assign_serving_sets(
     layout: Layout, serving_radius_m: float, fallback_nearest: bool = True
 ) -> np.ndarray:
@@ -395,41 +386,30 @@ def assign_serving_sets(
     the fallback is enabled, otherwise an empty row.
 
     The mask is the transposed view of a BS-major ``(n_bs, n_ue)`` array,
-    the layout's own order. It equals ``layout.distance_m <=
-    serving_radius_m`` bit for bit, with the fallback set at the ``argmin``
-    of each uncovered row of ``layout.distance_m`` (lowest index on ties),
-    and takes no square root per pair: the radius test compares squared
-    distances with :func:`_sq_radius_bound`. The fallback sets every UE's
-    nearest BS: a covered UE's nearest BS is already inside the radius.
+    the layout's own order, and is decided on squared distances with no
+    square root: a BS serves a UE when ``sq_distance_m2 <= radius ** 2``,
+    and a negative or NaN radius serves no pair. The fallback sets each
+    UE's nearest BS, the one of smallest squared distance (lowest index on
+    exact ties): a covered UE's nearest BS is already inside the radius.
     """
     sq = layout.sq_distance_m2
     if fallback_nearest and len(sq) == 1:
         return np.ones(sq.shape, dtype=bool).T  # BS 0 is every UE's nearest
-    mask = sq <= _sq_radius_bound(serving_radius_m)
+    # A negative radius gives a negative square, below every squared distance.
+    mask = sq <= serving_radius_m * abs(serving_radius_m)
     if fallback_nearest:
         mask |= _nearest_bs(sq)
     return mask.T
 
 
 def _nearest_bs(sq: np.ndarray) -> np.ndarray:
-    """BS-major one-hot mask of each UE's nearest BS: the ``argmin`` of the
-    square roots of its column of ``sq``, lowest index on ties.
-
-    Squared distances that differ share a square root only within a
-    relative 2**-51 of each other, or two steps apart below the normal
-    range. So the BSs within a relative 2**-50 plus 16 such steps of a
-    UE's minimum hold every BS whose square root ties the minimum's. Where
-    each UE has just one, it is the nearest; otherwise, with ties or
-    near-ties, the square roots settle it.
-    """
-    bound = np.minimum.reduce(sq, axis=0)
-    bound *= 1.0 + 2.0 ** -50
-    bound += 2.0 ** -1070
-    near = sq <= bound
-    # Each column holds its own minimum, so n_ue in all means one each.
+    """BS-major one-hot mask of each UE's nearest BS: the ``argmin`` of its
+    column of squared distances ``sq``, lowest index on exact ties."""
+    near = sq == np.minimum.reduce(sq, axis=0)
+    # Each column holds its own minimum, so n_ue in all means no ties.
     if np.count_nonzero(near) != near.shape[1]:
         near = np.zeros(sq.shape, dtype=bool)
-        near[np.sqrt(sq).argmin(axis=0), np.arange(sq.shape[1])] = True
+        near[sq.argmin(axis=0), np.arange(sq.shape[1])] = True
     return near
 
 
@@ -438,36 +418,30 @@ def effective_loss_matrix(
 ) -> tuple[np.ndarray, int]:
     """Effective loss of each served link (linear, clamped at the W = 1 floor).
 
-    Close-in path loss over the 3-D distance, optional shadowing draw,
-    minus both endpoint antenna gains, one per link in the links' order.
+    The close-in loss (Sun et al., IEEE TVT 2016) in linear units,
+    ``loss_scale * max(d3 ** 2, 1) ** (ple / 2)``, with ``d3 ** 2`` the
+    squared horizontal distance plus the squared height difference and
+    ``loss_scale`` the anchor loss over both antenna gains
+    (:class:`LinkBudget`); with shadowing, times
+    ``exp(sigma_db * ln(10) / 10 * z)``. One per link in the links' order.
     The shadowing draw covers every ``(n_ue, n_bs)`` pair, so the stream
     does not depend on the links. Returns the link losses and the count of
-    links that hit the clamp.
+    links below 1 that the clamp raised to it.
     """
     link_budget = scenario.link_budget
-    # One array carries the whole dB chain: horizontal distance (the square
-    # root distance_m holds), 3-D distance, path loss, shadowing, gains,
-    # clamp, linear loss.
-    x = layout.sq_distance_m2.take(links.cell)
-    np.sqrt(x, out=x)
-    np.square(x, out=x)
-    x += link_budget.height_delta_m ** 2
-    np.sqrt(x, out=x)
-    np.maximum(x, 1.0, out=x)
-    np.log10(x, out=x)
     band = link_budget.band
-    np.multiply(10.0 * band.ple, x, out=x)
-    np.add(link_budget.anchor_loss_db, x, out=x)
+    loss = layout.sq_distance_m2.take(links.cell)
+    loss += link_budget.height_delta_m ** 2
+    np.maximum(loss, 1.0, out=loss)
+    np.power(loss, band.ple / 2.0, out=loss)
+    loss *= link_budget.loss_scale
     if scenario.apply_shadowing and band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
-        x += band.sigma_db * z[links.ue, links.bs]
-    g_tx_db, g_rx_db = link_budget.antenna_gains_db
-    x -= g_tx_db
-    x -= g_rx_db
-    n_clamped = int(np.count_nonzero(x < 0.0))
-    np.maximum(x, 0.0, out=x)
-    x /= 10.0
-    return np.power(10.0, x, out=x), n_clamped
+        shadow = z[links.ue, links.bs]
+        shadow *= band.sigma_db * math.log(10.0) / 10.0
+        loss *= np.exp(shadow, out=shadow)
+    n_clamped = int(np.count_nonzero(loss < 1.0))
+    return np.maximum(loss, 1.0, out=loss), n_clamped
 
 
 class Links:
@@ -630,6 +604,8 @@ def evaluate_links(
     g_ue = scenario.link_budget.g_ue
     w_system = mino_compose(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
     p_system_out = g_ue * total_rx
+    if p_system_out == 0.0:
+        raise ValueError(f"g_ue_db = {scenario.g_ue_db} makes the system output underflow to 0 W")
     p_path = w_system * p_system_out
     p_non_path = scenario.n_bs * scenario.p_non_path_bs_w + scenario.n_ue * scenario.p_non_path_ue_w
 
@@ -642,8 +618,6 @@ def evaluate_links(
             f"w_system = {w_system} with {p_total_per_km2} W/km^2 in total is not finite; "
             "the scenario's losses and waste factors overflow a float"
         )
-    if p_path == 0.0:
-        raise ValueError(f"g_ue_db = {scenario.g_ue_db} makes the system output underflow to 0 W")
 
     # Bottom-up audit: system output plus every waste term. With the first
     # stage as two sums this ledger and p_path are two forms of one

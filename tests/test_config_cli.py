@@ -371,28 +371,31 @@ class TestNonFiniteInput:
 # section, line, what the message names, exit code. A dB value whose linear
 # form overflows fails where its Scenario is built, a config error; the
 # first two rows once printed an OverflowError traceback, then exited 1.
+# (section, INI line, text the message holds, the key it names, exit code)
 OVERFLOWING_INPUT = [
-    ("scenario", "target_snr_db = 1e308", "1e+308 dB", 2),
-    ("scenario", "per_link_cap_dbm = 4000", "4000.0 dBm", 2),
-    ("scenario", "per_bs_budget_dbm = 4000", "4000.0 dBm", 2),
-    ("scenario", "g_ue_db = 1e308", "1e+308 dB", 2),
+    ("scenario", "target_snr_db = 1e308", "1e+308 dB", "target_snr_db", 2),
+    ("scenario", "per_link_cap_dbm = 4000", "4000.0 dBm", "per_link_cap_dbm", 2),
+    ("scenario", "per_bs_budget_dbm = 4000", "4000.0 dBm", "per_bs_budget_dbm", 2),
+    ("scenario", "g_ue_db = 1e308", "1e+308 dB", "g_ue_db", 2),
+    ("scenario", "ue_noise_figure_db = 1e308", "noise power: 1e+308 dBm", "ue_noise_figure_db", 2),
     ("sweep", "omni_per_link_cap_dbm = 4000", "4000.0 dBm is too large to convert to linear "
-     "units; in the 28 GHz omni 1-BS grid cell", 2),
-    ("scenario", "w_bs = 1e308", "w_system", 1),
-    ("scenario", "g_ue_db = -3200", "w_system = inf", 1),
+     "units; in the 28 GHz omni 1-BS grid cell", "per_link_cap_dbm", 2),
+    ("scenario", "w_bs = 1e308", "w_system", "w_system", 1),
+    ("scenario", "g_ue_db = -3200", "makes the system output underflow to 0 W", "g_ue_db", 1),
 ]
 
 
 class TestOverflowingInput:
     """Finite inputs that overflow inside the program. ``w_bs = 1e308``
     once exited 0 with ``inf,nan,inf`` in aggregate.csv and numpy warnings
-    on stderr; a UE gain that underflows to 0 still fails per drop."""
+    on stderr; a UE gain that underflows to 0 still fails per drop. Each
+    message names the key, or for ``w_bs`` the result, that overflowed."""
 
     @pytest.mark.parametrize(
-        "section, line, named, code",
+        "section, line, named, key, code",
         [pytest.param(*row, id=f"{row[1]}-{row[2]}") for row in OVERFLOWING_INPUT],
     )
-    def test_simulate_fails_with_a_message(self, capsys, tmp_path, section, line, named, code):
+    def test_simulate_fails_with_a_message(self, capsys, tmp_path, section, line, named, key, code):
         sweep = "[sweep]\nfrequencies_ghz = 28\nn_bs = 1\nseeds = 1\n"
         path = tmp_path / "huge.ini"
         path.write_text(f"[scenario]\nn_ue = 16\n{line}\n{sweep}" if section == "scenario"
@@ -406,6 +409,7 @@ class TestOverflowingInput:
         else:
             assert err.startswith("error:")
         assert named in err
+        assert f"{key} = " in err
         assert not out_dir.exists()
 
     def test_ue_count_past_any_address_space_fails_with_a_message(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st, target
 from hypothesis.extra.numpy import arrays
 
-from wastefactor.channel import fspl_1m_db
+from wastefactor.channel import PathLossModel, aperture_gain_db, fspl_1m_db, path_loss_db
 from wastefactor.config import _SCENARIO_KEYS
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
@@ -41,7 +41,7 @@ from wastefactor.netsim import (
     power_control,
     run_campaign,
 )
-from wastefactor.units import db_to_linear, dbm_to_watts, watts_to_dbm
+from wastefactor.units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
 SMALL = Scenario(n_ue=64, n_bs=5, frequency_hz=28e9, seed=3)
 
@@ -69,11 +69,11 @@ class TestScenario:
         assert Scenario(frequency_hz=17e9).link_budget.band == BAND_PRESETS[17e9]
 
     def test_omni_gains_are_zero(self):
-        sc = Scenario(antenna_mode="omni")
-        assert sc.link_budget.antenna_gains_db == (0.0, 0.0)
-        bs_db, ue_db = Scenario(antenna_mode="directional").link_budget.antenna_gains_db
-        assert bs_db == pytest.approx(31.36, abs=0.02)
-        assert ue_db == pytest.approx(0.90, abs=0.02)
+        # The loss scale is the 1 m anchor loss over both antenna gains.
+        anchor_db = fspl_1m_db(3.5e9)
+        assert Scenario(antenna_mode="omni").link_budget.loss_scale == db_to_linear(anchor_db)
+        scale = Scenario(antenna_mode="directional").link_budget.loss_scale
+        assert linear_to_db(scale) == pytest.approx(anchor_db - 31.36 - 0.90, abs=0.03)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="antenna_mode"):
@@ -294,11 +294,13 @@ PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 def where_serving(layout, serving_radius_m, fallback_nearest):
     """The serving mask with the fallback on uncovered rows only: find them
-    with ``any``, gather them, take their argmin."""
-    mask = layout.distance_m <= serving_radius_m
+    with ``any``, gather them, take their argmin of squared distances."""
+    sq = layout.sq_distance_m2.T
+    r = serving_radius_m
+    mask = sq <= r * r if r >= 0.0 else np.zeros(sq.shape, dtype=bool)
     if fallback_nearest:
         uncovered = np.flatnonzero(~mask.any(axis=1))
-        mask[uncovered, np.argmin(layout.distance_m[uncovered], axis=1)] = True
+        mask[uncovered, np.argmin(sq[uncovered], axis=1)] = True
     return mask
 
 
@@ -306,24 +308,33 @@ def one_ue_layout(*bs_xy):
     return Layout(bs_xy_m=np.array(bs_xy, dtype=float), ue_xy_m=np.array([[0.0, 0.0]]))
 
 
-# For a 1 m radius, the largest squared distance whose root is <= 1 m is
-# 1 + 2**-52: BSs at squared distances 1, 1 + 2**-52 and 1 + 2**-51 sit one
-# ulp below, at, and one ulp above that bound.
-ULP_AROUND_THE_BOUND = one_ue_layout([1.0, 0.0], [1.0, 2.0 ** -26], [1.0 + 2.0 ** -52, 0.0])
+# Squared distances 1, 1 + 2**-52 and 1 + 2**-51: only the first is within
+# a 1 m radius, though the second's square root is 1 too.
+ULPS_ABOVE_ONE = one_ue_layout([1.0, 0.0], [1.0, 2.0 ** -26], [1.0 + 2.0 ** -52, 0.0])
 # Uncovered at 0.5 m; squared distances 1 + 2**-52 (BS 0) and 1 (BS 1)
-# share the root 1, so the argmin of the distances is BS 0, not BS 1.
+# share the square root 1, and the fallback takes the smaller square, BS 1.
 ROOT_TIE = one_ue_layout([1.0, 2.0 ** -26], [1.0, 0.0])
+# Squared distances 25 and 25 exactly, from different coordinates.
+EXACT_TIE = one_ue_layout([3.0, 4.0], [-4.0, 3.0])
+# BS 0 sits on the UE (squared distance 0), BS 1 at 300 m.
+ON_THE_UE = one_ue_layout([0.0, 0.0], [300.0, 0.0])
 
 
 class TestServingProperties:
     @PROPERTY_SETTINGS
     @given(case=layouts_and_radii(), fallback_nearest=st.booleans())
     @example(case=(one_ue_layout([200.0, 0.0], [600.0, 0.0]), 200.0), fallback_nearest=False)
-    @example(case=(ULP_AROUND_THE_BOUND, 1.0), fallback_nearest=False)
+    @example(case=(ULPS_ABOVE_ONE, 1.0), fallback_nearest=False)
     @example(case=(one_ue_layout([-500.0, 0.0], [500.0, 0.0]), 200.0), fallback_nearest=True)
     @example(case=(ROOT_TIE, 0.5), fallback_nearest=True)
+    @example(case=(EXACT_TIE, 1.0), fallback_nearest=True)
     @example(case=(one_ue_layout([900.0, 0.0]), 200.0), fallback_nearest=True)
     @example(case=(one_ue_layout([900.0, 0.0]), 200.0), fallback_nearest=False)
+    @example(case=(ON_THE_UE, -200.0), fallback_nearest=False)
+    @example(case=(ON_THE_UE, math.nan), fallback_nearest=True)
+    @example(case=(ON_THE_UE, 0.0), fallback_nearest=False)
+    @example(case=(ON_THE_UE, -0.0), fallback_nearest=False)
+    @example(case=(ON_THE_UE, 1e300), fallback_nearest=False)  # its square overflows
     def test_mask_matches_where_serving(self, case, fallback_nearest):
         layout, radius = case
         mask = assign_serving_sets(layout, radius, fallback_nearest)
@@ -337,43 +348,44 @@ class TestServingProperties:
         layout, radius = case
         mask = assign_serving_sets(layout, radius, fallback_nearest=False)
         assert mask.dtype == bool
-        assert np.array_equal(mask, layout.distance_m <= radius)
+        assert mask.tobytes() == (layout.sq_distance_m2.T <= radius * radius).tobytes()
 
     @PROPERTY_SETTINGS
     @given(case=layouts_and_radii())
     def test_fallback_adds_only_the_nearest_bs(self, case):
         layout, radius = case
-        inside = layout.distance_m <= radius
+        sq = layout.sq_distance_m2.T
+        inside = sq <= radius * radius
         mask = assign_serving_sets(layout, radius)
         covered = inside.any(axis=1)
         assert np.array_equal(mask[covered], inside[covered])
         for i in np.flatnonzero(~covered):
-            assert list(np.flatnonzero(mask[i])) == [np.argmin(layout.distance_m[i])]
+            assert list(np.flatnonzero(mask[i])) == [np.argmin(sq[i])]
 
-
-class TestRadiusBound:
-    @PROPERTY_SETTINGS
-    @given(radius=st.floats(min_value=0.0, allow_infinity=False))
-    @example(radius=200.0)
-    @example(radius=1.0)
-    @example(radius=0.0)
-    @example(radius=5e-324)
-    @example(radius=1e300)  # its square overflows
-    def test_bound_is_the_largest_square_with_root_within_the_radius(self, radius):
-        bound = netsim._sq_radius_bound(radius)
-        assert math.sqrt(bound) <= radius
-        assert math.sqrt(math.nextafter(bound, math.inf)) > radius
+    @pytest.mark.parametrize(
+        "layout, radius, fallback_nearest, served",
+        [
+            (ULPS_ABOVE_ONE, 1.0, False, [True, False, False]),
+            (ROOT_TIE, 0.5, True, [False, True]),
+            (EXACT_TIE, 1.0, True, [True, False]),
+            (ON_THE_UE, -200.0, False, [False, False]),
+            (ON_THE_UE, math.nan, False, [False, False]),
+            (ON_THE_UE, math.nan, True, [True, False]),
+            (ON_THE_UE, 0.0, False, [True, False]),
+            (ON_THE_UE, 1e300, False, [True, True]),
+        ],
+        ids=["ulps-above-one", "root-tie", "exact-tie", "negative", "nan", "nan-fallback", "zero",
+             "square-overflows"],
+    )
+    def test_examples_serve_what_they_say(self, layout, radius, fallback_nearest, served):
+        assert assign_serving_sets(layout, radius, fallback_nearest).tolist() == [served]
 
     def test_examples_sit_where_they_say(self):
-        bound = netsim._sq_radius_bound(1.0)
-        assert bound == 1.0 + 2.0 ** -52
-        sq = ULP_AROUND_THE_BOUND.sq_distance_m2[:, 0].tolist()
-        assert sq == [math.nextafter(bound, 0.0), bound, math.nextafter(bound, 2.0)]
-        mask = assign_serving_sets(ULP_AROUND_THE_BOUND, 1.0, fallback_nearest=False)
-        assert mask.tolist() == [[True, True, False]]
+        assert ULPS_ABOVE_ONE.sq_distance_m2[:, 0].tolist() == [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]
+        assert ULPS_ABOVE_ONE.distance_m.tolist() == [[1.0, 1.0, math.sqrt(1.0 + 2.0 ** -51)]]
         assert ROOT_TIE.distance_m.tolist() == [[1.0, 1.0]]
         assert ROOT_TIE.sq_distance_m2[0, 0] > ROOT_TIE.sq_distance_m2[1, 0]
-        assert assign_serving_sets(ROOT_TIE, 0.5).tolist() == [[True, False]]
+        assert EXACT_TIE.sq_distance_m2.tolist() == [[25.0], [25.0]]
 
 
 def scalar_bs_placement(scenario):
@@ -745,25 +757,24 @@ def link_sum(dense, mask, axis):
     return sums
 
 
-def where_distance(layout):
+def where_sq_distance(layout):
     dx = layout.ue_xy_m[:, 0, None] - layout.bs_xy_m[None, :, 0]
     dy = layout.ue_xy_m[:, 1, None] - layout.bs_xy_m[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
-def where_effective_loss(scenario, distance_m, serving_mask):
-    height_delta = scenario.bs_height_m - scenario.ue_height_m
-    d3 = np.sqrt(distance_m ** 2 + height_delta ** 2)
-    band = scenario.link_budget.band
-    pl_db = fspl_1m_db(scenario.frequency_hz) + 10.0 * band.ple * np.log10(np.maximum(d3, 1.0))
+def where_effective_loss(scenario, sq_distance_m2, serving_mask):
+    """The linear close-in loss over the dense ``(n_ue, n_bs)`` squared
+    horizontal distances."""
+    budget = scenario.link_budget
+    d3_sq = sq_distance_m2 + (scenario.bs_height_m - scenario.ue_height_m) ** 2
+    band = budget.band
+    loss = budget.loss_scale * np.power(np.maximum(d3_sq, 1.0), band.ple / 2.0)
     if scenario.apply_shadowing and band.sigma_db > 0.0:
-        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3.shape)
-        pl_db = pl_db + band.sigma_db * z
-    g_tx_db, g_rx_db = scenario.link_budget.antenna_gains_db
-    eff_db = pl_db - g_tx_db - g_rx_db
-    n_clamped = int(np.count_nonzero((eff_db < 0.0) & serving_mask))
-    eff_db = np.maximum(eff_db, 0.0)
-    return 10.0 ** (eff_db / 10.0), n_clamped
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal(d3_sq.shape)
+        loss = loss * np.exp(band.sigma_db * math.log(10.0) / 10.0 * z)
+    n_clamped = int(np.count_nonzero((loss < 1.0) & serving_mask))
+    return np.maximum(loss, 1.0), n_clamped
 
 
 def where_power_control(l_eff_w, serving_mask, scenario):
@@ -1027,16 +1038,17 @@ class TestInPlaceKernelOracle:
     )
     def test_distances_and_losses_match_where_forms(self, case):
         scenario, layout = case
-        assert layout.distance_m.tobytes() == where_distance(layout).tobytes()
-        distance_before = layout.distance_m.tobytes()
+        sq = where_sq_distance(layout)
+        assert layout.sq_distance_m2.T.tobytes() == sq.tobytes()
+        assert layout.distance_m.tobytes() == np.sqrt(sq).tobytes()
         mask = assign_serving_sets(layout, scenario.serving_radius_m)
         links = Links(mask)
         link_loss, n_clamped = effective_loss_matrix(scenario, layout, links)
-        expected, expected_clamped = where_effective_loss(scenario, layout.distance_m, mask)
+        expected, expected_clamped = where_effective_loss(scenario, sq, mask)
         assert (link_loss.tobytes(), n_clamped) == (
             expected[links.ue, links.bs].tobytes(), expected_clamped
         )
-        assert layout.distance_m.tobytes() == distance_before
+        assert layout.sq_distance_m2.T.tobytes() == sq.tobytes()
         mask_before, loss_before = mask.tobytes(), link_loss.tobytes()
         evaluate_links(scenario, links, link_loss, n_clamped_links=n_clamped)
         assert mask.tobytes() == mask_before
@@ -1047,7 +1059,7 @@ class TestInPlaceKernelOracle:
     def test_drop_matches_where_forms(self, scenario):
         layout = generate_layout(scenario)
         mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
-        l_eff, n_clamped = where_effective_loss(scenario, where_distance(layout), mask)
+        l_eff, n_clamped = where_effective_loss(scenario, where_sq_distance(layout), mask)
         try:
             expected = where_evaluate_links(scenario, mask, l_eff, n_clamped_links=n_clamped)
         except ValueError as exc:
@@ -1055,6 +1067,41 @@ class TestInPlaceKernelOracle:
                 evaluate_drop(scenario)
         else:
             assert result_bits(evaluate_drop(scenario)) == result_bits(expected)
+
+
+class TestCloseInLoss:
+    """The kernel's linear losses against the scalar dB model of ``channel``,
+    one served link at a time."""
+
+    @pytest.mark.parametrize("apply_shadowing", [False, True])
+    @pytest.mark.parametrize("antenna_mode", ["omni", "directional"])
+    @pytest.mark.parametrize("frequency_hz", sorted(BAND_PRESETS))
+    @settings(PROPERTY_SETTINGS, derandomize=True, max_examples=25)
+    @given(case=clamping_layouts())
+    def test_link_losses_match_the_db_model(self, frequency_hz, antenna_mode, apply_shadowing, case):
+        scenario, layout = case
+        scenario = dataclasses.replace(scenario, frequency_hz=frequency_hz,
+                                       antenna_mode=antenna_mode, apply_shadowing=apply_shadowing)
+        links = Links(assign_serving_sets(layout, scenario.serving_radius_m))
+        loss, n_clamped = effective_loss_matrix(scenario, layout, links)
+
+        band = BAND_PRESETS[frequency_hz]
+        model = PathLossModel(frequency_hz, band.ple)
+        g_bs, g_ue = (0.0, 0.0) if antenna_mode == "omni" else (
+            aperture_gain_db(netsim.BS_APERTURE, frequency_hz),
+            aperture_gain_db(netsim.UE_APERTURE, frequency_hz),
+        )
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((scenario.n_ue, scenario.n_bs))
+        sigma_db = band.sigma_db if apply_shadowing else 0.0
+        height_m = scenario.bs_height_m - scenario.ue_height_m
+        expected, clamped = [], 0
+        for ue, bs in zip(links.ue.tolist(), links.bs.tolist()):
+            d3 = math.hypot(*(layout.ue_xy_m[ue] - layout.bs_xy_m[bs]).tolist(), height_m)
+            eff_db = path_loss_db(model, d3, sigma_db * z[ue, bs]) - g_bs - g_ue
+            clamped += eff_db < 0.0
+            expected.append(max(10.0 ** (eff_db / 10.0), 1.0))
+        assert loss.tolist() == pytest.approx(expected, rel=1e-12)
+        assert n_clamped == clamped
 
 
 def branch_law_w_system(scenario, links, link_loss):
@@ -1269,13 +1316,14 @@ class TestLinkBudget:
         }
         sc = Scenario()
         assert "link_budget" in vars(sc) and "link_budget" not in repr(sc)
-        for name in ("link_budget", "band", "antenna_gains_db", "noise_power_w", "target_rx_power_w"):
+        for name in ("link_budget", "band", "loss_scale", "noise_power_w", "target_rx_power_w"):
             assert not hasattr(Scenario, name)
 
     def test_budget_values(self):
         sc = Scenario(frequency_hz=28e9, per_link_cap_dbm=20.0, per_bs_budget_dbm=40.0, g_ue_db=10.0)
         budget = sc.link_budget
-        assert budget.anchor_loss_db == fspl_1m_db(28e9)
+        g_bs_db, g_ue_db = (aperture_gain_db(a, 28e9) for a in (netsim.BS_APERTURE, netsim.UE_APERTURE))
+        assert budget.loss_scale == db_to_linear(fspl_1m_db(28e9) - g_bs_db - g_ue_db)
         assert budget.height_delta_m == 13.5
         assert (budget.per_link_cap_w, budget.per_bs_budget_w, budget.g_ue) == (0.1, 10.0, 10.0)
         assert budget.target_rx_power_w == budget.noise_power_w * 10.0
