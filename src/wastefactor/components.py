@@ -7,8 +7,9 @@ optional non-path power term through :func:`stage_of`:
 * antenna: W is the reciprocal of the overall efficiency; its stage gain
   is the efficiency itself, never the directive gain (that belongs to the
   effective channel, see :mod:`wastefactor.channel`)
-* actives: W = (P_DC + P_in)/P_out; a PA parameterized by PAE gives
-  W = 1/PAE
+* PA: given by its datasheet PAE and gain, W = 1/PAE and G = 10^(gain/10)
+* any other active, or a PA known by its DC draw and signal powers, is a
+  ``GenericActive``: W = (P_DC + P_in)/P_out and G = P_out/P_in
 * DAC: W = 1/efficiency at unit gain
 * ADC: off the signal path entirely; its consumption FoM * f_s * 2^bits
   is reported as non-path power and the stage is an ideal wire
@@ -116,43 +117,18 @@ class Antenna:
                 )
 
 
-def _check_active_powers(spec: PowerAmplifier | GenericActive, device: str) -> None:
-    """The rule of a device given by its DC draw and signal in/out powers."""
-    if spec.p_dc_w <= 0.0 or spec.p_in_w <= 0.0 or spec.p_out_w <= 0.0:
-        raise ValueError(f"{device} powers must be > 0 W")
-    if spec.p_out_w >= spec.p_dc_w + spec.p_in_w:
-        raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
-
-
 @dataclass(frozen=True)
 class PowerAmplifier:
-    """PA from either a PAE datasheet figure or explicit DC/in/out powers."""
+    """PA from its datasheet power-added efficiency and gain."""
 
-    pae: float | None = None
-    gain_db: float | None = None
-    p_dc_w: float | None = None
-    p_in_w: float | None = None
-    p_out_w: float | None = None
+    pae: float
+    gain_db: float
     quiescent_w: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self)
-        by_pae = self.pae is not None
-        powers = (self.p_dc_w, self.p_in_w, self.p_out_w)
-        by_power = any(p is not None for p in powers)
-        if by_pae == by_power:
-            raise ValueError(
-                "specify a PA either by (pae, gain_db) or by (p_dc_w, p_in_w, p_out_w)"
-            )
-        if (self.gain_db is None) == by_pae:
-            raise ValueError("a PA takes gain_db with pae, and only with pae")
-        if by_pae:
-            if not 0.0 < self.pae <= 1.0:
-                raise ValueError(f"PAE must be in (0, 1], got {self.pae}")
-        else:
-            if any(p is None for p in powers):
-                raise ValueError("power-specified PA requires p_dc_w, p_in_w and p_out_w")
-            _check_active_powers(self, "PA")
+        if not 0.0 < self.pae <= 1.0:
+            raise ValueError(f"PAE must be in (0, 1], got {self.pae}")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
 
@@ -243,7 +219,10 @@ class GenericActive:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        _check_active_powers(self, "active device")
+        if self.p_dc_w <= 0.0 or self.p_in_w <= 0.0 or self.p_out_w <= 0.0:
+            raise ValueError("active device powers must be > 0 W")
+        if self.p_out_w >= self.p_dc_w + self.p_in_w:
+            raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
 
@@ -305,19 +284,9 @@ def _(spec: Antenna) -> ConvertedDevice:
     return ConvertedDevice(Stage(w=1.0 / efficiency, g=efficiency, label="antenna"), 0.0)
 
 
-def _active_stage(spec: PowerAmplifier | GenericActive, label: str) -> Stage:
-    """W = (P_DC + P_in) / P_out and G = P_out / P_in."""
-    return Stage(
-        w=(spec.p_dc_w + spec.p_in_w) / spec.p_out_w, g=spec.p_out_w / spec.p_in_w, label=label
-    )
-
-
 @stage_of.register
 def _(spec: PowerAmplifier) -> ConvertedDevice:
-    if spec.pae is not None:
-        stage = Stage(w=1.0 / spec.pae, g=db_to_linear(spec.gain_db), label="pa")
-    else:
-        stage = _active_stage(spec, "pa")
+    stage = Stage(w=1.0 / spec.pae, g=db_to_linear(spec.gain_db), label="pa")
     return ConvertedDevice(stage, spec.quiescent_w)
 
 
@@ -351,7 +320,8 @@ def _(spec: Adc) -> ConvertedDevice:
 
 @stage_of.register
 def _(spec: GenericActive) -> ConvertedDevice:
-    return ConvertedDevice(_active_stage(spec, "active"), spec.quiescent_w)
+    w, g = (spec.p_dc_w + spec.p_in_w) / spec.p_out_w, spec.p_out_w / spec.p_in_w
+    return ConvertedDevice(Stage(w=w, g=g, label="active"), spec.quiescent_w)
 
 
 @stage_of.register

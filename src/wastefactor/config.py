@@ -253,10 +253,10 @@ def load_config(path: str | Path) -> ConfigDocument:
     return ConfigDocument(path=path, sections=sections)
 
 
-def _override(spec: Any, keys: dict[str, str], values: dict[str, Any]) -> Any:
-    """Copy of ``spec`` with each given value, converted to its field's
-    unit, set at its key's field path."""
-    top: dict[str, Any] = {}
+def _override(spec: Any, keys: dict[str, str], values: dict[str, Any], **fields: Any) -> Any:
+    """Copy of ``spec`` with ``fields`` set and each given value, converted
+    to its field's unit, set at its key's field path, in one construction."""
+    top: dict[str, Any] = dict(fields)
     nested: dict[str, dict[str, Any]] = {}
     for key, value in values.items():
         factor = _UNIT_FACTORS.get(key)
@@ -328,7 +328,7 @@ def campaign_from_config(
     if seeds_override is not None:
         values["seeds"] = seeds_override
     try:
-        campaign = _override(CampaignSpec(base_seed=base.seed), _SWEEP_KEYS, values)
+        campaign = _override(CampaignSpec(), _SWEEP_KEYS, values, base_seed=base.seed)
         campaign_scenarios(base, campaign)
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
-from .parallel import mino_compose
+from .core import refer
 from .units import db_to_linear, dbm_to_watts, record, require_finite, require_integers
 
 OMNI = "omni"
@@ -81,14 +81,6 @@ BAND_PRESETS: dict[float, BandParams] = {
 }
 
 
-def _known_bands() -> str:
-    return ", ".join(f"{f/1e9:g} GHz" for f in sorted(BAND_PRESETS))
-
-
-class _BadSeed(ValueError):
-    """A seed outside 64 bits; the grid names the seed range it came from."""
-
-
 # Fixed physical apertures: 1 m x 1 m at the BS, 3 cm x 3 cm at the UE,
 # 80% efficient at every band.
 BS_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=1.0)
@@ -116,8 +108,9 @@ class Scenario:
     Building a scenario derives its :class:`LinkBudget` once, as
     ``link_budget``. That is not a field: ``==``, ``hash``, ``repr`` and
     the ``[scenario]`` keys ignore it, ``replace`` derives it anew, and the
-    seed copies of :func:`campaign_scenarios` share their cell's. A dB
-    value whose linear form overflows fails here, naming its field.
+    seed copies of :func:`campaign_scenarios` share their cell's. Each of
+    its linear values must be finite and > 0, or fails here naming its key:
+    0 W would starve every link, and an infinite target cap every link.
     """
 
     frequency_hz: float = 3.5e9
@@ -179,8 +172,8 @@ class Scenario:
             raise ValueError("non-path powers must be >= 0 W")
         if self.frequency_hz not in BAND_PRESETS:
             raise ValueError(
-                f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; "
-                f"the band presets cover {_known_bands()}"
+                f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; the band presets "
+                f"cover {', '.join(f'{f/1e9:g} GHz' for f in sorted(BAND_PRESETS))}"
             )
         band = BAND_PRESETS[self.frequency_hz]
         anchor_loss_db = fspl_1m_db(self.frequency_hz)
@@ -193,19 +186,17 @@ class Scenario:
                 f"{_MAX_PATH_LOSS_DB:g} dB ceiling of a linear loss"
             )
         if not 0 <= self.seed < 2 ** 64:
-            raise _BadSeed(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        noise_inputs = (f"bandwidth_hz = {self.bandwidth_hz} with ue_noise_figure_db = "
-                        f"{self.ue_noise_figure_db} gives a noise power")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        noise_inputs = (f"ue_noise_figure_db = {self.ue_noise_figure_db} with a "
+                        f"{self.bandwidth_hz / 1e6:g} MHz bandwidth gives a noise power")
         noise_power_w = _linear(f"{noise_inputs}:", dbm_to_watts,
                                 noise_power_dbm(self.bandwidth_hz, self.ue_noise_figure_db))
-        if not noise_power_w > 0.0:
-            raise ValueError(f"{noise_inputs} of 0 W")
         g_bs_db, g_ue_db = (0.0, 0.0) if self.antenna_mode == OMNI else (
             aperture_gain_db(a, self.frequency_hz) for a in (BS_APERTURE, UE_APERTURE))
         # One attribute, not eight: CPython 3.11 shares an instance's attribute
         # table with its class up to 29 names; past that, each scenario of a
         # grid would hold a 1.6 KB dict of its own.
-        self.__dict__["link_budget"] = LinkBudget(
+        budget = self.__dict__["link_budget"] = LinkBudget(
             band=band, height_delta_m=height_delta, noise_power_w=noise_power_w,
             loss_scale=db_to_linear(anchor_loss_db - g_bs_db - g_ue_db),
             target_rx_power_w=noise_power_w * _linear(
@@ -214,6 +205,16 @@ class Scenario:
             per_bs_budget_w=_linear("per_bs_budget_dbm =", dbm_to_watts, self.per_bs_budget_dbm),
             g_ue=_linear("g_ue_db =", db_to_linear, self.g_ue_db),
         )
+        for value, named in (  # formatted only on failure
+            (noise_power_w, "{noise} of {v:g} W"),
+            (budget.target_rx_power_w, "target_snr_db = {s.target_snr_db} over a noise power of "
+             "{s.link_budget.noise_power_w:g} W gives a target received power of {v:g} W"),
+            (budget.per_link_cap_w, "per_link_cap_dbm = {s.per_link_cap_dbm} gives {v:g} W"),
+            (budget.per_bs_budget_w, "per_bs_budget_dbm = {s.per_bs_budget_dbm} gives {v:g} W"),
+            (budget.g_ue, "g_ue_db = {s.g_ue_db} gives a linear gain of {v:g}"),
+        ):
+            if not 0.0 < value < math.inf:
+                raise ValueError(named.format(s=self, v=value, noise=noise_inputs))
 
 
 def _linear(named: str, convert, value: float) -> float:
@@ -600,9 +601,10 @@ def evaluate_links(
     # MISO groups and the sink's first stage are received-power-weighted
     # means, so the first stage is w_bs * P_tx / P_rx. Losses >= 1 give
     # P_tx >= P_rx; the floor undoes the rounding of sums added in other
-    # orders. These floats overflow to inf, caught by the finite check.
+    # orders. The UE terminates it as in parallel.mino_compose, whose operand
+    # checks Scenario makes. These overflow to inf, caught by the finite check.
     g_ue = scenario.link_budget.g_ue
-    w_system = mino_compose(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
+    w_system = refer(scenario.w_bs * max(p_tx_total / total_rx, 1.0), scenario.w_ue, g_ue)
     p_system_out = g_ue * total_rx
     if p_system_out == 0.0:
         raise ValueError(f"g_ue_db = {scenario.g_ue_db} makes the system output underflow to 0 W")
@@ -681,6 +683,13 @@ class CampaignSpec:
             raise ValueError("campaign grid axes must be non-empty")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        first, last = self.base_seed, self.base_seed + self.n_seeds - 1
+        if first < 0 or last >= 2 ** 64:
+            bad = first if first < 0 else last
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {bad}; "
+                             f"the grid's {self.n_seeds} seeds run from {first} to {last}")
+        if not _linear("omni_per_link_cap_dbm =", dbm_to_watts, self.omni_per_link_cap_dbm) > 0.0:
+            raise ValueError(f"omni_per_link_cap_dbm = {self.omni_per_link_cap_dbm} gives 0 W")
 
 
 @record
@@ -711,15 +720,14 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     set to the campaign's omni cap; every other field of ``base`` carries
     over.
 
-    This is where a grid is checked: each (frequency, mode, n_bs) cell is
-    built once from ``base`` with the first seed, so ``Scenario``'s rules
-    run on the real cell, and the first cell is built once more with the
-    last seed. A ``ValueError`` names the failing cell or the seed range.
-    The seed variants are copies with only ``seed`` set: they share the
-    cell's ``link_budget``.
+    This is where a grid's cells are checked: each (frequency, mode, n_bs)
+    cell is built once from ``base`` with the first seed, so ``Scenario``'s
+    rules run on the real cell, and a ``ValueError`` names the failing
+    cell. ``CampaignSpec`` has already checked the seed range and the omni
+    cap. The seed variants are copies with only ``seed`` set: they share
+    the cell's ``link_budget``.
     """
     first = campaign.base_seed
-    last = first + campaign.n_seeds - 1
     cells = []
     for frequency_hz in campaign.frequencies_hz:
         for mode in campaign.antenna_modes:
@@ -728,17 +736,11 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
                 try:
                     cell = replace(base, frequency_hz=frequency_hz, antenna_mode=mode, n_bs=n_bs,
                                    per_link_cap_dbm=cap, seed=first)
-                    if not cells:
-                        replace(cell, seed=last)
-                except _BadSeed as exc:
-                    raise ValueError(
-                        f"{exc}; the grid's {campaign.n_seeds} seeds run from {first} to {last}"
-                    ) from None
                 except ValueError as exc:
                     raise ValueError(
                         f"{exc}; in the {frequency_hz/1e9:g} GHz {mode} {n_bs}-BS grid cell"
                     ) from None
-                for seed in range(first, last + 1):
+                for seed in range(first, first + campaign.n_seeds):
                     copy = object.__new__(Scenario)
                     copy.__dict__.update(cell.__dict__, seed=seed)
                     cells.append(copy)

@@ -199,12 +199,14 @@ def mino_compose(first_stage_w: float, rx_w: float, rx_g: float) -> float:
 
     W = W_rx_parallel + (W_first_stage - 1) / G_rx_parallel.
     """
-    # NaN fails each test. An infinite first stage passes: netsim reports
-    # its own overflow, naming the drop's w_system.
+    # NaN fails each test.
     if not first_stage_w >= 1.0:
         raise ValueError(f"first-stage waste factor must be >= 1, got {first_stage_w}")
     if not rx_w >= 1.0:
         raise ValueError(f"receiver waste factor must be >= 1, got {rx_w}")
     if not rx_g > 0.0:
         raise ValueError(f"receiver gain must be > 0, got {rx_g}")
-    return refer(first_stage_w, rx_w, rx_g)
+    w = refer(first_stage_w, rx_w, rx_g)
+    if not w < math.inf:  # inf, or NaN from inf / inf
+        raise ValueError(f"the composed waste factor is {w}: an operand is inf or it overflows")
+    return w

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wastefactor import config
 from wastefactor.components import (
     Adc,
     Antenna,
@@ -37,9 +38,11 @@ from wastefactor.units import db_to_linear
         lambda: Mixer(conversion_loss_db=math.nan),
         lambda: PowerAmplifier(pae=0.5, gain_db=math.nan),
         lambda: Lna(gain_db=math.nan),
+        # The float | None branch of require_finite.
+        lambda: Lna(gain_db=20.0, fom=math.nan),
         lambda: PhaseShifter(insertion_loss_db=math.inf),
     ],
-    ids=["mixer", "pa", "lna", "phase_shifter"],
+    ids=["mixer", "pa", "lna", "lna_fom", "phase_shifter"],
 )
 def test_device_specs_reject_non_finite_numbers(build):
     # Each of these once built and failed only later, inside stage_of.
@@ -163,26 +166,38 @@ class TestActiveDevices:
         assert stage.g == pytest.approx(1e5, rel=1e-12)
         assert non_path == 0.0
 
-    def test_pa_from_powers(self):
-        stage, _ = stage_of(PowerAmplifier(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0))
-        assert stage.w == pytest.approx(1.375, rel=1e-15)
-        assert stage.g == pytest.approx(8.0, rel=1e-15)
-
     def test_pa_quiescent_is_non_path(self):
         _, non_path = stage_of(PowerAmplifier(pae=0.5, gain_db=30.0, quiescent_w=2.5))
         assert non_path == 2.5
 
     def test_pa_validation(self):
-        with pytest.raises(ValueError, match="either"):
+        # A PA has one parameterization; a device known by its DC draw and
+        # signal powers is a GenericActive (test_generic_active_example).
+        with pytest.raises(TypeError):
             PowerAmplifier()
-        with pytest.raises(ValueError, match="either"):
-            PowerAmplifier(pae=0.5, gain_db=10.0, p_dc_w=1.0, p_in_w=0.1, p_out_w=0.5)
+        with pytest.raises(TypeError):
+            PowerAmplifier(pae=0.5, gain_db=10.0, p_dc_w=1.0)
         with pytest.raises(ValueError, match="PAE"):
             PowerAmplifier(pae=1.5, gain_db=10.0)
-        with pytest.raises(ValueError, match="unphysical"):
-            PowerAmplifier(p_dc_w=1.0, p_in_w=1.0, p_out_w=2.5)
-        with pytest.raises(ValueError, match="gain_db"):
-            PowerAmplifier(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0, gain_db=99.0)
+
+    def test_pa_is_given_by_pae_and_gain(self):
+        assert [f.name for f in dataclasses.fields(PowerAmplifier)] == ["pae", "gain_db", "quiescent_w"]
+        # The [ru] section keeps its keys and the fields they set.
+        assert config._RU_KEYS == {
+            "dac_efficiency": "dac.efficiency",
+            "mixer_conversion_loss_db": "mixer.conversion_loss_db",
+            "mixer_insertion_loss_db": "mixer.insertion_loss_db",
+            "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
+            "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
+            "pa_pae": "pa.pae",
+            "pa_gain_db": "pa.gain_db",
+            "pa_quiescent_w": "pa.quiescent_w",
+            "antenna_efficiency": "antenna.radiation_efficiency",
+            "antenna_vswr": "antenna.vswr",
+            "include_mismatch": "antenna.include_mismatch",
+            "n_tx": "n_tx",
+            "lo_power_w": "lo_power_w",
+        }
 
     def test_generic_active_example(self):
         stage, _ = stage_of(GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0))

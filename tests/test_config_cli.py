@@ -379,7 +379,18 @@ OVERFLOWING_INPUT = [
     ("scenario", "g_ue_db = 1e308", "1e+308 dB", "g_ue_db", 2),
     ("scenario", "ue_noise_figure_db = 1e308", "noise power: 1e+308 dBm", "ue_noise_figure_db", 2),
     ("sweep", "omni_per_link_cap_dbm = 4000", "4000.0 dBm is too large to convert to linear "
-     "units; in the 28 GHz omni 1-BS grid cell", "per_link_cap_dbm", 2),
+     "units", "omni_per_link_cap_dbm", 2),
+    # Once exited 0 with every link at its cap and no UE meeting the target.
+    ("scenario", "ue_noise_figure_db = 3080\ntarget_snr_db = 200",
+     "gives a target received power of inf W", "target_snr_db", 2),
+    # Each once exited 1 with "no UE receives any power".
+    ("scenario", "target_snr_db = -4000", "gives a target received power of 0 W",
+     "target_snr_db", 2),
+    ("scenario", "per_link_cap_dbm = -4000", "-4000.0 gives 0 W", "per_link_cap_dbm", 2),
+    ("scenario", "per_bs_budget_dbm = -4000", "-4000.0 gives 0 W", "per_bs_budget_dbm", 2),
+    # Once exited 1 with "receiver gain must be > 0, got 0.0".
+    ("scenario", "g_ue_db = -4000", "gives a linear gain of 0", "g_ue_db", 2),
+    ("sweep", "omni_per_link_cap_dbm = -4000", "-4000.0 gives 0 W", "omni_per_link_cap_dbm", 2),
     ("scenario", "w_bs = 1e308", "w_system", "w_system", 1),
     ("scenario", "g_ue_db = -3200", "makes the system output underflow to 0 W", "g_ue_db", 1),
 ]
@@ -897,7 +908,7 @@ class TestImportCost:
         probe = (
             "import sys, wastefactor.cli; "
             "print(sorted(m for m in ('wastefactor.components', 'wastefactor.estimate', "
-            "'wastefactor.metrics') if m in sys.modules))"
+            "'wastefactor.metrics', 'wastefactor.parallel') if m in sys.modules))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],

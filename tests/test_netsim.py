@@ -1405,14 +1405,14 @@ class TestCampaign:
     def test_seed_range_must_fit_64_bits(self):
         cells = campaign_scenarios(self.BASE, CampaignSpec(base_seed=2 ** 64 - 2, n_seeds=2))
         assert cells[-1].seed == 2 ** 64 - 1
-        # Cells get their seeds unchecked, so the grid checks both ends.
+        # Cells get their seeds unchecked, so the spec checks both ends.
         with pytest.raises(ValueError, match=(
             "got 18446744073709551616; the grid's 2 seeds run from "
             "18446744073709551615 to 18446744073709551616"
         )):
-            campaign_scenarios(self.BASE, CampaignSpec(base_seed=2 ** 64 - 1, n_seeds=2))
+            CampaignSpec(base_seed=2 ** 64 - 1, n_seeds=2)
         with pytest.raises(ValueError, match="got -1; the grid's 20 seeds run from -1 to 18"):
-            campaign_scenarios(self.BASE, CampaignSpec(base_seed=-1))
+            CampaignSpec(base_seed=-1)
 
     def test_cells_are_checked_on_the_real_base(self):
         # Valid at the 3.5 GHz base, past the path-loss ceiling at 28 GHz:
@@ -1508,6 +1508,9 @@ class TestCampaign:
             ("n_bs_values", (1, 21), r"n_bs must be in \[1, 20\], got 21"),
             ("omni_per_link_cap_dbm", math.inf, "omni_per_link_cap_dbm must be finite"),
             ("omni_per_link_cap_dbm", math.nan, "omni_per_link_cap_dbm must be finite"),
+            # Each once named the cell's per_link_cap_dbm, a key [sweep] does not have.
+            ("omni_per_link_cap_dbm", 4000.0, "^omni_per_link_cap_dbm = 4000.0 dBm is too large"),
+            ("omni_per_link_cap_dbm", -4000.0, "^omni_per_link_cap_dbm = -4000.0 gives 0 W"),
         ],
     )
     def test_every_axis_value_makes_a_valid_cell(self, field, value, message):

@@ -204,9 +204,20 @@ class TestMino:
         with pytest.raises(ValueError, match=re.escape(message)):
             mino_compose(*args)
 
-    def test_compose_lets_an_infinite_first_stage_through(self):
-        # netsim turns it into its own w_system overflow message.
-        assert mino_compose(math.inf, 2.0, 3.0) == math.inf
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 2.0, 3.0), "the composed waste factor is inf"),
+            ((2.0, math.inf, 3.0), "the composed waste factor is inf"),
+            ((math.inf, 2.0, math.inf), "the composed waste factor is nan"),
+            ((1e308, 2.0, 1e-10), "the composed waste factor is inf"),
+        ],
+        ids=["infinite-first-stage", "infinite-rx-w", "inf-over-inf", "overflow"],
+    )
+    def test_compose_rejects_a_non_finite_result(self, args, message):
+        # An infinite first stage once passed through as W = inf.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mino_compose(*args)
 
 
 class TestNonFiniteResults:
