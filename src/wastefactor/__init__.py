@@ -25,8 +25,8 @@ _EXPORTS_BY_MODULE = {
         "reference_ru_spec reference_ue_spec stage_of"
     ),
     "channel": (
-        "ApertureAntenna PathLossModel aperture_gain_db effective_channel fspl_1m_db "
-        "noise_power_dbm path_loss_db"
+        "BAND_PRESETS ApertureAntenna PathLossModel aperture_gain_db band_preset "
+        "effective_channel fspl_1m_db noise_power_dbm path_loss_db"
     ),
     "estimate": "PowerSample WasteFit fit_waste_factor load_power_log",
     "metrics": (
@@ -34,7 +34,7 @@ _EXPORTS_BY_MODULE = {
         "ee_network ee_ru ee_site ee_vs_wf_sweep"
     ),
     "netsim": (
-        "BAND_PRESETS CampaignSpec DropResult Layout Links Scenario assign_serving_sets "
+        "CampaignSpec DropResult Layout Links Scenario assign_serving_sets "
         "evaluate_drop evaluate_links generate_layout run_campaign"
     ),
 }

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, get_args, get_type_hints
 
+from .channel import PathLossModel, band_preset, effective_channel, path_loss_db
 from .core import Stage
 from .netsim import CampaignSpec, Scenario, campaign_scenarios
 from .units import db_to_linear
@@ -336,28 +337,26 @@ def campaign_from_config(
 
 
 def channel_wf_from_config(doc: ConfigDocument) -> float:
-    """Effective channel waste figure (dB) from the [channel] section."""
-    from .channel import PathLossModel, path_loss_db
-    from .netsim import BAND_PRESETS
-
+    """Effective channel waste figure (dB) from the [channel] section; a
+    link whose antenna gains exceed its loss clamps to 0 dB with a warning."""
     channel = doc.sections.get("channel", {})
     frequency_ghz = channel.get("frequency_ghz")
     # Without a frequency the link sits in the simulator's reference band.
     frequency_hz = Scenario.frequency_hz if frequency_ghz is None else frequency_ghz * 1e9
     ple = channel.get("ple")
-    if ple is None:
-        if frequency_hz not in BAND_PRESETS:
-            raise ConfigError(
-                f"{doc.path}: [channel] needs an explicit ple for "
-                f"{frequency_hz / 1e9:g} GHz"
-            )
-        ple = BAND_PRESETS[frequency_hz].ple
     try:
-        model = PathLossModel(frequency_hz=frequency_hz, ple=ple)
+        if ple is not None:
+            model = PathLossModel(frequency_hz=frequency_hz, ple=ple)
+        else:
+            try:
+                model = band_preset(frequency_hz)
+            except ValueError as exc:
+                raise ValueError(f"{exc}; give an explicit ple") from None
         pl_db = path_loss_db(model, channel.get("distance_m", 100.0))
+        gains_db = channel.get("g_tx_db", 0.0), channel.get("g_rx_db", 0.0)
+        return effective_channel(pl_db, *gains_db).wf_db
     except ValueError as exc:
         raise ConfigError(f"{doc.path}: invalid [channel]: {exc}") from exc
-    return max(pl_db - channel.get("g_tx_db", 0.0) - channel.get("g_rx_db", 0.0), 0.0)
 
 
 # The default 60-120 dB channel sweep takes 60 steps.

@@ -6,11 +6,12 @@ BSs inside its serving radius (nearest-BS fallback when none), run
 per-UE power control to an SNR target under per-link and per-BS caps,
 then collapse the whole network into a single waste factor:
 
-* per link, the BS stage and its effective channel form one branch
-  cascade, W = W_bs * L; per UE, the serving branches combine
-  non-coherently into a MISO group; an imaginary sink sums all UE
-  outputs non-coherently. Every BS has the same W_bs, so this
-  first stage is two sums, W_bs * P_tx / P_rx over the whole network;
+* per link, the BS stage and its effective channel (the close-in model
+  of ``channel``) form one branch cascade, W = W_bs * L; per UE, the
+  serving branches combine non-coherently into a MISO group; an
+  imaginary sink sums all UE outputs non-coherently. Every BS has the
+  same W_bs, so this first stage is two sums, W_bs * P_tx / P_rx over
+  the whole network;
 * the two-stage composition W_system = W_ue + (W_first_stage - 1)/G_ue
   yields one system-level number, plus area-normalized power totals.
 
@@ -43,7 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import aperture_gain_db, fspl_1m_db, noise_power_dbm, ApertureAntenna
+from .channel import (BS_APERTURE, UE_APERTURE, PathLossModel, aperture_gain_db, band_preset,
+                      fspl_1m_db, noise_power_dbm, path_loss_db)
 from .core import refer
 from .units import db_to_linear, dbm_to_watts, record, require_finite, require_integers
 
@@ -68,30 +70,10 @@ _DY_BLOCK_PAIRS = 10_240
 
 
 @dataclass(frozen=True)
-class BandParams:
-    ple: float
-    sigma_db: float
-
-
-# Omnidirectional LOS close-in parameters per carrier band.
-BAND_PRESETS: dict[float, BandParams] = {
-    3.5e9: BandParams(ple=1.82, sigma_db=4.89),
-    17.0e9: BandParams(ple=2.00, sigma_db=6.60),
-    28.0e9: BandParams(ple=2.02, sigma_db=8.98),
-}
-
-
-# Fixed physical apertures: 1 m x 1 m at the BS, 3 cm x 3 cm at the UE,
-# 80% efficient at every band.
-BS_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=1.0)
-UE_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=9.0e-4)
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """What every drop of a :class:`Scenario` reads and no seed changes."""
 
-    band: BandParams                       # the BAND_PRESETS entry of the frequency
+    band: PathLossModel                    # the frequency's channel.BAND_PRESETS entry
     height_delta_m: float                  # BS height minus UE height
     loss_scale: float                      # 1 m anchor loss over both antenna gains, linear
     noise_power_w: float                   # UE noise floor
@@ -170,15 +152,9 @@ class Scenario:
             raise ValueError("device waste factors must be >= 1")
         if self.p_non_path_bs_w < 0.0 or self.p_non_path_ue_w < 0.0:
             raise ValueError("non-path powers must be >= 0 W")
-        if self.frequency_hz not in BAND_PRESETS:
-            raise ValueError(
-                f"no path-loss preset for {self.frequency_hz/1e9:g} GHz; the band presets "
-                f"cover {', '.join(f'{f/1e9:g} GHz' for f in sorted(BAND_PRESETS))}"
-            )
-        band = BAND_PRESETS[self.frequency_hz]
-        anchor_loss_db = fspl_1m_db(self.frequency_hz)
-        longest_m = max(math.hypot(2.0 * radius, height_delta), 1.0)
-        loss_db = anchor_loss_db + 10.0 * band.ple * math.log10(longest_m)
+        band = band_preset(self.frequency_hz)
+        longest_m = math.hypot(2.0 * radius, height_delta)
+        loss_db = path_loss_db(band, longest_m)
         if loss_db > _MAX_PATH_LOSS_DB:
             raise ValueError(
                 f"region_radius_m = {radius} gives links of up to {longest_m:g} m, whose "
@@ -198,7 +174,7 @@ class Scenario:
         # grid would hold a 1.6 KB dict of its own.
         budget = self.__dict__["link_budget"] = LinkBudget(
             band=band, height_delta_m=height_delta, noise_power_w=noise_power_w,
-            loss_scale=db_to_linear(anchor_loss_db - g_bs_db - g_ue_db),
+            loss_scale=db_to_linear(fspl_1m_db(self.frequency_hz) - g_bs_db - g_ue_db),
             target_rx_power_w=noise_power_w * _linear(
                 "target_snr_db =", db_to_linear, self.target_snr_db),
             per_link_cap_w=_linear("per_link_cap_dbm =", dbm_to_watts, self.per_link_cap_dbm),

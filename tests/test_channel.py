@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from wastefactor.channel import (
+    BAND_PRESETS,
+    BS_APERTURE,
     SPEED_OF_LIGHT_M_S,
+    UE_APERTURE,
     ApertureAntenna,
     PathLossModel,
     aperture_gain_db,
+    band_preset,
     effective_channel,
     fspl_1m_db,
     noise_power_dbm,
@@ -38,6 +42,7 @@ class TestPathLoss:
     def test_sub_anchor_distances_clamp(self):
         model = PathLossModel(frequency_hz=3.5e9, ple=1.82)
         assert path_loss_db(model, 0.2) == path_loss_db(model, 1.0)
+        assert path_loss_db(model, 0.0) == path_loss_db(model, 1.0)
 
     def test_reference_examples(self):
         model28 = PathLossModel(frequency_hz=28e9, ple=2.02)
@@ -64,10 +69,40 @@ class TestPathLoss:
         with pytest.raises(ValueError, match="ple must be finite"):
             PathLossModel(frequency_hz=1e9, ple=math.nan)
 
+    def test_shadowing_sigma_defaults_to_zero_and_must_not_be_negative(self):
+        assert PathLossModel(frequency_hz=1e9, ple=2.0).sigma_db == 0.0
+        with pytest.raises(ValueError, match="sigma must be >= 0 dB, got -1.0"):
+            PathLossModel(frequency_hz=1e9, ple=2.0, sigma_db=-1.0)
+        with pytest.raises(ValueError, match="sigma_db must be finite"):
+            PathLossModel(frequency_hz=1e9, ple=2.0, sigma_db=math.nan)
+
+    @pytest.mark.parametrize("distance_m", [-50.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_distances_rejected(self, distance_m):
+        # -50 m once gave the 1 m loss and NaN a NaN loss.
+        model = PathLossModel(frequency_hz=28e9, ple=2.02)
+        with pytest.raises(ValueError, match=f"distance_m must be finite and >= 0, got {distance_m}"):
+            path_loss_db(model, distance_m)
+
+
+class TestBandPresets:
+    def test_each_preset_is_the_model_of_its_band(self):
+        assert sorted(BAND_PRESETS) == [3.5e9, 17e9, 28e9]
+        for frequency_hz, preset in BAND_PRESETS.items():
+            assert isinstance(preset, PathLossModel)
+            assert preset.frequency_hz == frequency_hz
+            assert band_preset(frequency_hz) is preset
+        assert BAND_PRESETS[17e9] == PathLossModel(17e9, ple=2.0, sigma_db=6.6)
+
+    def test_package_names_resolve_through_channel(self):
+        import wastefactor
+
+        assert wastefactor.BAND_PRESETS is BAND_PRESETS
+        assert wastefactor.band_preset is band_preset
+
 
 class TestApertureGain:
-    BS = ApertureAntenna(efficiency=0.8, physical_area_m2=1.0)
-    UE = ApertureAntenna(efficiency=0.8, physical_area_m2=9.0e-4)
+    # The simulator's apertures: 1 m x 1 m at the BS, 3 cm x 3 cm at the UE.
+    BS, UE = BS_APERTURE, UE_APERTURE
 
     @pytest.mark.parametrize(
         "antenna,frequency_hz,expected_db",

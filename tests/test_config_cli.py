@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wastefactor import cli
+from wastefactor import cli, netsim
 from wastefactor import config as cfg
 from wastefactor.components import Adc, reference_ru_spec, reference_ue_spec
 from wastefactor.config import (
@@ -336,6 +336,13 @@ class TestConfigParsing:
         path.write_text("[channel]\nfrequency_ghz = 60\nple = 2.1\n")
         assert len(wf_c_sweep_from_config(load_config(path))) == 1
 
+    def test_channel_gains_past_the_loss_clamp_to_zero_db_and_warn(self, tmp_path):
+        # The W = 1 floor of channel.effective_channel, with its warning.
+        path = tmp_path / "c.ini"
+        path.write_text("[channel]\nfrequency_ghz = 28\ndistance_m = 1\ng_tx_db = 49.42\ng_rx_db = 18.97\n")
+        with pytest.warns(UserWarning, match="clamping waste factor to 1"):
+            assert wf_c_sweep_from_config(load_config(path)) == [0.0]
+
 
 class TestNonFiniteInput:
     """Inputs that once got through: ``w_bs = nan`` wrote NaN rows,
@@ -632,6 +639,16 @@ class TestSystemCommand:
         assert err.startswith("config error:")
         assert f"wf_c_db_start, wf_c_db_stop and wf_c_db_step give {count} steps" in err
         assert "at most 100000" in err
+
+    @pytest.mark.parametrize("distance", ["-50", "-1e-300"])
+    def test_negative_channel_distance_is_config_error(self, capsys, tmp_path, distance):
+        # distance_m = -50 once gave the row of a 1 m link and exit 0.
+        path = tmp_path / "s.ini"
+        path.write_text(f"[channel]\nfrequency_ghz = 28\ndistance_m = {distance}\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert f"invalid [channel]: distance_m must be finite and >= 0, got {float(distance)}" in err
 
     def test_a_sweep_at_the_cap_is_built(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -955,27 +972,30 @@ class TestImportCost:
 
 
 class TestCpuPortability:
-    def test_simulate_small_matches_golden_without_dispatched_features(self, tmp_path):
-        # CSV bytes are the portable contract: they must not move with
-        # numpy's run-time SIMD path. numpy refuses to disable a baseline
-        # feature, so only the dispatched ones this CPU runs are turned off.
+    """CSV bytes are the portable contract: they must not move with numpy's
+    run-time SIMD path. numpy refuses to disable a baseline feature, so only
+    dispatched features this CPU runs are turned off."""
+
+    @staticmethod
+    def active_dispatched_features() -> list[str]:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-        active = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-        if not active:
-            pytest.skip("numpy dispatches no SIMD feature on this CPU beyond its baseline")
+        return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+    @staticmethod
+    def assert_simulate_small_matches_golden_without(features, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         out_dir = tmp_path / "campaign"
         probe = (
             "import sys; "
             "from numpy._core._multiarray_umath import __cpu_features__ as f; "
-            f"assert not any(f[k] for k in {active!r}), 'features still active'; "
+            f"assert not any(f[k] for k in {features!r}), 'features still active'; "
             "from wastefactor.cli import main; sys.exit(main(sys.argv[1:]))"
         )
         subprocess.run(
             [sys.executable, "-c", probe, "simulate", str(CONFIGS / "simulate_small.ini"),
              "--jobs", "1", "--out", str(out_dir)],
-            env={**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(active)},
+            env={**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(features)},
             capture_output=True, check=True, timeout=120,
         )
         golden = Path(__file__).resolve().parent / "golden"
@@ -983,6 +1003,53 @@ class TestCpuPortability:
         assert (out_dir / "aggregate.csv").read_bytes() == (
             golden / "simulate_small_aggregate.csv"
         ).read_bytes()
+
+    def test_simulate_small_matches_golden_without_dispatched_features(self, tmp_path):
+        active = self.active_dispatched_features()
+        if not active:
+            pytest.skip("numpy dispatches no SIMD feature on this CPU beyond its baseline")
+        self.assert_simulate_small_matches_golden_without(active, tmp_path)
+
+    def test_simulate_small_matches_golden_without_avx512(self, tmp_path):
+        # Off with the AVX512 level alone, numpy runs its AVX2-level loops.
+        avx512 = [f for f in self.active_dispatched_features()
+                  if f.startswith("AVX512") or f == "X86_V4"]
+        if not avx512:
+            pytest.skip("numpy dispatches no AVX512-level feature on this CPU")
+        self.assert_simulate_small_matches_golden_without(avx512, tmp_path)
+
+
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pooled_campaign_matches_serial_rows(self, tmp_path, method):
+        # Python 3.14 makes forkserver the POSIX default; the worker count
+        # and start method must not move a CSV row.
+        import multiprocessing
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        doc = load_config(CONFIGS / "simulate_small.ini")
+        drops, _ = netsim.run_campaign(scenario_from_config(doc), campaign_from_config(doc), jobs=1)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # Set in the child, so this process keeps its own start method.
+        probe = (
+            "import multiprocessing, sys; "
+            "from wastefactor import config, netsim; "
+            "multiprocessing.set_start_method(sys.argv[1]); "
+            "doc = config.load_config(sys.argv[2]); "
+            "drops, _ = netsim.run_campaign(config.scenario_from_config(doc), "
+            "config.campaign_from_config(doc), jobs=2); "
+            "print(multiprocessing.get_start_method()); "
+            "print(*netsim.drop_csv_lines(drops), sep='\\n')"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, method, str(CONFIGS / "simulate_small.ini")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.splitlines()
+        assert out[0] == method
+        assert out[1:] == netsim.drop_csv_lines(drops)
+        assert len(out[1:]) == 9
 
 
 class TestCliSurface:

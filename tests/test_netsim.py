@@ -11,13 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st, target
 from hypothesis.extra.numpy import arrays
 
-from wastefactor.channel import PathLossModel, aperture_gain_db, fspl_1m_db, path_loss_db
+from wastefactor.channel import BAND_PRESETS, PathLossModel, aperture_gain_db, fspl_1m_db, path_loss_db
 from wastefactor.config import _SCENARIO_KEYS
 from wastefactor.core import Stage, cascade
 from wastefactor.parallel import Branch, CombiningMode, combine_branches, mino_compose, mino_first_stage
 from wastefactor import netsim
 from wastefactor.netsim import (
-    BAND_PRESETS,
     CampaignSpec,
     DropResult,
     Layout,

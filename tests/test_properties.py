@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wastefactor.channel import BAND_PRESETS
 from wastefactor.components import (
     Adc,
     Antenna,
@@ -35,7 +36,6 @@ from wastefactor.components import (
 )
 from wastefactor.core import Stage, cascade, power_flow
 from wastefactor.netsim import (
-    BAND_PRESETS,
     DIRECTIONAL,
     OMNI,
     CampaignSpec,
