@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from . import config as cfg
@@ -132,7 +133,13 @@ def cmd_system(args: argparse.Namespace) -> int:
     doc = cfg.load_config(args.config)
     ru = build_ru(cfg.ru_spec_from_config(doc)).stage
     ue = build_ue(cfg.ue_spec_from_config(doc)).stage
-    sweep = cfg.wf_c_sweep_from_config(doc)
+    # The W = 1 floor of a [channel] warns; it reaches the user as one line
+    # per distinct warning, under -W error too.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep = cfg.wf_c_sweep_from_config(doc)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {doc.path}: [channel] {message}", file=sys.stderr)
     variants = {
         "baseline": (ru, ue),
         # A device cannot waste less than nothing, so halving floors at W = 1.

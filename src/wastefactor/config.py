@@ -23,9 +23,9 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, get_args, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_args, get_type_hints
 
 from .channel import PathLossModel, band_preset, effective_channel, path_loss_db
 from .core import Stage
@@ -205,8 +205,7 @@ def _section_schema(section: str) -> dict[str, Callable[[str], Any]]:
     return schema
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
+class ConfigDocument(NamedTuple):
     """Parsed and schema-checked configuration."""
 
     path: Path

@@ -14,22 +14,20 @@ call it. :func:`power_flow` performs the explicit stage-by-stage energy
 bookkeeping that the closed form must reproduce; it is the brute-force
 oracle used throughout the test suite.
 
-The records here store their fields through the instance ``__dict__``,
-not the per-field ``object.__setattr__`` of a frozen dataclass's own
-``__init__``, which costs more than a short cascade's arithmetic.
-:class:`StageFlow` and :class:`CascadeReport` take their ``__init__`` from
-:func:`wastefactor.units.record`. :class:`Stage`, ``parallel.Branch`` and
-``netsim.Layout`` write their own, because each checks or computes before
-it stores, and a ``__post_init__`` for that measured slower.
+A result that checks nothing is a ``typing.NamedTuple``, such as
+:class:`StageFlow` and :class:`CascadeReport`: equal by value, copied by
+``_replace``. A value that checks its fields is a frozen dataclass with a
+``__post_init__`` or, where that measured slower, its own ``__init__``
+(:class:`Stage`, ``parallel.Branch``, ``netsim.Layout``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .units import db_to_linear, linear_to_db, record
+from .units import db_to_linear, linear_to_db
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,7 @@ class Stage:
         return cls(w=1.0, g=db_to_linear(gain_db), label=label)
 
 
-@record
-@dataclass(frozen=True)
-class StageFlow:
+class StageFlow(NamedTuple):
     """Power bookkeeping for one stage inside :func:`power_flow`."""
 
     label: str
@@ -89,9 +85,7 @@ class StageFlow:
     p_wasted_w: float    # (W - 1) * P_out
 
 
-@record
-@dataclass(frozen=True)
-class CascadeReport:
+class CascadeReport(NamedTuple):
     """Full energy audit of a cascade driven by a known source power.
 
     ``p_consumed_path_w`` is the source output power plus every stage's

@@ -13,9 +13,9 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .units import dbm_to_watts
+from .units import dbm_to_watts, require_finite
 
 _SIGNAL_COLUMNS = {"p_signal_w": False, "p_signal_dbm": True}
 _TOTAL_COLUMNS = {"p_total_w": False, "p_total_dbm": True}
@@ -29,12 +29,12 @@ class PowerSample:
     p_total_w: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.p_signal_w < 0.0 or self.p_total_w < 0.0:
             raise ValueError("logged powers must be >= 0 W")
 
 
-@dataclass(frozen=True)
-class WasteFit:
+class WasteFit(NamedTuple):
     """OLS result: slope (the waste factor), intercept (non-path power), fit quality.
 
     ``physical`` is False when the fit lands in unphysical territory

@@ -11,8 +11,10 @@ pair W with a rate or consumed-power axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Stage
 from .units import linear_to_db, require_finite
@@ -127,8 +129,7 @@ def classify_strategy(
     return _POWER_QUADRANTS[(axis1_high, w_high)]
 
 
-@dataclass(frozen=True)
-class EeSweepPoint:
+class EeSweepPoint(NamedTuple):
     p_signal_w: float
     ee_ru: float
     wf_db: float
@@ -145,10 +146,11 @@ def ee_vs_wf_sweep(
     """
     if not p_signal_grid_w:
         raise ValueError("the signal-power grid must be non-empty")
-    if any(p <= 0.0 for p in p_signal_grid_w):
-        raise ValueError("grid powers must be > 0 W")
-    if p_non_path_w < 0.0:
-        raise ValueError("non-path power must be >= 0 W")
+    for p in p_signal_grid_w:  # NaN fails each range test
+        if not 0.0 < p < math.inf:
+            raise ValueError(f"grid powers must be > 0 W and finite, got {p}")
+    if not 0.0 <= p_non_path_w < math.inf:
+        raise ValueError(f"non-path power must be >= 0 W and finite, got {p_non_path_w}")
     wf_db = linear_to_db(ru.w)
     return [
         EeSweepPoint(

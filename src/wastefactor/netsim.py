@@ -40,14 +40,14 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import (BS_APERTURE, UE_APERTURE, PathLossModel, aperture_gain_db, band_preset,
                       fspl_1m_db, noise_power_dbm, path_loss_db)
 from .core import refer
-from .units import db_to_linear, dbm_to_watts, record, require_finite, require_integers
+from .units import db_to_linear, dbm_to_watts, require_finite, require_integers
 
 OMNI = "omni"
 DIRECTIONAL = "directional"
@@ -69,8 +69,7 @@ _MAX_PATH_LOSS_DB = 3000.0
 _DY_BLOCK_PAIRS = 10_240
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(NamedTuple):
     """What every drop of a :class:`Scenario` reads and no seed changes."""
 
     band: PathLossModel                    # the frequency's channel.BAND_PRESETS entry
@@ -258,9 +257,7 @@ class Layout:
         return np.sqrt(self.sq_distance_m2).T
 
 
-@record
-@dataclass(frozen=True, eq=False)
-class DropResult:
+class DropResult(NamedTuple):
     """Outputs of one Monte-Carlo drop (powers already scaled per km^2)."""
 
     wf_system_db: float
@@ -461,9 +458,7 @@ class Links:
         return np.bincount(self.bs, weights=values, minlength=self.n_bs).astype(float, copy=False)
 
 
-@record
-@dataclass(frozen=True, eq=False)
-class PowerControlResult:
+class PowerControlResult(NamedTuple):
     p_tx_w: np.ndarray        # (n_links,), one per served link in link order
     p_tx_bs_w: np.ndarray     # (n_bs,), p_tx_w summed per BS in link order
     p_rx_ue_w: np.ndarray     # (n_ue,)
@@ -668,9 +663,7 @@ class CampaignSpec:
             raise ValueError(f"omni_per_link_cap_dbm = {self.omni_per_link_cap_dbm} gives 0 W")
 
 
-@record
-@dataclass(frozen=True, eq=False)
-class DropRow:
+class DropRow(NamedTuple):
     frequency_ghz: float
     antenna_mode: str
     n_bs: int
@@ -678,8 +671,7 @@ class DropRow:
     result: DropResult
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     frequency_ghz: float
     antenna_mode: str
     n_bs: int

@@ -68,23 +68,3 @@ def require_integers(instance) -> None:
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
-
-def record(cls: type) -> type:
-    """Give a frozen dataclass an ``__init__`` that stores each field through
-    the instance ``__dict__``, where ``dataclass``'s own calls
-    ``object.__setattr__`` per field. Apply it above ``@dataclass``. The
-    ``__init__`` takes every field in order and does nothing else, so a
-    default, an ``init=False`` field or a ``__post_init__`` is refused."""
-    fields, missing = dataclasses.fields(cls), dataclasses.MISSING
-    for f in fields:
-        if not f.init or f.default is not missing or f.default_factory is not missing:
-            raise TypeError(f"record {cls.__name__}: field {f.name!r} has a default or init=False")
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"record {cls.__name__}: its __post_init__ would not run")
-    names = [f.name for f in fields]
-    stores = "".join(f"\n    __fields[{name!r}] = {name}" for name in names)
-    namespace: dict = {}
-    exec(f"def __init__(self, {', '.join(names)}):\n    __fields = self.__dict__{stores}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return cls

@@ -591,6 +591,27 @@ class TestCascadeCommand:
 
 
 class TestSystemCommand:
+    @pytest.mark.parametrize("warnings_env", [None, "error"], ids=["default", "warnings-error"])
+    def test_channel_clamp_warning_is_one_cli_line(self, tmp_path, warnings_env):
+        # It once echoed config.py's source line and, under PYTHONWARNINGS=error,
+        # died with a traceback.
+        path = tmp_path / "c.ini"
+        path.write_text("[channel]\nfrequency_ghz = 28\ndistance_m = 1\ng_tx_db = 49.42\ng_rx_db = 18.97\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if warnings_env is not None:
+            env["PYTHONWARNINGS"] = warnings_env
+        out = subprocess.run(
+            [sys.executable, "-m", "wastefactor.cli", "system", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0
+        assert out.stderr.splitlines() == [
+            f"warning: {path}: [channel] effective channel loss -7.01 dB < 0 dB; "
+            "clamping waste factor to 1"
+        ]
+        assert out.stdout.splitlines()[1].startswith("0.00,12.886706,")
+
     def test_fig6_properties(self, capsys):
         code, out, _ = run_cli(capsys, "system", str(CONFIGS / "system_fig6.ini"))
         assert code == 0

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 import re
 
 import numpy as np
@@ -257,12 +259,10 @@ class TestPowerHelpers:
             call()
 
 
-# Records that store their fields through the instance __dict__, by their
-# own __init__ or by units.record. The __init__ that dataclass generates for
+# Values that check their fields and store them through the instance
+# __dict__ in their own __init__. The __init__ that dataclass generates for
 # a frozen class calls __dataclass_builtins_object__.__setattr__ per field.
-DICT_INIT = [
-    Stage, StageFlow, CascadeReport, Branch, Layout, DropResult, PowerControlResult, DropRow
-]
+DICT_INIT = [Stage, Branch, Layout]
 
 RECORDS = [
     Stage(2.0, 10.0, "pa"),
@@ -272,33 +272,52 @@ RECORDS = [
 ]
 
 
+def copy_by_field_name(record):
+    """A copy built by passing every field by name."""
+    if dataclasses.is_dataclass(record):
+        return dataclasses.replace(record)
+    return record._replace()
+
+
+def first_field(record):
+    if dataclasses.is_dataclass(record):
+        return dataclasses.fields(record)[0].name
+    return record._fields[0]
+
+
 class TestRecordInits:
     def test_no_record_init_calls_setattr(self):
         assert [cls for cls in DICT_INIT if "__setattr__" in cls.__init__.__code__.co_names] == []
 
-    @pytest.mark.parametrize("cls", DICT_INIT, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize(
+        "cls", DICT_INIT + [StageFlow, CascadeReport, DropResult, PowerControlResult, DropRow],
+        ids=lambda cls: cls.__name__,
+    )
     def test_init_parameters_match_the_fields(self, cls):
-        # A field added without its __init__ line fails here.
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        # A field added without its __init__ line fails here. A NamedTuple
+        # takes its fields, in order and without defaults, in __new__.
+        if dataclasses.is_dataclass(cls):
+            init, fields = cls.__init__, [
+                (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+                for f in dataclasses.fields(cls) if f.init
+            ]
+        else:
+            init, fields = cls.__new__, [(name, inspect.Parameter.empty) for name in cls._fields]
+        params = list(inspect.signature(init).parameters.values())[1:]
         assert [(p.name, p.default, p.kind) for p in params] == [
-            (
-                f.name,
-                inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-            for f in dataclasses.fields(cls)
-            if f.init
+            (name, default, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name, default in fields
         ]
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_fields_are_stored_under_their_names(self, record):
-        # replace() passes every field by name, so a swapped store shows.
-        assert dataclasses.replace(record) == record
+        # A swapped store shows in a copy that passes every field by name.
+        assert copy_by_field_name(record) == record
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_assignment_is_refused(self, record):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, dataclasses.fields(record)[0].name, 1.0)
+        # A frozen dataclass raises FrozenInstanceError, an AttributeError.
+        with pytest.raises(AttributeError):
+            setattr(record, first_field(record), 1.0)
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_pickle_round_trip(self, record):
@@ -313,3 +332,56 @@ class TestRecordInits:
             dataclasses.replace(Stage(2.0, 1.0), w=0.5)
         with pytest.raises(ValueError, match="branch weight must be finite and >= 0"):
             dataclasses.replace(RECORDS[-1], weight=math.nan)
+
+
+def package_classes():
+    """Every class defined in a module of the package."""
+    import wastefactor
+
+    found = []
+    for info in pkgutil.iter_modules(wastefactor.__path__):
+        module = importlib.import_module(f"wastefactor.{info.name}")
+        found += [
+            cls for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+        ]
+    return found
+
+
+NAMED_TUPLES = {
+    "core.StageFlow", "core.CascadeReport", "netsim.LinkBudget", "netsim.PowerControlResult",
+    "netsim.DropResult", "netsim.DropRow", "netsim.AggregateRow", "estimate.WasteFit",
+    "metrics.EeSweepPoint", "config.ConfigDocument", "components.ConvertedDevice",
+}
+
+
+class TestRecordRule:
+    """A record that checks nothing is a NamedTuple; a frozen dataclass
+    checks its fields, in a ``__post_init__`` or in its own ``__init__``."""
+
+    def test_every_dataclass_checks_its_fields(self):
+        unchecked = [
+            cls.__qualname__ for cls in package_classes()
+            if dataclasses.is_dataclass(cls)
+            and not hasattr(cls, "__post_init__")
+            # dataclass builds the __init__ it generates from a string.
+            and cls.__init__.__code__.co_filename != inspect.getfile(cls)
+        ]
+        assert unchecked == []
+
+    def test_named_tuple_records(self):
+        found = {
+            f"{cls.__module__.removeprefix('wastefactor.')}.{cls.__qualname__}"
+            for cls in package_classes() if issubclass(cls, tuple) and hasattr(cls, "_fields")
+        }
+        assert found == NAMED_TUPLES
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TUPLES))
+    def test_named_tuple_pickles_to_an_equal_copy(self, name):
+        module, _, cls_name = name.partition(".")
+        cls = getattr(importlib.import_module(f"wastefactor.{module}"), cls_name)
+        record = cls(*(f"value {i}" for i in range(len(cls._fields))))
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls
+        assert copy == record
+        assert repr(copy) == repr(record)

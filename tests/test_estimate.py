@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,14 @@ class TestFitWasteFactor:
             PowerSample(-1.0, 5.0)
         # Noisy totals below the signal power are data, not errors.
         PowerSample(10.0, 5.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["p_signal_w", "p_total_w"])
+    def test_non_finite_power_names_its_field(self, field, value):
+        # NaN and inf once got through and failed the fit as an overflow.
+        powers = {"p_signal_w": 1.0, "p_total_w": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            PowerSample(**powers)
 
 
 class TestLoadPowerLog:

@@ -157,3 +157,18 @@ class TestEeVsWfSweep:
             ee_vs_wf_sweep(self.RU, 140.0, [0.0])
         with pytest.raises(ValueError):
             ee_vs_wf_sweep(self.RU, -1.0, [10.0])
+
+    @pytest.mark.parametrize(
+        "p_non_path_w, grid, message",
+        [
+            (math.nan, [1.0], "non-path power must be >= 0 W and finite, got nan"),
+            (math.inf, [1.0], "non-path power must be >= 0 W and finite, got inf"),
+            (140.0, [math.nan], "grid powers must be > 0 W and finite, got nan"),
+            (140.0, [10.0, math.inf], "grid powers must be > 0 W and finite, got inf"),
+        ],
+        ids=["nan-non-path", "inf-non-path", "nan-grid", "inf-grid"],
+    )
+    def test_non_finite_operand_is_named(self, p_non_path_w, grid, message):
+        # Each once returned rows with ee_ru = nan.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ee_vs_wf_sweep(Stage(2.0, 1.0), p_non_path_w, grid)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -7,7 +6,6 @@ from wastefactor.units import (
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
-    record,
     watts_to_dbm,
 )
 
@@ -68,42 +66,3 @@ class TestOverflow:
         assert db_to_linear(-1e308) == 0.0
         assert dbm_to_watts(-4000.0) == 0.0
 
-
-class TestRecord:
-    def test_generated_init_stores_every_field(self):
-        @record
-        @dataclasses.dataclass(frozen=True)
-        class Pair:
-            a: float
-            b: str
-
-        pair = Pair(1.0, b="x")
-        assert vars(pair) == {"a": 1.0, "b": "x"}
-        assert pair == Pair(1.0, "x") and dataclasses.replace(pair, a=2.0).a == 2.0
-        with pytest.raises(TypeError):
-            Pair(1.0)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            dataclasses.field(default=0.0),
-            dataclasses.field(default_factory=float),
-            dataclasses.field(init=False),
-        ],
-        ids=["default", "default-factory", "init-false"],
-    )
-    def test_a_field_the_init_would_skip_is_refused(self, spec):
-        cls = dataclasses.make_dataclass("R", [("a", float, spec)], frozen=True)
-        with pytest.raises(TypeError, match="record R: field 'a' has a default or init=False"):
-            record(cls)
-
-    def test_post_init_is_refused(self):
-        @dataclasses.dataclass(frozen=True)
-        class Checked:
-            a: float
-
-            def __post_init__(self):
-                pass
-
-        with pytest.raises(TypeError, match="record Checked: its __post_init__ would not run"):
-            record(Checked)
