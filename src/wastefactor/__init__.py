@@ -22,7 +22,7 @@ _EXPORTS_BY_MODULE = {
     "components": (
         "Adc Antenna ConvertedDevice Dac GenericActive GenericPassive Lna Mixer PhaseShifter "
         "PowerAmplifier RuSpec UeSpec build_ru build_ue end_to_end pae_from_walker "
-        "reference_ru_spec reference_ue_spec stage_of"
+        "reference_ru_spec reference_ue_spec"
     ),
     "channel": (
         "BAND_PRESETS ApertureAntenna PathLossModel aperture_gain_db band_preset "

@@ -75,14 +75,14 @@ def _print_json(payload) -> None:
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:
-    from .components import ru_devices, stage_of
+    from .components import ru_devices
 
     doc = cfg.load_config(args.config)
     if doc.has_section("cascade"):
         stages, source_w = cfg.stages_from_config(doc)
     elif doc.has_section("ru"):
         spec = cfg.ru_spec_from_config(doc)
-        stages = [stage_of(device).stage for device in ru_devices(spec)]
+        stages = [device.convert().stage for device in ru_devices(spec)]
         source_w = 1.0
     else:
         raise cfg.ConfigError(f"{doc.path}: need a [cascade] or [ru] section")

@@ -1,13 +1,16 @@
 """Datasheet-level device models and RU/UE chain builders.
 
-Each device spec converts to a :class:`~wastefactor.core.Stage` plus an
-optional non-path power term through :func:`stage_of`:
+Each device spec converts itself: its ``convert()`` returns a
+:class:`~wastefactor.core.Stage` plus an optional non-path power term.
+Construction checks the fields, and a spec whose conversion can fail also
+converts once, so a spec that constructs always converts:
 
 * passives (mixer, phase shifter, attenuator): W equals the loss, G = 1/L
 * antenna: W is the reciprocal of the overall efficiency; its stage gain
   is the efficiency itself, never the directive gain (that belongs to the
   effective channel, see :mod:`wastefactor.channel`)
 * PA: given by its datasheet PAE and gain, W = 1/PAE and G = 10^(gain/10)
+* LNA: W = 1, or W = G/(FoM * SNR_in * P_an) from its figure of merit
 * any other active, or a PA known by its DC draw and signal powers, is a
   ``GenericActive``: W = (P_DC + P_in)/P_out and G = P_out/P_in
 * DAC: W = 1/efficiency at unit gain
@@ -28,8 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import singledispatch
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .core import Stage, cascade
 from .units import db_to_linear, require_finite, require_integers
@@ -37,15 +39,18 @@ from .units import db_to_linear, require_finite, require_integers
 
 def reflection_coefficient(vswr: float) -> float:
     """|Gamma| from VSWR: (VSWR - 1)/(VSWR + 1)."""
-    if vswr < 1.0:
-        raise ValueError(f"VSWR must be >= 1, got {vswr}")
+    if not 1.0 <= vswr < math.inf:
+        raise ValueError(f"vswr must be finite and >= 1, got {vswr}")
     return (vswr - 1.0) / (vswr + 1.0)
 
 
 def mismatch_loss_db(vswr: float) -> float:
     """Power lost to reflection, -10 log10(1 - |Gamma|^2), in dB."""
     gamma = reflection_coefficient(vswr)
-    return -10.0 * math.log10(1.0 - gamma * gamma)
+    transmitted = 1.0 - gamma * gamma
+    if not transmitted > 0.0:
+        raise ValueError(f"vswr {vswr} reflects all the power: |Gamma| rounds to 1")
+    return -10.0 * math.log10(transmitted)
 
 
 def return_loss_db(vswr: float) -> float:
@@ -54,6 +59,11 @@ def return_loss_db(vswr: float) -> float:
     if gamma == 0.0:
         return math.inf
     return -20.0 * math.log10(gamma)
+
+
+class ConvertedDevice(NamedTuple):
+    stage: Stage
+    non_path_w: float
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,11 @@ class Mixer:
         require_finite(self)
         if self.conversion_loss_db < 0.0 or self.insertion_loss_db < 0.0:
             raise ValueError("mixer losses must be >= 0 dB")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        loss_db = self.conversion_loss_db + self.insertion_loss_db
+        return ConvertedDevice(Stage.from_loss_db(loss_db, "mixer"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,11 @@ class PhaseShifter:
         require_finite(self)
         if self.insertion_loss_db < 0.0 or self.reflection_loss_db < 0.0:
             raise ValueError("phase shifter losses must be >= 0 dB")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        loss_db = self.insertion_loss_db + self.reflection_loss_db
+        return ConvertedDevice(Stage.from_loss_db(loss_db, "phase_shifter"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,13 +128,24 @@ class Antenna:
             )
         if self.vswr < 1.0:
             raise ValueError(f"VSWR must be >= 1, got {self.vswr}")
-        if self.include_mismatch:
-            gamma = reflection_coefficient(self.vswr)
-            if not self.radiation_efficiency * (1.0 - gamma * gamma) > 0.0:
-                raise ValueError(
-                    f"VSWR {self.vswr} with radiation efficiency {self.radiation_efficiency} "
-                    "leaves no power to radiate"
-                )
+        if not self.efficiency > 0.0:
+            raise ValueError(
+                f"VSWR {self.vswr} with radiation efficiency {self.radiation_efficiency} "
+                "leaves no power to radiate"
+            )
+        self.convert()
+
+    @property
+    def efficiency(self) -> float:
+        """Radiation efficiency, times 1 - |Gamma|^2 when mismatch is included."""
+        if not self.include_mismatch:
+            return self.radiation_efficiency
+        gamma = reflection_coefficient(self.vswr)
+        return self.radiation_efficiency * (1.0 - gamma * gamma)
+
+    def convert(self) -> ConvertedDevice:
+        efficiency = self.efficiency
+        return ConvertedDevice(Stage(w=1.0 / efficiency, g=efficiency, label="antenna"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,6 +162,11 @@ class PowerAmplifier:
             raise ValueError(f"PAE must be in (0, 1], got {self.pae}")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        stage = Stage(w=1.0 / self.pae, g=db_to_linear(self.gain_db), label="pa")
+        return ConvertedDevice(stage, self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -138,16 +174,14 @@ class Lna:
     """Low-noise amplifier; by default an ideal W = 1 stage.
 
     The figure-of-merit variant evaluates W = G/(FoM * SNR_in * P_an)
-    where P_an is the amplifier's additive noise power, given directly or
-    derived as (F - 1) * G * N_in from a noise factor and input noise.
+    where P_an is the amplifier's additive noise power. A caller holding a
+    noise factor F and an input noise N_in passes P_an = (F - 1) * G * N_in.
     """
 
     gain_db: float
     fom: float | None = None
     snr_in: float | None = None
     p_additive_noise_w: float | None = None
-    noise_factor: float | None = None
-    input_noise_w: float | None = None
     quiescent_w: float = 0.0
 
     def __post_init__(self) -> None:
@@ -155,19 +189,30 @@ class Lna:
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
         if self.fom is None:
-            return
-        if self.fom <= 0.0:
-            raise ValueError(f"LNA figure of merit must be > 0, got {self.fom}")
-        if self.snr_in is None or self.snr_in <= 0.0:
-            raise ValueError("FoM-based LNA requires snr_in > 0")
-        if self.p_additive_noise_w is None:
-            if self.noise_factor is None or self.input_noise_w is None:
+            for name in ("snr_in", "p_additive_noise_w"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} needs fom: it sets only the FoM-based LNA")
+        else:
+            for name in ("fom", "snr_in", "p_additive_noise_w"):
+                value = getattr(self, name)
+                if value is None or not value > 0.0:
+                    raise ValueError(f"FoM-based LNA requires {name} > 0, got {value}")
+            if not self.fom * self.snr_in * self.p_additive_noise_w > 0.0:
+                raise ValueError("FoM-based LNA: fom * snr_in * p_additive_noise_w underflows to 0")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        gain = db_to_linear(self.gain_db)
+        if self.fom is None:
+            w = 1.0
+        else:
+            w = gain / (self.fom * self.snr_in * self.p_additive_noise_w)
+            if not 1.0 <= w < math.inf:
                 raise ValueError(
-                    "FoM-based LNA requires p_additive_noise_w, or noise_factor "
-                    "with input_noise_w"
+                    f"FoM-based LNA parameters give W = {w:.4g}, which must be finite and >= 1; "
+                    "check fom/snr_in/p_additive_noise_w"
                 )
-            if self.noise_factor <= 1.0 or self.input_noise_w <= 0.0:
-                raise ValueError("need noise_factor > 1 and input_noise_w > 0")
+        return ConvertedDevice(Stage(w=w, g=gain, label="lna"), self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -180,6 +225,10 @@ class Dac:
         require_finite(self)
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"DAC efficiency must be in (0, 1], got {self.efficiency}")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        return ConvertedDevice(Stage(w=1.0 / self.efficiency, g=1.0, label="dac"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -207,6 +256,9 @@ class Adc:
     def power_w(self) -> float:
         return self.fom_j * self.sample_rate_hz * (2.0 ** self.bits)
 
+    def convert(self) -> ConvertedDevice:
+        return ConvertedDevice(Stage(w=1.0, g=1.0, label="adc"), self.power_w)
+
 
 @dataclass(frozen=True)
 class GenericActive:
@@ -225,6 +277,11 @@ class GenericActive:
             raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
+        self.convert()
+
+    def convert(self) -> ConvertedDevice:
+        w, g = (self.p_dc_w + self.p_in_w) / self.p_out_w, self.p_out_w / self.p_in_w
+        return ConvertedDevice(Stage(w=w, g=g, label="active"), self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -237,96 +294,10 @@ class GenericPassive:
         require_finite(self)
         if self.loss_db < 0.0:
             raise ValueError(f"passive loss must be >= 0 dB, got {self.loss_db}")
+        self.convert()
 
-
-DeviceSpec = Union[
-    Mixer,
-    PhaseShifter,
-    Antenna,
-    PowerAmplifier,
-    Lna,
-    Dac,
-    Adc,
-    GenericActive,
-    GenericPassive,
-]
-
-
-class ConvertedDevice(NamedTuple):
-    stage: Stage
-    non_path_w: float
-
-
-@singledispatch
-def stage_of(spec) -> ConvertedDevice:
-    """Convert a device spec into its Stage and non-path power."""
-    raise TypeError(f"not a device spec: {type(spec).__name__}")
-
-
-@stage_of.register
-def _(spec: Mixer) -> ConvertedDevice:
-    loss_db = spec.conversion_loss_db + spec.insertion_loss_db
-    return ConvertedDevice(Stage.from_loss_db(loss_db, "mixer"), 0.0)
-
-
-@stage_of.register
-def _(spec: PhaseShifter) -> ConvertedDevice:
-    loss_db = spec.insertion_loss_db + spec.reflection_loss_db
-    return ConvertedDevice(Stage.from_loss_db(loss_db, "phase_shifter"), 0.0)
-
-
-@stage_of.register
-def _(spec: Antenna) -> ConvertedDevice:
-    efficiency = spec.radiation_efficiency
-    if spec.include_mismatch:
-        gamma = reflection_coefficient(spec.vswr)
-        efficiency *= 1.0 - gamma * gamma
-    return ConvertedDevice(Stage(w=1.0 / efficiency, g=efficiency, label="antenna"), 0.0)
-
-
-@stage_of.register
-def _(spec: PowerAmplifier) -> ConvertedDevice:
-    stage = Stage(w=1.0 / spec.pae, g=db_to_linear(spec.gain_db), label="pa")
-    return ConvertedDevice(stage, spec.quiescent_w)
-
-
-@stage_of.register
-def _(spec: Lna) -> ConvertedDevice:
-    gain = db_to_linear(spec.gain_db)
-    if spec.fom is None:
-        w = 1.0
-    else:
-        p_an = spec.p_additive_noise_w
-        if p_an is None:
-            p_an = (spec.noise_factor - 1.0) * gain * spec.input_noise_w
-        w = gain / (spec.fom * spec.snr_in * p_an)
-        if w < 1.0:
-            raise ValueError(
-                f"FoM-based LNA parameters give W = {w:.4g} < 1; "
-                "check fom/snr_in/noise values"
-            )
-    return ConvertedDevice(Stage(w=w, g=gain, label="lna"), spec.quiescent_w)
-
-
-@stage_of.register
-def _(spec: Dac) -> ConvertedDevice:
-    return ConvertedDevice(Stage(w=1.0 / spec.efficiency, g=1.0, label="dac"), 0.0)
-
-
-@stage_of.register
-def _(spec: Adc) -> ConvertedDevice:
-    return ConvertedDevice(Stage(w=1.0, g=1.0, label="adc"), spec.power_w)
-
-
-@stage_of.register
-def _(spec: GenericActive) -> ConvertedDevice:
-    w, g = (spec.p_dc_w + spec.p_in_w) / spec.p_out_w, spec.p_out_w / spec.p_in_w
-    return ConvertedDevice(Stage(w=w, g=g, label="active"), spec.quiescent_w)
-
-
-@stage_of.register
-def _(spec: GenericPassive) -> ConvertedDevice:
-    return ConvertedDevice(Stage.from_loss_db(spec.loss_db, "passive"), 0.0)
+    def convert(self) -> ConvertedDevice:
+        return ConvertedDevice(Stage.from_loss_db(self.loss_db, "passive"), 0.0)
 
 
 def pae_from_walker(pae2: float, p_in_w: float, p_dc_w: float, gain: float) -> float:
@@ -335,6 +306,9 @@ def pae_from_walker(pae2: float, p_in_w: float, p_dc_w: float, gain: float) -> f
     W = (1/PAE#2) * (1 + P_in/P_DC) * (1 - 1/G) with linear gain G. For
     G <= 1 the last factor would drive W below 1, which is unphysical.
     """
+    for name, value in (("pae2", pae2), ("p_in_w", p_in_w), ("p_dc_w", p_dc_w), ("gain", gain)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 < pae2 <= 1.0:
         raise ValueError(f"PAE#2 must be in (0, 1], got {pae2}")
     if p_in_w <= 0.0 or p_dc_w <= 0.0:
@@ -389,13 +363,13 @@ class UeSpec:
         _check_radio(self, "n_rx")
 
 
-def ru_devices(spec: RuSpec) -> tuple[DeviceSpec, ...]:
+def ru_devices(spec: RuSpec) -> tuple:
     """The RU's devices source first: DAC > mixer > PS > PA > antenna; the
     last three repeat once per transmit chain."""
     return (spec.dac, spec.mixer, spec.phase_shifter, spec.pa, spec.antenna)
 
 
-def ue_devices(spec: UeSpec) -> tuple[DeviceSpec, ...]:
+def ue_devices(spec: UeSpec) -> tuple:
     """The UE's devices source first: antenna > LNA > PS > mixer, then the
     ADC when there is one; the first three repeat once per receive chain."""
     devices = (spec.antenna, spec.lna, spec.phase_shifter, spec.mixer)
@@ -407,7 +381,7 @@ def _build_radio(devices: tuple, chain: range, n: int, lo_w: float, label: str) 
     stages = []
     shared = per_chain = 0.0
     for i, device in enumerate(devices):
-        stage, non_path_w = stage_of(device)
+        stage, non_path_w = device.convert()
         stages.append(stage)
         if i in chain:
             per_chain += non_path_w

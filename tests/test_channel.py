@@ -17,7 +17,7 @@ from wastefactor.channel import (
     noise_power_dbm,
     path_loss_db,
 )
-from wastefactor.components import GenericPassive, stage_of
+from wastefactor.components import GenericPassive
 
 
 class TestFspl:
@@ -154,7 +154,7 @@ class TestEffectiveChannel:
     def test_consistency_with_generic_passive(self):
         for loss_db in (0.0, 12.5, 70.0):
             channel = effective_channel(loss_db)
-            passive = stage_of(GenericPassive(loss_db=loss_db)).stage
+            passive = GenericPassive(loss_db=loss_db).convert().stage
             assert channel.w == passive.w
             assert channel.g == passive.g
 

@@ -26,7 +26,6 @@ from wastefactor.components import (
     reference_ue_spec,
     reflection_coefficient,
     return_loss_db,
-    stage_of,
 )
 from wastefactor.core import Stage
 from wastefactor.units import db_to_linear
@@ -45,7 +44,7 @@ from wastefactor.units import db_to_linear
     ids=["mixer", "pa", "lna", "lna_fom", "phase_shifter"],
 )
 def test_device_specs_reject_non_finite_numbers(build):
-    # Each of these once built and failed only later, inside stage_of.
+    # Each of these once built and failed only later, on conversion.
     with pytest.raises(ValueError, match="must be finite"):
         build()
 
@@ -105,24 +104,36 @@ class TestVswrHelpers:
         assert return_loss_db(1.5) == pytest.approx(13.979, abs=1e-3)
         assert return_loss_db(1.0) == math.inf
 
+    @pytest.mark.parametrize("helper", [reflection_coefficient, mismatch_loss_db, return_loss_db])
+    @pytest.mark.parametrize("vswr", [math.nan, math.inf])
+    def test_non_finite_vswr_is_rejected(self, helper, vswr):
+        # Each once returned nan.
+        with pytest.raises(ValueError, match="vswr must be finite"):
+            helper(vswr)
+
+    def test_mismatch_loss_of_total_reflection(self):
+        # |Gamma| rounds to 1: this once raised a bare math domain error.
+        with pytest.raises(ValueError, match="reflects all the power"):
+            mismatch_loss_db(1e308)
+
 
 class TestPassiveDevices:
     def test_mixer(self):
-        stage, non_path = stage_of(Mixer(conversion_loss_db=8.2))
+        stage, non_path = Mixer(conversion_loss_db=8.2).convert()
         assert stage.w == pytest.approx(db_to_linear(8.2), rel=1e-15)
         assert stage.w * stage.g == pytest.approx(1.0, rel=1e-15)
         assert non_path == 0.0
 
     def test_mixer_with_insertion_loss(self):
-        stage, _ = stage_of(Mixer(conversion_loss_db=6.0, insertion_loss_db=1.5))
+        stage, _ = Mixer(conversion_loss_db=6.0, insertion_loss_db=1.5).convert()
         assert stage.wf_db == pytest.approx(7.5, abs=1e-12)
 
     def test_phase_shifter_sums_losses(self):
-        stage, _ = stage_of(PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0))
+        stage, _ = PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0).convert()
         assert stage.wf_db == pytest.approx(17.5, abs=1e-12)
 
     def test_generic_passive(self):
-        stage, _ = stage_of(GenericPassive(loss_db=3.0))
+        stage, _ = GenericPassive(loss_db=3.0).convert()
         assert stage.w == pytest.approx(db_to_linear(3.0), rel=1e-15)
 
     def test_negative_losses_rejected(self):
@@ -136,17 +147,17 @@ class TestPassiveDevices:
 
 class TestAntenna:
     def test_reference_antenna_with_mismatch(self):
-        stage, _ = stage_of(Antenna(radiation_efficiency=0.6, vswr=1.5))
+        stage, _ = Antenna(radiation_efficiency=0.6, vswr=1.5).convert()
         assert stage.w == pytest.approx(1.0 / (0.6 * 0.96), rel=1e-12)
 
     def test_mismatch_flag_off_gives_pure_efficiency(self):
         spec = Antenna(radiation_efficiency=0.6, vswr=1.5, include_mismatch=False)
-        stage, _ = stage_of(spec)
+        stage, _ = spec.convert()
         assert stage.w == pytest.approx(1.0 / 0.6, rel=1e-15)
         assert stage.g == pytest.approx(0.6, rel=1e-15)
 
     def test_stage_gain_is_efficiency_not_directivity(self):
-        stage, _ = stage_of(Antenna(radiation_efficiency=0.7, vswr=1.5))
+        stage, _ = Antenna(radiation_efficiency=0.7, vswr=1.5).convert()
         assert stage.g < 1.0
         assert stage.g == pytest.approx(1.0 / stage.w, rel=1e-15)
 
@@ -161,13 +172,13 @@ class TestAntenna:
 
 class TestActiveDevices:
     def test_pa_from_pae(self):
-        stage, non_path = stage_of(PowerAmplifier(pae=0.48, gain_db=50.0))
+        stage, non_path = PowerAmplifier(pae=0.48, gain_db=50.0).convert()
         assert stage.w == pytest.approx(1.0 / 0.48, rel=1e-15)
         assert stage.g == pytest.approx(1e5, rel=1e-12)
         assert non_path == 0.0
 
     def test_pa_quiescent_is_non_path(self):
-        _, non_path = stage_of(PowerAmplifier(pae=0.5, gain_db=30.0, quiescent_w=2.5))
+        _, non_path = PowerAmplifier(pae=0.5, gain_db=30.0, quiescent_w=2.5).convert()
         assert non_path == 2.5
 
     def test_pa_validation(self):
@@ -200,29 +211,29 @@ class TestActiveDevices:
         }
 
     def test_generic_active_example(self):
-        stage, _ = stage_of(GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0))
+        stage, _ = GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0).convert()
         assert stage.w == pytest.approx(11.0 / 8.0, rel=1e-15)
         assert stage.g == pytest.approx(8.0)
         with pytest.raises(ValueError, match="unphysical"):
             GenericActive(p_dc_w=1.0, p_in_w=1.0, p_out_w=2.0)
 
     def test_lna_ideal(self):
-        stage, _ = stage_of(Lna(gain_db=20.0))
+        stage, _ = Lna(gain_db=20.0).convert()
         assert stage.w == 1.0
         assert stage.g == pytest.approx(100.0, rel=1e-12)
 
     def test_lna_fom_variant(self):
         # W = G / (FoM * SNR_in * P_an); parameters chosen to land above 1.
         spec = Lna(gain_db=20.0, fom=50.0, snr_in=10.0, p_additive_noise_w=0.1)
-        stage, _ = stage_of(spec)
+        stage, _ = spec.convert()
         assert stage.w == pytest.approx(100.0 / (50.0 * 10.0 * 0.1), rel=1e-12)
 
     def test_lna_fom_from_noise_factor(self):
-        spec = Lna(
-            gain_db=20.0, fom=50.0, snr_in=10.0, noise_factor=2.0, input_noise_w=1e-3
-        )
-        stage, _ = stage_of(spec)
-        # P_an = (F - 1) G N_in = 0.1 W, same as the direct variant
+        # A caller holding F = 2 and N_in = 1 mW passes P_an = (F - 1) G N_in
+        # = 0.1 W, the same as the direct variant.
+        p_an = (2.0 - 1.0) * db_to_linear(20.0) * 1e-3
+        spec = Lna(gain_db=20.0, fom=50.0, snr_in=10.0, p_additive_noise_w=p_an)
+        stage, _ = spec.convert()
         assert stage.w == pytest.approx(2.0, rel=1e-12)
 
     def test_lna_fom_validation(self):
@@ -231,14 +242,32 @@ class TestActiveDevices:
         with pytest.raises(ValueError, match="p_additive_noise_w"):
             Lna(gain_db=20.0, fom=50.0, snr_in=10.0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(fom=50.0, snr_in=10.0, p_additive_noise_w=0.0), "p_additive_noise_w > 0"),
+            (dict(fom=1e-300, snr_in=1e-300, p_additive_noise_w=1e-300), "underflows"),
+            (dict(fom=50.0, snr_in=10.0, p_additive_noise_w=10.0), "W = 0.02"),
+            (dict(snr_in=10.0, p_additive_noise_w=5.0), "snr_in needs fom"),
+            (dict(p_additive_noise_w=5.0), "p_additive_noise_w needs fom"),
+        ],
+        ids=["zero-noise", "underflow", "w-below-1", "no-fom", "noise-without-fom"],
+    )
+    def test_lna_that_constructs_converts(self, fields, message):
+        # Each of these once built: the first two then raised
+        # ZeroDivisionError on conversion, the third a W < 1 error, and the
+        # last two ignored the values.
+        with pytest.raises(ValueError, match=message):
+            Lna(gain_db=20.0, **fields)
+
     def test_dac(self):
-        stage, non_path = stage_of(Dac(efficiency=0.91))
+        stage, non_path = Dac(efficiency=0.91).convert()
         assert stage.w == pytest.approx(1.0 / 0.91, rel=1e-15)
         assert stage.g == 1.0
         assert non_path == 0.0
 
     def test_adc_is_non_path_only(self):
-        stage, non_path = stage_of(Adc(fom_j=1e-12, sample_rate_hz=1e9, bits=10))
+        stage, non_path = Adc(fom_j=1e-12, sample_rate_hz=1e9, bits=10).convert()
         assert (stage.w, stage.g) == (1.0, 1.0)
         # FoM * f_s * 2^bits = 1e-12 * 1e9 * 1024
         assert non_path == pytest.approx(1.024, rel=1e-12)
@@ -265,6 +294,20 @@ class TestWalkerPae:
             pae_from_walker(0.5, 1.0, 10.0, 1.0)
         with pytest.raises(ValueError, match="PAE"):
             pae_from_walker(0.0, 1.0, 10.0, 8.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0.5, math.nan, 1.0, 10.0), "p_in_w"),
+            ((0.5, 1.0, math.inf, 10.0), "p_dc_w"),
+            ((0.5, 1.0, 1.0, math.inf), "gain"),
+            ((math.nan, 1.0, 1.0, 10.0), "pae2"),
+        ],
+    )
+    def test_non_finite_arguments_are_rejected(self, args, name):
+        # A NaN p_in_w once returned nan; an infinite p_dc_w or gain was accepted.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            pae_from_walker(*args)
 
 
 class TestRuComposition:

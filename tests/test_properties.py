@@ -3,17 +3,21 @@
 The cascade law must agree with explicit energy bookkeeping; a
 non-coherent parallel group is a weighted mean of its branches, and
 coherent combining can only lower that mean; the parallel compositions
-are that one law and that one mean, bit for bit; both radios compose
-their devices by one chain rule, bit for bit; every drop conserves energy
+are that one law and that one mean, bit for bit; a device spec that
+constructs converts to a finite stage; both radios compose their devices
+by one chain rule, bit for bit; every drop conserves energy
 and ends no better than the UE's own waste factor. Two properties of the
 simulator itself ride along: its p5 SNR shortcut equals
 ``np.percentile`` bit for bit, and campaign output does not depend on the
 worker count.
 """
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +26,8 @@ from wastefactor.components import (
     Adc,
     Antenna,
     Dac,
+    GenericActive,
+    GenericPassive,
     Lna,
     Mixer,
     PhaseShifter,
@@ -31,7 +37,6 @@ from wastefactor.components import (
     build_ru,
     build_ue,
     ru_devices,
-    stage_of,
     ue_devices,
 )
 from wastefactor.core import Stage, cascade, power_flow
@@ -130,6 +135,37 @@ def test_mino_first_stage_is_the_non_coherent_combine(outputs):
     assert mino_first_stage(powers, w).hex() == combined.hex()
 
 
+# Zero, subnormal and huge values, and a range where most specs are valid.
+device_numbers = (
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 10.0, 1e300, sys.float_info.max])
+    | st.floats(-10.0, 1e4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+device_fields = {
+    "float": device_numbers,
+    "float | None": st.none() | device_numbers,
+    "bool": st.booleans(),
+    "int": st.integers(-2, 2048),
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Mixer, PhaseShifter, Antenna, PowerAmplifier, Lna, Dac, Adc, GenericActive, GenericPassive],
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_construction_is_the_only_check(cls, data):
+    fields = {f.name: data.draw(device_fields[f.type], label=f.name) for f in dataclasses.fields(cls)}
+    try:
+        device = cls(**fields)
+    except ValueError:
+        return
+    stage, non_path_w = device.convert()
+    assert 1.0 <= stage.w < math.inf and 0.0 < stage.g < math.inf
+    assert 0.0 <= non_path_w < math.inf
+
+
 antennas = st.builds(Antenna, radiation_efficiency=st.floats(0.1, 1.0), vswr=st.floats(1.0, 3.0))
 phase_shifters = st.builds(
     PhaseShifter, insertion_loss_db=st.floats(0.0, 10.0), reflection_loss_db=st.floats(0.0, 20.0)
@@ -162,7 +198,7 @@ ue_specs = st.builds(
 
 
 def non_path_sum(devices):
-    return sum(stage_of(device).non_path_w for device in devices)
+    return sum(device.convert().non_path_w for device in devices)
 
 
 @settings(PROPERTIES, derandomize=True)
@@ -175,7 +211,7 @@ def test_both_radios_compose_by_one_chain_rule(ru, ue):
         (build_ue(ue), ue_devices(ue), "ue", ue_shared,
          (ue.antenna, ue.lna, ue.phase_shifter), ue.n_rx, ue.lo_power_w),
     ):
-        assert built.stage == cascade([stage_of(d).stage for d in devices], label=label)
+        assert built.stage == cascade([d.convert().stage for d in devices], label=label)
         expected = non_path_sum(shared) + n_chains * non_path_sum(per_chain) + lo_power_w
         assert built.non_path_w == expected
 
