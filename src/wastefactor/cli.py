@@ -82,7 +82,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         stages, source_w = cfg.stages_from_config(doc)
     elif doc.has_section("ru"):
         spec = cfg.ru_spec_from_config(doc)
-        stages = [device.convert().stage for device in ru_devices(spec)]
+        stages = [device.converted.stage for device in ru_devices(spec)]
         source_w = 1.0
     else:
         raise cfg.ConfigError(f"{doc.path}: need a [cascade] or [ru] section")

@@ -1,9 +1,9 @@
 """Datasheet-level device models and RU/UE chain builders.
 
-Each device spec converts itself: its ``convert()`` returns a
-:class:`~wastefactor.core.Stage` plus an optional non-path power term.
-Construction checks the fields, and a spec whose conversion can fail also
-converts once, so a spec that constructs always converts:
+Each device spec converts itself once, when it is built: its
+``converted`` is a :class:`~wastefactor.core.Stage` plus an optional
+non-path power term. Construction checks the fields and then converts, so
+a spec that constructs always converts:
 
 * passives (mixer, phase shifter, attenuator): W equals the loss, G = 1/L
 * antenna: W is the reciprocal of the overall efficiency; its stage gain
@@ -20,10 +20,12 @@ converts once, so a spec that constructs always converts:
 Quiescent or standby draw of amplifiers is likewise non-path: an idle
 device never gets W = infinity, it gets a non-path watt count.
 
-:func:`build_ru` and :func:`build_ue` compose :func:`ru_devices` and
-:func:`ue_devices` by one chain rule: the stage is the devices' cascade
-(identical parallel chains collapse), and the non-path power is the shared
-devices once, plus the chain count times the per-chain devices, plus the LO.
+A :class:`RuSpec` or :class:`UeSpec`, when built, composes its own
+``converted`` from those of :func:`ru_devices` or :func:`ue_devices` by one
+chain rule: the stage is the devices' cascade (identical parallel chains
+collapse), and the non-path power is the shared devices once, plus the
+chain count times the per-chain devices, plus the LO. :func:`build_ru` and
+:func:`build_ue` return it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ class ConvertedDevice(NamedTuple):
     non_path_w: float
 
 
+def _keep(spec, stage: Stage, non_path_w: float = 0.0) -> None:
+    """Store ``spec``'s conversion as ``spec.converted``. That is not a
+    field: ``==``, ``hash`` and ``repr`` ignore it, and ``replace`` derives
+    it anew."""
+    spec.__dict__["converted"] = ConvertedDevice(stage, non_path_w)
+
+
 @dataclass(frozen=True)
 class Mixer:
     """Passive mixer; the LO driving it is accounted separately as non-path."""
@@ -77,11 +86,7 @@ class Mixer:
         require_finite(self)
         if self.conversion_loss_db < 0.0 or self.insertion_loss_db < 0.0:
             raise ValueError("mixer losses must be >= 0 dB")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
-        loss_db = self.conversion_loss_db + self.insertion_loss_db
-        return ConvertedDevice(Stage.from_loss_db(loss_db, "mixer"), 0.0)
+        _keep(self, Stage.from_loss_db(self.conversion_loss_db + self.insertion_loss_db, "mixer"))
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,8 @@ class PhaseShifter:
         require_finite(self)
         if self.insertion_loss_db < 0.0 or self.reflection_loss_db < 0.0:
             raise ValueError("phase shifter losses must be >= 0 dB")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
         loss_db = self.insertion_loss_db + self.reflection_loss_db
-        return ConvertedDevice(Stage.from_loss_db(loss_db, "phase_shifter"), 0.0)
+        _keep(self, Stage.from_loss_db(loss_db, "phase_shifter"))
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,13 @@ class Antenna:
             )
         if self.vswr < 1.0:
             raise ValueError(f"VSWR must be >= 1, got {self.vswr}")
-        if not self.efficiency > 0.0:
+        efficiency = self.efficiency
+        if not efficiency > 0.0:
             raise ValueError(
                 f"VSWR {self.vswr} with radiation efficiency {self.radiation_efficiency} "
                 "leaves no power to radiate"
             )
-        self.convert()
+        _keep(self, Stage(w=1.0 / efficiency, g=efficiency, label="antenna"))
 
     @property
     def efficiency(self) -> float:
@@ -142,10 +145,6 @@ class Antenna:
             return self.radiation_efficiency
         gamma = reflection_coefficient(self.vswr)
         return self.radiation_efficiency * (1.0 - gamma * gamma)
-
-    def convert(self) -> ConvertedDevice:
-        efficiency = self.efficiency
-        return ConvertedDevice(Stage(w=1.0 / efficiency, g=efficiency, label="antenna"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,8 @@ class PowerAmplifier:
             raise ValueError(f"PAE must be in (0, 1], got {self.pae}")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
-        stage = Stage(w=1.0 / self.pae, g=db_to_linear(self.gain_db), label="pa")
-        return ConvertedDevice(stage, self.quiescent_w)
+        _keep(self, Stage(w=1.0 / self.pae, g=db_to_linear(self.gain_db), label="pa"),
+              self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -199,9 +195,6 @@ class Lna:
                     raise ValueError(f"FoM-based LNA requires {name} > 0, got {value}")
             if not self.fom * self.snr_in * self.p_additive_noise_w > 0.0:
                 raise ValueError("FoM-based LNA: fom * snr_in * p_additive_noise_w underflows to 0")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
         gain = db_to_linear(self.gain_db)
         if self.fom is None:
             w = 1.0
@@ -212,7 +205,7 @@ class Lna:
                     f"FoM-based LNA parameters give W = {w:.4g}, which must be finite and >= 1; "
                     "check fom/snr_in/p_additive_noise_w"
                 )
-        return ConvertedDevice(Stage(w=w, g=gain, label="lna"), self.quiescent_w)
+        _keep(self, Stage(w=w, g=gain, label="lna"), self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -225,10 +218,7 @@ class Dac:
         require_finite(self)
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"DAC efficiency must be in (0, 1], got {self.efficiency}")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
-        return ConvertedDevice(Stage(w=1.0 / self.efficiency, g=1.0, label="dac"), 0.0)
+        _keep(self, Stage(w=1.0 / self.efficiency, g=1.0, label="dac"))
 
 
 @dataclass(frozen=True)
@@ -249,15 +239,11 @@ class Adc:
         if self.bits < 1:
             raise ValueError(f"ADC resolution must be >= 1 bit, got {self.bits}")
         # 2.0 ** bits itself raises OverflowError past 1023 bits.
-        if self.bits > 1023 or not math.isfinite(self.power_w):
+        scale = 2.0 ** self.bits if self.bits <= 1023 else math.inf
+        power_w = self.fom_j * self.sample_rate_hz * scale
+        if not math.isfinite(power_w):  # NaN too: 0 J times an infinite scale
             raise ValueError(f"ADC consumption FoM * f_s * 2^bits overflows with {self.bits} bits")
-
-    @property
-    def power_w(self) -> float:
-        return self.fom_j * self.sample_rate_hz * (2.0 ** self.bits)
-
-    def convert(self) -> ConvertedDevice:
-        return ConvertedDevice(Stage(w=1.0, g=1.0, label="adc"), self.power_w)
+        _keep(self, Stage(w=1.0, g=1.0, label="adc"), power_w)
 
 
 @dataclass(frozen=True)
@@ -277,11 +263,8 @@ class GenericActive:
             raise ValueError("P_out >= P_DC + P_in implies W < 1, which is unphysical")
         if self.quiescent_w < 0.0:
             raise ValueError("quiescent power must be >= 0 W")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
         w, g = (self.p_dc_w + self.p_in_w) / self.p_out_w, self.p_out_w / self.p_in_w
-        return ConvertedDevice(Stage(w=w, g=g, label="active"), self.quiescent_w)
+        _keep(self, Stage(w=w, g=g, label="active"), self.quiescent_w)
 
 
 @dataclass(frozen=True)
@@ -294,17 +277,16 @@ class GenericPassive:
         require_finite(self)
         if self.loss_db < 0.0:
             raise ValueError(f"passive loss must be >= 0 dB, got {self.loss_db}")
-        self.convert()
-
-    def convert(self) -> ConvertedDevice:
-        return ConvertedDevice(Stage.from_loss_db(self.loss_db, "passive"), 0.0)
+        _keep(self, Stage.from_loss_db(self.loss_db, "passive"))
 
 
 def pae_from_walker(pae2: float, p_in_w: float, p_dc_w: float, gain: float) -> float:
     """PA waste factor from Walker's PAE#2 = (P_out - P_in)/P_DC.
 
     W = (1/PAE#2) * (1 + P_in/P_DC) * (1 - 1/G) with linear gain G. For
-    G <= 1 the last factor would drive W below 1, which is unphysical.
+    G <= 1 the last factor would drive W below 1, which is unphysical; so
+    would arguments on which PAE#2 * P_DC and (G - 1) * P_in, each the
+    amplifier's P_out - P_in, disagree.
     """
     for name, value in (("pae2", pae2), ("p_in_w", p_in_w), ("p_dc_w", p_dc_w), ("gain", gain)):
         if not math.isfinite(value):
@@ -315,7 +297,13 @@ def pae_from_walker(pae2: float, p_in_w: float, p_dc_w: float, gain: float) -> f
         raise ValueError("PA powers must be > 0 W")
     if gain <= 1.0:
         raise ValueError(f"Walker's relation needs linear gain > 1, got {gain}")
-    return (1.0 / pae2) * (1.0 + p_in_w / p_dc_w) * (1.0 - 1.0 / gain)
+    w = (1.0 / pae2) * (1.0 + p_in_w / p_dc_w) * (1.0 - 1.0 / gain)
+    if w < 1.0:
+        raise ValueError(
+            f"W = {w:.4g} < 1: PAE#2 * P_DC = {pae2 * p_dc_w:g} W and (G - 1) * P_in = "
+            f"{(gain - 1.0) * p_in_w:g} W disagree, but each is the amplifier's P_out - P_in"
+        )
+    return w
 
 
 def _check_radio(spec: RuSpec | UeSpec, chains: str) -> None:
@@ -345,6 +333,7 @@ class RuSpec:
 
     def __post_init__(self) -> None:
         _check_radio(self, "n_tx")
+        _build_radio(self, ru_devices(self), range(2, 5), self.n_tx, "ru")
 
 
 @dataclass(frozen=True)
@@ -361,6 +350,7 @@ class UeSpec:
 
     def __post_init__(self) -> None:
         _check_radio(self, "n_rx")
+        _build_radio(self, ue_devices(self), range(0, 3), self.n_rx, "ue")
 
 
 def ru_devices(spec: RuSpec) -> tuple:
@@ -376,29 +366,31 @@ def ue_devices(spec: UeSpec) -> tuple:
     return devices if spec.adc is None else devices + (spec.adc,)
 
 
-def _build_radio(devices: tuple, chain: range, n: int, lo_w: float, label: str) -> ConvertedDevice:
-    """The module docstring's chain rule; ``chain`` holds the per-chain positions."""
+def _build_radio(spec: RuSpec | UeSpec, devices: tuple, chain: range, n: int, label: str) -> None:
+    """Keep the module docstring's chain rule as ``spec.converted``; ``chain``: per-chain slots."""
     stages = []
     shared = per_chain = 0.0
     for i, device in enumerate(devices):
-        stage, non_path_w = device.convert()
+        stage, non_path_w = device.converted
         stages.append(stage)
         if i in chain:
             per_chain += non_path_w
         else:
             shared += non_path_w
-    return ConvertedDevice(cascade(stages, label=label), shared + n * per_chain + lo_w)
+    _keep(spec, cascade(stages, label=label), shared + n * per_chain + spec.lo_power_w)
 
 
 def build_ru(spec: RuSpec) -> ConvertedDevice:
-    """Composite RU stage and non-path power of :func:`ru_devices`."""
-    return _build_radio(ru_devices(spec), range(2, 5), spec.n_tx, spec.lo_power_w, "ru")
+    """Composite RU stage and non-path power of :func:`ru_devices`, as
+    ``spec`` derived them when it was built."""
+    return spec.converted
 
 
 def build_ue(spec: UeSpec) -> ConvertedDevice:
-    """Composite UE stage and non-path power of :func:`ue_devices`; the ADC
-    adds only non-path power (its stage is an ideal wire)."""
-    return _build_radio(ue_devices(spec), range(0, 3), spec.n_rx, spec.lo_power_w, "ue")
+    """Composite UE stage and non-path power of :func:`ue_devices`, as
+    ``spec`` derived them when it was built; the ADC adds only non-path
+    power (its stage is an ideal wire)."""
+    return spec.converted
 
 
 def end_to_end(ru: Stage, channel: Stage, ue: Stage) -> Stage:

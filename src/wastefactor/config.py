@@ -255,20 +255,26 @@ def load_config(path: str | Path) -> ConfigDocument:
 
 def _override(spec: Any, keys: dict[str, str], values: dict[str, Any], **fields: Any) -> Any:
     """Copy of ``spec`` with ``fields`` set and each given value, converted
-    to its field's unit, set at its key's field path, in one construction."""
+    to its field's unit, set at its key's field path, in one construction.
+    A nested spec that rejects its values fails naming the keys that set
+    them, e.g. ``mixer_conversion_loss_db = 4000.0: ...``."""
     top: dict[str, Any] = dict(fields)
-    nested: dict[str, dict[str, Any]] = {}
+    nested: dict[str, dict[str, tuple[str, Any]]] = {}  # head -> key -> (leaf, value)
     for key, value in values.items():
         factor = _UNIT_FACTORS.get(key)
         if factor is not None:
             value = tuple(v * factor for v in value) if isinstance(value, tuple) else value * factor
         head, _, leaf = keys[key].partition(".")
         if leaf:
-            nested.setdefault(head, {})[leaf] = value
+            nested.setdefault(head, {})[key] = (leaf, value)
         else:
             top[head] = value
     for head, changes in nested.items():
-        top[head] = replace(getattr(spec, head), **changes)
+        try:
+            top[head] = replace(getattr(spec, head), **dict(changes.values()))
+        except ValueError as exc:
+            named = ", ".join(f"{key} = {value}" for key, (_, value) in changes.items())
+            raise ValueError(f"{named}: {exc}") from exc
     return replace(spec, **top)
 
 
@@ -289,9 +295,10 @@ def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
     values = doc.sections.get("ue", {})
     try:
         base = reference_ue_spec()
-        # The reference UE has no ADC; adc_fom_j adds one with Adc's defaults.
+        # The reference UE has no ADC; adc_fom_j adds one with Adc's defaults,
+        # whose fom_j _override then sets.
         if "adc_fom_j" in values:
-            base = replace(base, adc=Adc(fom_j=values["adc_fom_j"]))
+            base = replace(base, adc=Adc(fom_j=0.0))
         elif any(key.startswith("adc_") for key in values):
             raise ValueError("adc_sample_rate_hz and adc_bits need adc_fom_j")
         return _override(base, _UE_KEYS, values)

@@ -154,7 +154,7 @@ class TestEffectiveChannel:
     def test_consistency_with_generic_passive(self):
         for loss_db in (0.0, 12.5, 70.0):
             channel = effective_channel(loss_db)
-            passive = GenericPassive(loss_db=loss_db).convert().stage
+            passive = GenericPassive(loss_db=loss_db).converted.stage
             assert channel.w == passive.w
             assert channel.g == passive.g
 

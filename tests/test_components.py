@@ -119,21 +119,21 @@ class TestVswrHelpers:
 
 class TestPassiveDevices:
     def test_mixer(self):
-        stage, non_path = Mixer(conversion_loss_db=8.2).convert()
+        stage, non_path = Mixer(conversion_loss_db=8.2).converted
         assert stage.w == pytest.approx(db_to_linear(8.2), rel=1e-15)
         assert stage.w * stage.g == pytest.approx(1.0, rel=1e-15)
         assert non_path == 0.0
 
     def test_mixer_with_insertion_loss(self):
-        stage, _ = Mixer(conversion_loss_db=6.0, insertion_loss_db=1.5).convert()
+        stage, _ = Mixer(conversion_loss_db=6.0, insertion_loss_db=1.5).converted
         assert stage.wf_db == pytest.approx(7.5, abs=1e-12)
 
     def test_phase_shifter_sums_losses(self):
-        stage, _ = PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0).convert()
+        stage, _ = PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0).converted
         assert stage.wf_db == pytest.approx(17.5, abs=1e-12)
 
     def test_generic_passive(self):
-        stage, _ = GenericPassive(loss_db=3.0).convert()
+        stage, _ = GenericPassive(loss_db=3.0).converted
         assert stage.w == pytest.approx(db_to_linear(3.0), rel=1e-15)
 
     def test_negative_losses_rejected(self):
@@ -147,17 +147,17 @@ class TestPassiveDevices:
 
 class TestAntenna:
     def test_reference_antenna_with_mismatch(self):
-        stage, _ = Antenna(radiation_efficiency=0.6, vswr=1.5).convert()
+        stage, _ = Antenna(radiation_efficiency=0.6, vswr=1.5).converted
         assert stage.w == pytest.approx(1.0 / (0.6 * 0.96), rel=1e-12)
 
     def test_mismatch_flag_off_gives_pure_efficiency(self):
         spec = Antenna(radiation_efficiency=0.6, vswr=1.5, include_mismatch=False)
-        stage, _ = spec.convert()
+        stage, _ = spec.converted
         assert stage.w == pytest.approx(1.0 / 0.6, rel=1e-15)
         assert stage.g == pytest.approx(0.6, rel=1e-15)
 
     def test_stage_gain_is_efficiency_not_directivity(self):
-        stage, _ = Antenna(radiation_efficiency=0.7, vswr=1.5).convert()
+        stage, _ = Antenna(radiation_efficiency=0.7, vswr=1.5).converted
         assert stage.g < 1.0
         assert stage.g == pytest.approx(1.0 / stage.w, rel=1e-15)
 
@@ -172,13 +172,13 @@ class TestAntenna:
 
 class TestActiveDevices:
     def test_pa_from_pae(self):
-        stage, non_path = PowerAmplifier(pae=0.48, gain_db=50.0).convert()
+        stage, non_path = PowerAmplifier(pae=0.48, gain_db=50.0).converted
         assert stage.w == pytest.approx(1.0 / 0.48, rel=1e-15)
         assert stage.g == pytest.approx(1e5, rel=1e-12)
         assert non_path == 0.0
 
     def test_pa_quiescent_is_non_path(self):
-        _, non_path = PowerAmplifier(pae=0.5, gain_db=30.0, quiescent_w=2.5).convert()
+        _, non_path = PowerAmplifier(pae=0.5, gain_db=30.0, quiescent_w=2.5).converted
         assert non_path == 2.5
 
     def test_pa_validation(self):
@@ -211,21 +211,21 @@ class TestActiveDevices:
         }
 
     def test_generic_active_example(self):
-        stage, _ = GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0).convert()
+        stage, _ = GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0).converted
         assert stage.w == pytest.approx(11.0 / 8.0, rel=1e-15)
         assert stage.g == pytest.approx(8.0)
         with pytest.raises(ValueError, match="unphysical"):
             GenericActive(p_dc_w=1.0, p_in_w=1.0, p_out_w=2.0)
 
     def test_lna_ideal(self):
-        stage, _ = Lna(gain_db=20.0).convert()
+        stage, _ = Lna(gain_db=20.0).converted
         assert stage.w == 1.0
         assert stage.g == pytest.approx(100.0, rel=1e-12)
 
     def test_lna_fom_variant(self):
         # W = G / (FoM * SNR_in * P_an); parameters chosen to land above 1.
         spec = Lna(gain_db=20.0, fom=50.0, snr_in=10.0, p_additive_noise_w=0.1)
-        stage, _ = spec.convert()
+        stage, _ = spec.converted
         assert stage.w == pytest.approx(100.0 / (50.0 * 10.0 * 0.1), rel=1e-12)
 
     def test_lna_fom_from_noise_factor(self):
@@ -233,7 +233,7 @@ class TestActiveDevices:
         # = 0.1 W, the same as the direct variant.
         p_an = (2.0 - 1.0) * db_to_linear(20.0) * 1e-3
         spec = Lna(gain_db=20.0, fom=50.0, snr_in=10.0, p_additive_noise_w=p_an)
-        stage, _ = spec.convert()
+        stage, _ = spec.converted
         assert stage.w == pytest.approx(2.0, rel=1e-12)
 
     def test_lna_fom_validation(self):
@@ -261,13 +261,13 @@ class TestActiveDevices:
             Lna(gain_db=20.0, **fields)
 
     def test_dac(self):
-        stage, non_path = Dac(efficiency=0.91).convert()
+        stage, non_path = Dac(efficiency=0.91).converted
         assert stage.w == pytest.approx(1.0 / 0.91, rel=1e-15)
         assert stage.g == 1.0
         assert non_path == 0.0
 
     def test_adc_is_non_path_only(self):
-        stage, non_path = Adc(fom_j=1e-12, sample_rate_hz=1e9, bits=10).convert()
+        stage, non_path = Adc(fom_j=1e-12, sample_rate_hz=1e9, bits=10).converted
         assert (stage.w, stage.g) == (1.0, 1.0)
         # FoM * f_s * 2^bits = 1e-12 * 1e9 * 1024
         assert non_path == pytest.approx(1.024, rel=1e-12)
@@ -308,6 +308,85 @@ class TestWalkerPae:
         # A NaN p_in_w once returned nan; an infinite p_dc_w or gain was accepted.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             pae_from_walker(*args)
+
+    def test_inconsistent_arguments_are_rejected(self):
+        # PAE#2 * P_DC = 10 W but (G - 1) * P_in = 1 W; this once returned W = 0.55.
+        with pytest.raises(ValueError, match=r"W = 0\.55 < 1: .* disagree"):
+            pae_from_walker(1.0, 1.0, 10.0, 2.0)
+
+
+# One valid spec of each device class.
+DEVICES = [
+    Mixer(conversion_loss_db=8.2, insertion_loss_db=1.0),
+    PhaseShifter(insertion_loss_db=3.5, reflection_loss_db=14.0),
+    Antenna(radiation_efficiency=0.6, vswr=1.5),
+    PowerAmplifier(pae=0.48, gain_db=50.0, quiescent_w=2.0),
+    Lna(gain_db=20.0, fom=1.0, snr_in=1.0, p_additive_noise_w=10.0),
+    Dac(efficiency=0.91),
+    Adc(fom_j=1e-12),
+    GenericActive(p_dc_w=10.0, p_in_w=1.0, p_out_w=8.0),
+    GenericPassive(loss_db=3.0),
+]
+
+
+class TestConverted:
+    """Each spec converts once, when it is built, and keeps the result as
+    ``converted``, which is not a field."""
+
+    def test_replace_derives_it_anew(self):
+        pa = PowerAmplifier(pae=0.5, gain_db=30.0)
+        louder = dataclasses.replace(pa, gain_db=40.0)
+        assert louder.converted.stage.g == db_to_linear(40.0)
+        assert pa.converted.stage.g == db_to_linear(30.0)
+        ru = reference_ru_spec()
+        louder_ru = dataclasses.replace(ru, pa=dataclasses.replace(ru.pa, gain_db=60.0))
+        assert louder_ru.converted.stage.g == pytest.approx(ru.converted.stage.g * 10.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec", DEVICES + [reference_ru_spec(), reference_ue_spec()], ids=lambda s: type(s).__name__
+    )
+    def test_eq_hash_and_repr_ignore_it(self, spec):
+        twin = dataclasses.replace(spec)
+        twin.__dict__["converted"] = None
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+        assert "converted" not in repr(spec)
+        assert "converted" not in {f.name for f in dataclasses.fields(spec)}
+
+    def test_building_a_radio_returns_what_its_spec_keeps(self):
+        ru, ue = reference_ru_spec(), reference_ue_spec()
+        assert build_ru(ru) is build_ru(ru) is ru.converted
+        assert build_ue(ue) is build_ue(ue) is ue.converted
+
+    @pytest.fixture
+    def stage_labels(self, monkeypatch):
+        """The label of each Stage built while the test runs, in order."""
+        labels = []
+        init = Stage.__init__
+
+        def counting_init(self, w, g, label=""):
+            labels.append(label)
+            init(self, w, g, label)
+
+        monkeypatch.setattr(Stage, "__init__", counting_init)
+        return labels
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: type(d).__name__)
+    def test_each_device_converts_once_per_construction(self, stage_labels, device):
+        built = dataclasses.replace(device)
+        for _ in range(3):
+            assert built.converted == device.converted
+        assert stage_labels == [device.converted.stage.label]
+
+    def test_each_radio_converts_once_per_construction(self, stage_labels):
+        ru = reference_ru_spec()
+        ue = dataclasses.replace(reference_ue_spec(), adc=Adc(fom_j=1e-12))
+        assert stage_labels == ["dac", "mixer", "phase_shifter", "pa", "antenna", "ru",
+                                "antenna", "lna", "phase_shifter", "mixer", "ue",
+                                "adc", "ue"]
+        stage_labels.clear()
+        for _ in range(3):
+            build_ru(ru), build_ue(ue)
+        assert stage_labels == []
 
 
 class TestRuComposition:

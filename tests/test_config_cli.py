@@ -403,6 +403,42 @@ OVERFLOWING_INPUT = [
 ]
 
 
+class TestRadioConfigErrors:
+    """A device that rejects its [ru] or [ue] values fails naming the keys
+    that set them, and a chain that cannot compose fails where its spec is
+    built: a config error under each command that reads the section."""
+
+    @pytest.mark.parametrize("command", ["cascade", "system"])
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            pytest.param("mixer_conversion_loss_db = 4000", "invalid [ru]: mixer_conversion_loss_db "
+                         "= 4000.0: 4000.0 dB is too large to convert to linear units", id="overflow"),
+            pytest.param("pa_gain_db = -4000", "invalid [ru]: pa_gain_db = -4000.0: "
+                         "stage gain must be finite and > 0, got 0.0", id="underflow"),
+            # Once exited 1: "too lossy to compose" under system, and under
+            # cascade "p_signal_w = 0.0 is out of float range".
+            pytest.param("mixer_conversion_loss_db = 2000\nphase_shifter_insertion_loss_db = 2000",
+                         "invalid [ru]: the stages' gain to the sink underflows to 0; they are "
+                         "too lossy", id="too_lossy_chain"),
+        ],
+    )
+    def test_ru_values(self, capsys, tmp_path, command, lines, named):
+        path = tmp_path / "ru.ini"
+        path.write_text(f"[ru]\n{lines}\n")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert named in err
+
+    def test_ue_values_name_every_key_of_the_device(self, capsys, tmp_path):
+        path = tmp_path / "ue.ini"
+        path.write_text("[ue]\nadc_fom_j = -1\nadc_bits = 12\n")
+        code, _, err = run_cli(capsys, "system", str(path))
+        assert code == 2
+        assert "invalid [ue]: adc_fom_j = -1.0, adc_bits = 12: ADC figure of merit" in err
+
+
 class TestOverflowingInput:
     """Finite inputs that overflow inside the program. ``w_bs = 1e308``
     once exited 0 with ``inf,nan,inf`` in aggregate.csv and numpy warnings

@@ -161,7 +161,7 @@ def test_construction_is_the_only_check(cls, data):
         device = cls(**fields)
     except ValueError:
         return
-    stage, non_path_w = device.convert()
+    stage, non_path_w = device.converted
     assert 1.0 <= stage.w < math.inf and 0.0 < stage.g < math.inf
     assert 0.0 <= non_path_w < math.inf
 
@@ -198,7 +198,7 @@ ue_specs = st.builds(
 
 
 def non_path_sum(devices):
-    return sum(device.convert().non_path_w for device in devices)
+    return sum(device.converted.non_path_w for device in devices)
 
 
 @settings(PROPERTIES, derandomize=True)
@@ -211,7 +211,7 @@ def test_both_radios_compose_by_one_chain_rule(ru, ue):
         (build_ue(ue), ue_devices(ue), "ue", ue_shared,
          (ue.antenna, ue.lna, ue.phase_shifter), ue.n_rx, ue.lo_power_w),
     ):
-        assert built.stage == cascade([d.convert().stage for d in devices], label=label)
+        assert built.stage == cascade([d.converted.stage for d in devices], label=label)
         expected = non_path_sum(shared) + n_chains * non_path_sum(per_chain) + lo_power_w
         assert built.non_path_w == expected
 
