@@ -8,6 +8,11 @@ Subcommands::
     wastefactor metrics  CONFIG [--format csv|json]
     wastefactor simulate CONFIG [--seeds N] [--jobs N] [--out DIR]
 
+The four analysis commands each build one table, a list of records, and
+both formats print it: JSON as the records, CSV through one writer whose
+header is the first record's keys and whose cells quote a comma or a quote
+(RFC 4180). ``simulate`` writes its CSV files through ``netsim``.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 The environment variable ``WF_SEED`` overrides the configured base seed.
 """
@@ -70,6 +75,23 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _num(value) if isinstance(value, float) else str(value)
+
+
+def _print_csv(records: list[dict]) -> None:
+    """One CSV table: the first record's keys, then each record's cells."""
+    import csv  # simulate writes its files without it
+
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(records[0])
+    writer.writerows([_cell(value) for value in record.values()] for record in records)
+
+
 # Each command imports the modules only it uses, so a command loads no more
 # of the package than it runs.
 
@@ -87,43 +109,19 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     else:
         raise cfg.ConfigError(f"{doc.path}: need a [cascade] or [ru] section")
     report = power_flow(stages, source_w)
+    rows = [
+        {"label": flow.label, "w": stage.w, "g": stage.g} | flow._asdict()
+        for stage, flow in zip(stages, report.stages)
+    ]
     if args.format == "json":
-        payload = {
-            "p_source_out_w": report.p_source_out_w,
-            "stages": [
-                {
-                    "label": flow.label,
-                    "w": stage.w,
-                    "g": stage.g,
-                    "p_in_w": flow.p_in_w,
-                    "p_out_w": flow.p_out_w,
-                    "p_consumed_w": flow.p_consumed_w,
-                    "p_wasted_w": flow.p_wasted_w,
-                }
-                for stage, flow in zip(stages, report.stages)
-            ],
-            "total": {
-                "w": report.w,
-                "wf_db": linear_to_db(report.w),
-                "g": report.g,
-                "p_signal_w": report.p_signal_w,
-                "p_consumed_path_w": report.p_consumed_path_w,
-                "p_wasted_w": report.p_wasted_w,
-            },
-        }
-        _print_json(payload)
+        total = {"w": report.w, "wf_db": linear_to_db(report.w), "g": report.g,
+                 "p_signal_w": report.p_signal_w, "p_consumed_path_w": report.p_consumed_path_w,
+                 "p_wasted_w": report.p_wasted_w}
+        _print_json({"p_source_out_w": report.p_source_out_w, "stages": rows, "total": total})
     else:
-        print("label,w,g,p_in_w,p_out_w,p_consumed_w,p_wasted_w")
-        for stage, flow in zip(stages, report.stages):
-            print(
-                f"{flow.label},{_num(stage.w)},{_num(stage.g)},{_num(flow.p_in_w)},"
-                f"{_num(flow.p_out_w)},{_num(flow.p_consumed_w)},{_num(flow.p_wasted_w)}"
-            )
-        print(
-            f"TOTAL,{_num(report.w)},{_num(report.g)},{_num(report.p_source_out_w)},"
-            f"{_num(report.p_signal_w)},{_num(report.p_consumed_path_w)},"
-            f"{_num(report.p_wasted_w)}"
-        )
+        total = ("TOTAL", report.w, report.g, report.p_source_out_w, report.p_signal_w,
+                 report.p_consumed_path_w, report.p_wasted_w)
+        _print_csv(rows + [dict(zip(rows[0], total))])
     return 0
 
 
@@ -150,43 +148,28 @@ def cmd_system(args: argparse.Namespace) -> int:
     rows = []
     for wf_c_db in sweep:
         channel = Stage.from_loss_db(wf_c_db, label="channel")
-        cells = [
-            linear_to_db(end_to_end(r, channel, u).w) for r, u in variants.values()
-        ]
-        rows.append((wf_c_db, cells))
+        rows.append({"wf_c_db": wf_c_db} | {
+            name: linear_to_db(end_to_end(r, channel, u).w) for name, (r, u) in variants.items()
+        })
     if args.format == "json":
-        payload = [
-            {"wf_c_db": wf_c, **dict(zip(variants, cells))} for wf_c, cells in rows
-        ]
-        _print_json(payload)
+        _print_json(rows)
     else:
-        print("wf_c_db," + ",".join(f"{name}_db" for name in variants))
-        for wf_c, cells in rows:
-            print(f"{wf_c:.2f}," + ",".join(f"{v:.6f}" for v in cells))
+        _print_csv([
+            {"wf_c_db": f"{row['wf_c_db']:.2f}"}
+            | {f"{name}_db": f"{row[name]:.6f}" for name in variants}
+            for row in rows
+        ])
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     from .estimate import fit_waste_factor, load_power_log
 
-    samples = load_power_log(args.csv)
-    fit = fit_waste_factor(samples)
+    record = fit_waste_factor(load_power_log(args.csv))._asdict()
     if args.format == "csv":
-        print("w,p_non_path_w,r_squared,n_samples,physical")
-        print(
-            f"{_num(fit.w)},{_num(fit.p_non_path_w)},{_num(fit.r_squared)},"
-            f"{fit.n_samples},{str(fit.physical).lower()}"
-        )
+        _print_csv([record])
     else:
-        _print_json(
-            {
-                "w": fit.w,
-                "p_non_path_w": fit.p_non_path_w,
-                "r_squared": fit.r_squared,
-                "n_samples": fit.n_samples,
-                "physical": fit.physical,
-            }
-        )
+        _print_json(record)
     return 0
 
 
@@ -222,27 +205,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(records)
     else:
-        columns = [
-            "name",
-            "data_volume_gb",
-            "energy_wh",
-            "ee_bs_gb_per_wh",
-            "ee_ru",
-            "w",
-            "path_energy_wh_per_gb",
-        ]
-        print(",".join(columns))
-        for record in records:
-            cells = []
-            for column in columns:
-                value = record[column]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, str):
-                    cells.append(value)
-                else:
-                    cells.append(_num(value))
-            print(",".join(cells))
+        _print_csv(records)
     return 0
 
 

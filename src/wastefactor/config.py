@@ -257,7 +257,8 @@ def _override(spec: Any, keys: dict[str, str], values: dict[str, Any], **fields:
     """Copy of ``spec`` with ``fields`` set and each given value, converted
     to its field's unit, set at its key's field path, in one construction.
     A nested spec that rejects its values fails naming the keys that set
-    them, e.g. ``mixer_conversion_loss_db = 4000.0: ...``."""
+    them, e.g. ``mixer_conversion_loss_db = 4000.0: ...``; so does a spec
+    whose nested specs cannot compose, naming every key the section set."""
     top: dict[str, Any] = dict(fields)
     nested: dict[str, dict[str, tuple[str, Any]]] = {}  # head -> key -> (leaf, value)
     for key, value in values.items():
@@ -275,7 +276,13 @@ def _override(spec: Any, keys: dict[str, str], values: dict[str, Any], **fields:
         except ValueError as exc:
             named = ", ".join(f"{key} = {value}" for key, (_, value) in changes.items())
             raise ValueError(f"{named}: {exc}") from exc
-    return replace(spec, **top)
+    try:
+        return replace(spec, **top)
+    except ValueError as exc:
+        if not nested:  # a flat spec's error names its field itself
+            raise
+        named = ", ".join(f"{key} = {value}" for key, value in values.items())
+        raise ValueError(f"{named}: {exc}") from exc
 
 
 def ru_spec_from_config(doc: ConfigDocument) -> RuSpec:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -419,8 +420,9 @@ class TestRadioConfigErrors:
             # Once exited 1: "too lossy to compose" under system, and under
             # cascade "p_signal_w = 0.0 is out of float range".
             pytest.param("mixer_conversion_loss_db = 2000\nphase_shifter_insertion_loss_db = 2000",
-                         "invalid [ru]: the stages' gain to the sink underflows to 0; they are "
-                         "too lossy", id="too_lossy_chain"),
+                         "invalid [ru]: mixer_conversion_loss_db = 2000.0, "
+                         "phase_shifter_insertion_loss_db = 2000.0: the stages' gain to the "
+                         "sink underflows to 0; they are too lossy", id="too_lossy_chain"),
         ],
     )
     def test_ru_values(self, capsys, tmp_path, command, lines, named):
@@ -430,6 +432,15 @@ class TestRadioConfigErrors:
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
         assert named in err
+
+    def test_too_lossy_ue_chain_names_the_section_keys(self, capsys, tmp_path):
+        # Once named no key: "invalid [ue]: the stages' gain to the sink ...".
+        path = tmp_path / "ue.ini"
+        path.write_text("[ue]\nlna_gain_db = -2000\nphase_shifter_insertion_loss_db = 2000\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, out) == (2, "")
+        assert ("invalid [ue]: lna_gain_db = -2000.0, phase_shifter_insertion_loss_db = 2000.0: "
+                "the stages' gain to the sink underflows to 0; they are too lossy") in err
 
     def test_ue_values_name_every_key_of_the_device(self, capsys, tmp_path):
         path = tmp_path / "ue.ini"
@@ -617,6 +628,17 @@ class TestCascadeCommand:
         assert err.startswith("error:")
         assert "p_signal_w = inf" in err
         assert out == ""
+
+    def test_label_with_comma_or_quote_is_one_cell(self, capsys, tmp_path):
+        # "BS-A,north" once printed two cells, so its row ran one wider
+        # than the header.
+        path = tmp_path / "comma.ini"
+        path.write_text('[cascade]\nstages =\n    BS-A,north w=2 g=10\n    say"hi" loss_db=3\n')
+        code, out, _ = run_cli(capsys, "cascade", str(path))
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [len(row) for row in rows] == [len(header)] * 3
+        assert [row[0] for row in rows] == ["BS-A,north", 'say"hi"', "TOTAL"]
 
     def test_missing_sections_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.ini"
@@ -851,6 +873,17 @@ class TestMetricsCommand:
         assert payload[0]["ee_bs_gb_per_wh"] == pytest.approx(10.0 / 70.0)
 
 
+    def test_name_with_comma_is_one_cell(self, capsys, tmp_path):
+        # "BS-A,north" once printed eight cells under a seven-column header.
+        path = tmp_path / "comma.ini"
+        path.write_text("[metrics]\nreadings =\n    BS-A,north data_volume_gb=5 p_signal_w=30\n")
+        code, out, _ = run_cli(capsys, "metrics", str(path))
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 7
+        assert row[0] == "BS-A,north"
+        assert row[header.index("data_volume_gb")] == "5"
+
     def test_reading_without_power_is_runtime_error(self, capsys, tmp_path):
         # Once a ZeroDivisionError traceback.
         path = tmp_path / "idle.ini"
@@ -992,21 +1025,21 @@ class TestImportCost:
         assert out.strip() == "[]"
 
     def test_simulate_leaves_json_unloaded(self, tmp_path):
-        # Only --format json output needs the json module.
+        # Only the tables of the other commands need the json and csv modules.
         src = str(Path(cli.__file__).resolve().parents[1])
         config = CONFIGS / "simulate_small.ini"
         probe = (
             "import sys; from wastefactor import cli; "
             f"code = cli.main(['simulate', {str(config)!r}, '--jobs', '1', "
             f"'--out', {str(tmp_path / 'out')!r}]); "
-            "print(code, 'json' in sys.modules)"
+            "print(code, 'json' in sys.modules, 'csv' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        assert out.split()[-2:] == ["0", "False"]
+        assert out.split()[-3:] == ["0", "False", "False"]
 
     def test_scalar_calculus_leaves_numpy_unloaded(self):
         # The quickstart promises that the scalar calculus never imports
@@ -1186,9 +1219,21 @@ class TestGoldenOutputs:
     def test_fit_json(self, capsys):
         self.check(capsys, "fit_ru_power_log.json", "fit", str(CONFIGS / "ru_power_log.csv"))
 
+    def test_fit_csv(self, capsys):
+        self.check(
+            capsys, "fit_ru_power_log.csv",
+            "fit", str(CONFIGS / "ru_power_log.csv"), "--format", "csv",
+        )
+
     def test_metrics_csv(self, capsys):
         self.check(
             capsys, "metrics_reference.csv", "metrics", str(CONFIGS / "metrics_reference.ini")
+        )
+
+    def test_metrics_json(self, capsys):
+        self.check(
+            capsys, "metrics_reference.json",
+            "metrics", str(CONFIGS / "metrics_reference.ini"), "--format", "json",
         )
 
     def test_simulate_small_files(self, capsys, tmp_path):
@@ -1205,6 +1250,65 @@ class TestGoldenOutputs:
         assert (out_dir / "aggregate.csv").read_bytes() == (
             self.GOLDEN / "simulate_small_aggregate.csv"
         ).read_bytes()
+
+
+class TestFormatsAgree:
+    """A command's CSV and JSON outputs carry one table: each CSV cell is the
+    matching JSON value under the command's cell rule."""
+
+    @staticmethod
+    def tables(capsys, *argv):
+        code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        return list(csv.reader(io.StringIO(out_csv))), json.loads(out_json)
+
+    @staticmethod
+    def cell(value):
+        # None empty, booleans lower-case, strings and integers as they are,
+        # other numbers to 10 significant digits.
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, (str, int)):
+            return str(value)
+        return f"{value:.10g}"
+
+    def assert_cells(self, table, records):
+        header, *rows = table
+        assert header == list(records[0])
+        assert rows == [[self.cell(record[column]) for column in header] for record in records]
+
+    @pytest.mark.parametrize("config", ["cascade_demo.ini", "ru_reference.ini"])
+    def test_cascade(self, capsys, config):
+        table, payload = self.tables(capsys, "cascade", str(CONFIGS / config))
+        total = payload["total"]
+        total_row = {
+            "label": "TOTAL", "w": total["w"], "g": total["g"],
+            "p_in_w": payload["p_source_out_w"], "p_out_w": total["p_signal_w"],
+            "p_consumed_w": total["p_consumed_path_w"], "p_wasted_w": total["p_wasted_w"],
+        }
+        self.assert_cells(table, payload["stages"] + [total_row])
+
+    def test_system(self, capsys):
+        (header, *rows), payload = self.tables(capsys, "system", str(CONFIGS / "system_fig6.ini"))
+        first, *variants = payload[0]
+        assert header == [first, *(f"{name}_db" for name in variants)]
+        assert len(rows) == len(payload) > 1
+        for row, record in zip(rows, payload):
+            wf_c_db, *cells = record.values()
+            assert row == [f"{wf_c_db:.2f}", *(f"{value:.6f}" for value in cells)]
+
+    def test_fit(self, capsys):
+        table, payload = self.tables(capsys, "fit", str(CONFIGS / "ru_power_log.csv"))
+        self.assert_cells(table, [payload])
+
+    def test_metrics(self, capsys):
+        table, payload = self.tables(capsys, "metrics", str(CONFIGS / "metrics_reference.ini"))
+        assert None in payload[0].values()  # the empty-cell rule is exercised
+        self.assert_cells(table, payload)
 
 
 # Raw INI values for the boundary fuzz, by the parser the schema gives a
