@@ -21,8 +21,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "components": (
         "Adc Antenna ConvertedDevice Dac GenericActive GenericPassive Lna Mixer PhaseShifter "
-        "PowerAmplifier RuSpec UeSpec build_ru build_ue end_to_end pae_from_walker "
-        "reference_ru_spec reference_ue_spec"
+        "PowerAmplifier RuSpec UeSpec build_ru build_ue end_to_end mismatch_loss_db "
+        "pae_from_walker reference_ru_spec reference_ue_spec"
     ),
     "channel": (
         "BAND_PRESETS ApertureAntenna PathLossModel aperture_gain_db band_preset "

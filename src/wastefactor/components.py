@@ -55,14 +55,6 @@ def mismatch_loss_db(vswr: float) -> float:
     return -10.0 * math.log10(transmitted)
 
 
-def return_loss_db(vswr: float) -> float:
-    """Return loss -20 log10(|Gamma|); infinite for a perfect match."""
-    gamma = reflection_coefficient(vswr)
-    if gamma == 0.0:
-        return math.inf
-    return -20.0 * math.log10(gamma)
-
-
 class ConvertedDevice(NamedTuple):
     stage: Stage
     non_path_w: float

@@ -374,6 +374,9 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
 
 # The default 60-120 dB channel sweep takes 60 steps.
 _MAX_SWEEP_STEPS = 100_000
+# `system`'s CSV prints wf_c_db with two decimals, so a finer step would
+# print equal cells.
+_MIN_SWEEP_STEP_DB = 0.01
 
 
 def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
@@ -401,6 +404,11 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
         raise ConfigError(
             f"{doc.path}: wf_c_db_start, wf_c_db_stop and wf_c_db_step give "
             f"{n_steps:g} steps; the step count must be finite and at most {_MAX_SWEEP_STEPS}"
+        )
+    if step < _MIN_SWEEP_STEP_DB:
+        raise ConfigError(
+            f"{doc.path}: wf_c_db_step must be >= {_MIN_SWEEP_STEP_DB} dB, got {step}; "
+            f"the CSV prints wf_c_db to {_MIN_SWEEP_STEP_DB} dB"
         )
     return [start + k * step for k in range(int(round(n_steps)) + 1)]
 

@@ -69,11 +69,6 @@ class Stage:
         loss = db_to_linear(loss_db)
         return cls(w=loss, g=1.0 / loss, label=label)
 
-    @classmethod
-    def ideal(cls, gain_db: float = 0.0, label: str = "") -> "Stage":
-        """W = 1 stage (zero wasted power) with the given gain."""
-        return cls(w=1.0, g=db_to_linear(gain_db), label=label)
-
 
 class StageFlow(NamedTuple):
     """Power bookkeeping for one stage inside :func:`power_flow`."""

@@ -208,7 +208,7 @@ class Layout:
     ``sq_distance_m2`` is BS-major, one row of ``dx*dx + dy*dy`` per BS
     over every UE: each pass over the geometry runs along long contiguous
     UE rows, and the first ``k`` rows are the geometry of the first ``k``
-    BSs. ``distance_m`` derives the ``(n_ue, n_bs)`` distances from it.
+    BSs.
 
     Built by a caller, the coordinates are checked first: a NaN distance
     would fail every radius test and still win the nearest-BS argmin.
@@ -249,12 +249,6 @@ class Layout:
         fields["bs_xy_m"] = bs_xy_m
         fields["ue_xy_m"] = ue_xy_m
         fields["sq_distance_m2"] = d
-
-    @property
-    def distance_m(self) -> np.ndarray:
-        """Horizontal UE-BS distances, ``(n_ue, n_bs)``: a transposed view
-        of the square roots of ``sq_distance_m2``, computed on each call."""
-        return np.sqrt(self.sq_distance_m2).T
 
 
 class DropResult(NamedTuple):

@@ -39,12 +39,6 @@ def dbm_to_watts(value_dbm: float) -> float:
         raise _too_large(value_dbm, "dBm") from None
 
 
-def watts_to_dbm(value_w: float) -> float:
-    if value_w <= 0.0:
-        raise ValueError(f"power must be > 0 W to express in dBm, got {value_w}")
-    return 10.0 * math.log10(value_w) + 30.0
-
-
 @functools.cache
 def _fields_of_type(cls: type, *types: str) -> tuple[str, ...]:
     # Field types are strings under ``from __future__ import annotations``.

@@ -25,7 +25,6 @@ from wastefactor.components import (
     reference_ru_spec,
     reference_ue_spec,
     reflection_coefficient,
-    return_loss_db,
 )
 from wastefactor.core import Stage
 from wastefactor.units import db_to_linear
@@ -100,11 +99,7 @@ class TestVswrHelpers:
         assert mismatch_loss_db(1.5) == pytest.approx(0.1773, abs=1e-4)
         assert mismatch_loss_db(1.0) == 0.0
 
-    def test_return_loss(self):
-        assert return_loss_db(1.5) == pytest.approx(13.979, abs=1e-3)
-        assert return_loss_db(1.0) == math.inf
-
-    @pytest.mark.parametrize("helper", [reflection_coefficient, mismatch_loss_db, return_loss_db])
+    @pytest.mark.parametrize("helper", [reflection_coefficient, mismatch_loss_db])
     @pytest.mark.parametrize("vswr", [math.nan, math.inf])
     def test_non_finite_vswr_is_rejected(self, helper, vswr):
         # Each once returned nan.

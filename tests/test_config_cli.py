@@ -735,6 +735,24 @@ class TestSystemCommand:
         sweep = cfg.wf_c_sweep_from_config(cfg.load_config(path))
         assert (len(sweep), sweep[-1]) == (100_001, 100_000.0)
 
+    def test_step_finer_than_the_csv_is_config_error(self, capsys, tmp_path):
+        # This once printed 60.00 on two rows with different W.
+        path = tmp_path / "s.ini"
+        path.write_text("[sweep]\nwf_c_db_start = 60\nwf_c_db_stop = 60.01\nwf_c_db_step = 0.004\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert "wf_c_db_step must be >= 0.01 dB, got 0.004" in err
+        assert "the CSV prints wf_c_db to 0.01 dB" in err
+
+    def test_step_of_the_csv_resolution_prints_distinct_rows(self, capsys, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[sweep]\nwf_c_db_start = 60\nwf_c_db_stop = 61\nwf_c_db_step = 0.01\n")
+        code, out, _ = run_cli(capsys, "system", str(path))
+        assert code == 0
+        cells = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert cells == [f"{60 + k / 100:.2f}" for k in range(101)]
+
 
     @pytest.mark.parametrize(
         "section, keys",

@@ -20,6 +20,7 @@ from wastefactor.core import (
 )
 from wastefactor.netsim import DropResult, DropRow, Layout, PowerControlResult
 from wastefactor.parallel import Branch
+from wastefactor.units import db_to_linear
 
 
 def random_stages(rng, n):
@@ -79,7 +80,7 @@ class TestStage:
         assert stage.gain_db == pytest.approx(20.0)
 
     def test_ideal(self):
-        stage = Stage.ideal(gain_db=7.0)
+        stage = Stage(w=1.0, g=db_to_linear(7.0))
         assert stage.w == 1.0
         assert stage.gain_db == pytest.approx(7.0)
 

@@ -40,7 +40,7 @@ from wastefactor.netsim import (
     power_control,
     run_campaign,
 )
-from wastefactor.units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+from wastefactor.units import db_to_linear, dbm_to_watts, linear_to_db
 
 SMALL = Scenario(n_ue=64, n_bs=5, frequency_hz=28e9, seed=3)
 
@@ -157,7 +157,7 @@ class TestScenario:
 
     def test_target_rx_power(self):
         sc = Scenario()
-        assert watts_to_dbm(sc.link_budget.target_rx_power_w) == pytest.approx(-72.98, abs=5e-3)
+        assert 10 * math.log10(sc.link_budget.target_rx_power_w) + 30 == pytest.approx(-72.98, abs=5e-3)
 
 
 class TestLayout:
@@ -191,8 +191,8 @@ class TestLayout:
         # generate_layout skips the finite check, not the distance helper.
         drawn = generate_layout(dataclasses.replace(SMALL, n_ue=n_ue, n_bs=n_bs))
         built = Layout(bs_xy_m=drawn.bs_xy_m.copy(), ue_xy_m=drawn.ue_xy_m.copy())
-        assert drawn.distance_m.shape == (n_ue, n_bs)
-        assert built.distance_m.tobytes() == drawn.distance_m.tobytes()
+        assert drawn.sq_distance_m2.shape == (n_bs, n_ue)
+        assert built.sq_distance_m2.tobytes() == drawn.sq_distance_m2.tobytes()
 
     def test_ue_placement_invariant_to_bs_count(self):
         one = generate_layout(dataclasses.replace(SMALL, n_bs=1))
@@ -215,11 +215,10 @@ class TestLayout:
             dx = layout.ue_xy_m[:, 0] - layout.bs_xy_m[:, 0, None]
             dy = layout.ue_xy_m[:, 1] - layout.bs_xy_m[:, 1, None]
             assert sq.tobytes() == (dx * dx + dy * dy).tobytes()
-            assert layout.distance_m.tobytes() == np.sqrt(sq).T.tobytes()
 
     def test_integer_coordinates(self):
         layout = Layout(bs_xy_m=np.array([[0, 0], [6, 8]]), ue_xy_m=np.array([[3, 4]]))
-        assert layout.distance_m.tolist() == [[5.0, 5.0]]
+        assert layout.sq_distance_m2.tolist() == [[25.0], [25.0]]
 
     @pytest.mark.parametrize("name", ["bs_xy_m", "ue_xy_m"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -282,7 +281,8 @@ def layouts_and_radii(draw):
         ue_xy_m=draw(arrays(np.float64, (n_ue, 2), elements=coords)),
     )
     radii = st.floats(1.0, 800.0)
-    distances = layout.distance_m[layout.distance_m > 0.0]
+    distance = np.sqrt(layout.sq_distance_m2).T
+    distances = distance[distance > 0.0]
     if distances.size:
         radii = st.one_of(radii, st.sampled_from(distances.tolist()))
     return layout, draw(radii)
@@ -381,8 +381,8 @@ class TestServingProperties:
 
     def test_examples_sit_where_they_say(self):
         assert ULPS_ABOVE_ONE.sq_distance_m2[:, 0].tolist() == [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]
-        assert ULPS_ABOVE_ONE.distance_m.tolist() == [[1.0, 1.0, math.sqrt(1.0 + 2.0 ** -51)]]
-        assert ROOT_TIE.distance_m.tolist() == [[1.0, 1.0]]
+        assert np.sqrt(ULPS_ABOVE_ONE.sq_distance_m2).T.tolist() == [[1.0, 1.0, math.sqrt(1.0 + 2.0 ** -51)]]
+        assert np.sqrt(ROOT_TIE.sq_distance_m2).T.tolist() == [[1.0, 1.0]]
         assert ROOT_TIE.sq_distance_m2[0, 0] > ROOT_TIE.sq_distance_m2[1, 0]
         assert EXACT_TIE.sq_distance_m2.tolist() == [[25.0], [25.0]]
 
@@ -445,7 +445,7 @@ class TestShadowing:
 
     def test_shadowing_changes_losses_but_not_geometry(self):
         layout = generate_layout(SMALL)
-        every_pair = np.ones(layout.distance_m.shape, dtype=bool)
+        every_pair = np.ones(layout.sq_distance_m2.T.shape, dtype=bool)
         plain, _ = effective_loss_matrix(SMALL, layout, Links(every_pair))
         shadowed, _ = effective_loss_matrix(
             dataclasses.replace(SMALL, apply_shadowing=True), layout, Links(every_pair)
@@ -545,7 +545,7 @@ class TestPowerControl:
         sc = self._one_link_scenario()
         l_eff = np.array([10.0 ** 8.0])  # 80 dB
         pc = power_control(l_eff, Links(np.array([[True]])), sc)
-        assert watts_to_dbm(pc.p_tx_w[0]) == pytest.approx(7.02, abs=5e-3)
+        assert 10 * math.log10(pc.p_tx_w[0]) + 30 == pytest.approx(7.02, abs=5e-3)
         assert pc.snr_db[0] == pytest.approx(10.0, abs=1e-9)
         assert pc.n_capped_links == 0
 
@@ -553,7 +553,7 @@ class TestPowerControl:
         sc = self._one_link_scenario()
         l_eff = np.array([10.0 ** 9.0])  # 90 dB needs 17 dBm
         pc = power_control(l_eff, Links(np.array([[True]])), sc)
-        assert watts_to_dbm(pc.p_tx_w[0]) == pytest.approx(10.0, abs=1e-9)
+        assert 10 * math.log10(pc.p_tx_w[0]) + 30 == pytest.approx(10.0, abs=1e-9)
         assert pc.snr_db[0] == pytest.approx(2.98, abs=5e-3)
         assert pc.n_capped_links == 1
 
@@ -1038,7 +1038,7 @@ class TestInPlaceKernelOracle:
         scenario, layout = case
         sq = where_sq_distance(layout)
         assert layout.sq_distance_m2.T.tobytes() == sq.tobytes()
-        assert layout.distance_m.tobytes() == np.sqrt(sq).tobytes()
+        assert np.sqrt(layout.sq_distance_m2).T.tobytes() == np.sqrt(sq).tobytes()
         mask = assign_serving_sets(layout, scenario.serving_radius_m)
         links = Links(mask)
         link_loss, n_clamped = effective_loss_matrix(scenario, layout, links)

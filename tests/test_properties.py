@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wastefactor import mismatch_loss_db
 from wastefactor.channel import BAND_PRESETS
 from wastefactor.components import (
     Adc,
@@ -164,6 +165,19 @@ def test_construction_is_the_only_check(cls, data):
     stage, non_path_w = device.converted
     assert 1.0 <= stage.w < math.inf and 0.0 < stage.g < math.inf
     assert 0.0 <= non_path_w < math.inf
+
+
+# Efficiencies start above the subnormal range: a product that rounds there
+# compares rounding, not the transmitted fraction.
+@PROPERTIES
+@given(e=st.floats(1e-300, 1.0), v=st.floats(1.0, 1e6))
+@example(e=1.0, v=1.0)
+@example(e=1.0, v=1e6)
+def test_antenna_mismatch_is_the_exported_mismatch_loss(e, v):
+    # Two homes of the transmitted fraction 1 - |Gamma|^2: the antenna's
+    # efficiency and the dB helper a VSWR holder passes to a PhaseShifter.
+    expected = e * 10 ** (-mismatch_loss_db(v) / 10)
+    assert Antenna(radiation_efficiency=e, vswr=v).efficiency == pytest.approx(expected, rel=1e-12)
 
 
 antennas = st.builds(Antenna, radiation_efficiency=st.floats(0.1, 1.0), vswr=st.floats(1.0, 3.0))
