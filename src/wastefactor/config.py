@@ -410,7 +410,17 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
             f"{doc.path}: wf_c_db_step must be >= {_MIN_SWEEP_STEP_DB} dB, got {step}; "
             f"the CSV prints wf_c_db to {_MIN_SWEEP_STEP_DB} dB"
         )
-    return [start + k * step for k in range(int(round(n_steps)) + 1)]
+    sweep = [start + k * step for k in range(int(round(n_steps)) + 1)]
+    # A step of 0.01 dB or more can still round two neighbours to one cell:
+    # 3.905 and 3.915 both print as 3.91.
+    for before, after in zip(sweep, sweep[1:]):
+        cell = f"{before:.2f}"
+        if cell == f"{after:.2f}":
+            raise ConfigError(
+                f"{doc.path}: wf_c_db points {before!r} and {after!r} both print as {cell}; "
+                f"the CSV prints wf_c_db to {_MIN_SWEEP_STEP_DB} dB"
+            )
+    return sweep
 
 
 def _key_value_lines(

@@ -16,7 +16,9 @@ oracle used throughout the test suite.
 
 A result that checks nothing is a ``typing.NamedTuple``, such as
 :class:`StageFlow` and :class:`CascadeReport`: equal by value, copied by
-``_replace``. A value that checks its fields is a frozen dataclass with a
+``_replace``. :func:`power_flow` builds its records with ``tuple.__new__``
+in field order, which skips the NamedTuple's Python-level ``__new__``. A
+value that checks its fields is a frozen dataclass with a
 ``__post_init__`` or, where that measured slower, its own ``__init__``
 (:class:`Stage`, ``parallel.Branch``, ``netsim.Layout``).
 """
@@ -138,6 +140,10 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
     and wastes ``(W_i - 1) * P_out,i``. The report totals satisfy
     ``p_consumed_path_w == w * p_signal_w`` exactly by construction, which
     makes this the independent energy-accounting oracle for :func:`cascade`.
+
+    One pass over the stages tracks the powers and notes the first stage
+    whose own consumption overflows; its error comes after the checks of
+    the signal power and the totals.
     """
     if not stages:
         raise ValueError("power_flow requires at least one stage")
@@ -146,11 +152,17 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
     flows = []
     p_in = p_source_out_w
     wasted_total = 0.0
+    overflowed = None  # the first stage whose own consumption is not finite
     for stage in stages:
+        w_i = stage.w
         p_out = p_in * stage.g
-        consumed = stage.w * p_out - p_in
-        wasted = (stage.w - 1.0) * p_out
-        flows.append(StageFlow(stage.label, p_in, p_out, consumed, wasted))
+        consumed = w_i * p_out - p_in
+        wasted = (w_i - 1.0) * p_out
+        flow = tuple.__new__(StageFlow, (stage.label, p_in, p_out, consumed, wasted))
+        flows.append(flow)
+        # x - x is 0.0 for every finite x and NaN for inf or NaN.
+        if consumed - consumed != 0.0 and overflowed is None:
+            overflowed = flow
         wasted_total += wasted
         p_in = p_out
     p_signal = p_in
@@ -165,20 +177,18 @@ def power_flow(stages: Sequence[Stage], p_source_out_w: float) -> CascadeReport:
     consumed_total = p_signal + wasted_total
     w = consumed_total / p_signal
     g = p_signal / p_source_out_w
-    for quantity, value in (("p_consumed_path_w", consumed_total), ("w", w), ("g", g)):
-        if not math.isfinite(value):
-            raise _out_of_range(quantity, value)
-    for flow in flows:
-        if not math.isfinite(flow.p_consumed_w):
-            raise _out_of_range(f"stage {flow.label!r} p_consumed_w", flow.p_consumed_w)
-    return CascadeReport(
-        p_source_out_w=p_source_out_w,
-        stages=tuple(flows),
-        w=w,
-        g=g,
-        p_signal_w=p_signal,
-        p_consumed_path_w=consumed_total,
-        p_wasted_w=wasted_total,
+    if not math.isfinite(consumed_total):
+        raise _out_of_range("p_consumed_path_w", consumed_total)
+    if not math.isfinite(w):
+        raise _out_of_range("w", w)
+    if not math.isfinite(g):
+        raise _out_of_range("g", g)
+    if overflowed is not None:
+        raise _out_of_range(f"stage {overflowed.label!r} p_consumed_w", overflowed.p_consumed_w)
+    # In CascadeReport's field order.
+    return tuple.__new__(
+        CascadeReport,
+        (p_source_out_w, tuple(flows), w, g, p_signal, consumed_total, wasted_total),
     )
 
 

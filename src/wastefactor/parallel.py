@@ -12,6 +12,7 @@ assigning the weights an equal-gain receiver would produce.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -31,7 +32,7 @@ def _merged_power(powers: Sequence[float], mode: CombiningMode) -> float:
     or their amplitudes add in phase (coherent)."""
     if mode is CombiningMode.NON_COHERENT:
         return sum(powers)
-    amplitude = sum(math.sqrt(p) for p in powers)
+    amplitude = sum(map(math.sqrt, powers))
     return amplitude * amplitude
 
 
@@ -56,7 +57,7 @@ def _weighted_mean(
         _, exponent = math.frexp(top)
         shift = -(exponent + (exponent & 1))
         powers = [math.ldexp(p, shift) for p in powers]
-    mean = sum(p * w_i for p, w_i in zip(powers, w)) / _merged_power(powers, mode)
+    mean = sum(map(operator.mul, powers, w)) / _merged_power(powers, mode)
     if not math.isfinite(mean):
         raise _overflow("the power-weighted waste factor", mean)
     return mean
@@ -89,13 +90,18 @@ def combine_branches(branches: Sequence[Branch], mode: CombiningMode) -> float:
     """
     if not branches:
         raise ValueError("combine_branches requires at least one branch")
-    active = [b for b in branches if b.weight > 0.0]
-    if not active:
+    weights, ws = [], []
+    for branch in branches:
+        weight = branch.weight
+        if weight > 0.0:
+            weights.append(weight)
+            ws.append(branch.stage.w)
+    if not weights:
         raise ValueError("at least one branch must have weight > 0")
-    if len(active) == 1:
+    if len(weights) == 1:
         # Degenerate parallelism reduces exactly, with no weight round-off.
-        return active[0].stage.w
-    return _weighted_mean([b.weight for b in active], [b.stage.w for b in active], mode)
+        return ws[0]
+    return _weighted_mean(weights, ws, mode)
 
 
 def miso_compose(
@@ -162,16 +168,18 @@ def received_power_matrix(
     if len(channel_w) != m:
         raise ValueError(f"channel matrix has {len(channel_w)} rows, expected {m}")
     n = len(channel_w[0])
-    if any(len(row) != n for row in channel_w):
-        raise ValueError("channel matrix rows must all have the same length")
-    if not all(0.0 <= p < math.inf for p in tx_powers_w):
-        raise ValueError("transmit powers must be finite and >= 0 W")
+    for row in channel_w:
+        if len(row) != n:
+            raise ValueError("channel matrix rows must all have the same length")
+    for p in tx_powers_w:
+        if not 0.0 <= p < math.inf:
+            raise ValueError("transmit powers must be finite and >= 0 W")
     for row in channel_w:
         for w in row:
-            if math.isnan(w) or w < 1.0:
+            if not w >= 1.0:  # NaN fails it too
                 raise ValueError(f"channel waste factor must be >= 1, got {w}")
     received = [
-        _merged_power([tx_powers_w[i] / channel_w[i][j] for i in range(m)], mode)
+        _merged_power([p / row[j] for p, row in zip(tx_powers_w, channel_w)], mode)
         for j in range(n)
     ]
     # Finite powers over losses >= 1 sum to no NaN, only to an overflow.

@@ -753,6 +753,17 @@ class TestSystemCommand:
         cells = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert cells == [f"{60 + k / 100:.2f}" for k in range(101)]
 
+    def test_neighbours_printing_one_cell_are_config_error(self, capsys, tmp_path):
+        # This once printed 3.90 twice and 3.92 twice with different W: a
+        # 0.01 dB step from a half-hundredth rounds neighbours across ties.
+        path = tmp_path / "s.ini"
+        path.write_text("[sweep]\nwf_c_db_start = 3.895\nwf_c_db_stop = 3.935\nwf_c_db_step = 0.01\n")
+        code, out, err = run_cli(capsys, "system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert "wf_c_db points 3.895 and 3.905 both print as 3.90" in err
+        assert "the CSV prints wf_c_db to 0.01 dB" in err
+
 
     @pytest.mark.parametrize(
         "section, keys",
@@ -1231,8 +1242,21 @@ class TestGoldenOutputs:
     def test_ru_reference_csv(self, capsys):
         self.check(capsys, "ru_reference.csv", "cascade", str(CONFIGS / "ru_reference.ini"))
 
+    def test_ru_reference_json(self, capsys):
+        # JSON prints repr floats, so it sees a last-bit change the CSV hides.
+        self.check(
+            capsys, "ru_reference.json",
+            "cascade", str(CONFIGS / "ru_reference.ini"), "--format", "json",
+        )
+
     def test_system_fig6_csv(self, capsys):
         self.check(capsys, "system_fig6.csv", "system", str(CONFIGS / "system_fig6.ini"))
+
+    def test_system_fig6_json(self, capsys):
+        self.check(
+            capsys, "system_fig6.json",
+            "system", str(CONFIGS / "system_fig6.ini"), "--format", "json",
+        )
 
     def test_fit_json(self, capsys):
         self.check(capsys, "fit_ru_power_log.json", "fit", str(CONFIGS / "ru_power_log.csv"))

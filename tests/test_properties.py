@@ -3,7 +3,10 @@
 The cascade law must agree with explicit energy bookkeeping; a
 non-coherent parallel group is a weighted mean of its branches, and
 coherent combining can only lower that mean; the parallel compositions
-are that one law and that one mean, bit for bit; a device spec that
+are that one law and that one mean, bit for bit; ``power_flow``,
+``combine_branches``, the weighted mean and ``received_power_matrix``
+return what their former multi-pass forms return, bit for bit, and raise
+what those raise, message for message; a device spec that
 constructs converts to a finite stage; both radios compose their devices
 by one chain rule, bit for bit; every drop conserves energy
 and ends no better than the UE's own waste factor. Two properties of the
@@ -40,7 +43,7 @@ from wastefactor.components import (
     ru_devices,
     ue_devices,
 )
-from wastefactor.core import Stage, cascade, power_flow
+from wastefactor.core import CascadeReport, Stage, StageFlow, cascade, power_flow
 from wastefactor.netsim import (
     DIRECTIONAL,
     OMNI,
@@ -55,10 +58,12 @@ from wastefactor.netsim import (
 from wastefactor.parallel import (
     Branch,
     CombiningMode,
+    _weighted_mean,
     combine_branches,
     mino_compose,
     mino_first_stage,
     miso_compose,
+    received_power_matrix,
 )
 
 PROPERTIES = settings(max_examples=50, deadline=None)
@@ -134,6 +139,222 @@ def test_mino_first_stage_is_the_non_coherent_combine(outputs):
     group = [Branch(Stage(w_j, 1.0), p) for p, w_j in outputs]
     combined = combine_branches(group, CombiningMode.NON_COHERENT)
     assert mino_first_stage(powers, w).hex() == combined.hex()
+
+
+# The multi-pass forms of the calculus that each walked its inputs more than
+# once, kept here as references: the one-pass forms must return the same
+# floats and raise the same errors.
+
+
+def multipass_power_flow(stages, p_source_out_w):
+    if not stages:
+        raise ValueError("power_flow requires at least one stage")
+    if not 0.0 < p_source_out_w < math.inf:
+        raise ValueError(f"source power must be finite and > 0 W, got {p_source_out_w}")
+
+    def out_of_range(quantity, value):
+        return ValueError(
+            f"{quantity} = {value} is out of float range; "
+            "the source power and the stages are too extreme to track"
+        )
+
+    flows = []
+    p_in = p_source_out_w
+    wasted_total = 0.0
+    for stage in stages:
+        p_out = p_in * stage.g
+        consumed = stage.w * p_out - p_in
+        wasted = (stage.w - 1.0) * p_out
+        flows.append(StageFlow(stage.label, p_in, p_out, consumed, wasted))
+        wasted_total += wasted
+        p_in = p_out
+    p_signal = p_in
+    if not 0.0 < p_signal < math.inf:
+        raise out_of_range("p_signal_w", p_signal)
+    consumed_total = p_signal + wasted_total
+    w = consumed_total / p_signal
+    g = p_signal / p_source_out_w
+    for quantity, value in (("p_consumed_path_w", consumed_total), ("w", w), ("g", g)):
+        if not math.isfinite(value):
+            raise out_of_range(quantity, value)
+    for flow in flows:
+        if not math.isfinite(flow.p_consumed_w):
+            raise out_of_range(f"stage {flow.label!r} p_consumed_w", flow.p_consumed_w)
+    return CascadeReport(
+        p_source_out_w=p_source_out_w,
+        stages=tuple(flows),
+        w=w,
+        g=g,
+        p_signal_w=p_signal,
+        p_consumed_path_w=consumed_total,
+        p_wasted_w=wasted_total,
+    )
+
+
+def multipass_merged_power(powers, mode):
+    if mode is CombiningMode.NON_COHERENT:
+        return sum(powers)
+    amplitude = sum(math.sqrt(p) for p in powers)
+    return amplitude * amplitude
+
+
+def multipass_weighted_mean(powers, w, mode):
+    top = max(powers)
+    if top < 0.25:
+        _, exponent = math.frexp(top)
+        shift = -(exponent + (exponent & 1))
+        powers = [math.ldexp(p, shift) for p in powers]
+    mean = sum(p * w_i for p, w_i in zip(powers, w)) / multipass_merged_power(powers, mode)
+    if not math.isfinite(mean):
+        raise ValueError(f"the power-weighted waste factor is {mean}: its sum overflows a float")
+    return mean
+
+
+def multipass_combine_branches(branches, mode):
+    if not branches:
+        raise ValueError("combine_branches requires at least one branch")
+    active = [b for b in branches if b.weight > 0.0]
+    if not active:
+        raise ValueError("at least one branch must have weight > 0")
+    if len(active) == 1:
+        return active[0].stage.w
+    return multipass_weighted_mean([b.weight for b in active], [b.stage.w for b in active], mode)
+
+
+def multipass_received_power_matrix(tx_powers_w, channel_w, mode):
+    m = len(tx_powers_w)
+    if m == 0:
+        raise ValueError("received_power_matrix requires at least one transmitter")
+    if len(channel_w) != m:
+        raise ValueError(f"channel matrix has {len(channel_w)} rows, expected {m}")
+    n = len(channel_w[0])
+    if any(len(row) != n for row in channel_w):
+        raise ValueError("channel matrix rows must all have the same length")
+    if not all(0.0 <= p < math.inf for p in tx_powers_w):
+        raise ValueError("transmit powers must be finite and >= 0 W")
+    for row in channel_w:
+        for w in row:
+            if math.isnan(w) or w < 1.0:
+                raise ValueError(f"channel waste factor must be >= 1, got {w}")
+    received = [
+        multipass_merged_power([tx_powers_w[i] / channel_w[i][j] for i in range(m)], mode)
+        for j in range(n)
+    ]
+    if math.inf in received:
+        raise ValueError(f"a received power is {math.inf}: its sum overflows a float")
+    return received
+
+
+def outcome(fn, *args):
+    """A call's value and its repr, which tells every float's bits but a
+    NaN's, or the type and message of what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+BIT_FOR_BIT = settings(max_examples=200, deadline=None)
+modes = st.sampled_from(CombiningMode)
+labels = st.sampled_from(["", "a", "pa"])
+# Every finite W and gain a Stage accepts, subnormal gains included.
+wide_stages = st.builds(
+    Stage,
+    w=st.floats(1.0, allow_infinity=False),
+    g=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    label=labels,
+)
+# Tiny weights take the frexp rescaling path; zero ones are inactive.
+weights = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.2, 1.0]) | st.floats(
+    0.0, allow_infinity=False
+)
+# Anything a caller can pass: NaN, both infinities and negatives included.
+any_powers = st.floats() | st.floats(0.1, 10.0)
+any_losses = st.floats() | st.floats(1.0, 1e6) | st.just(math.inf)
+
+
+@BIT_FOR_BIT
+@given(
+    chain=st.lists(stages | wide_stages, max_size=8),
+    p_source_w=st.floats() | st.floats(1e-3, 1e3),
+)
+@example(chain=[Stage(1.5, 1.0, "a"), Stage(1.5, 1.0, "b"), Stage(1.0, 1e-10)], p_source_w=1.5e308)
+@example(chain=[Stage(2.0, 1.0, "pa"), Stage(1.0, 1e-10)], p_source_w=1e308)
+@example(chain=[Stage(30.0, 30.0), Stage(30.0, 30.0)], p_source_w=1e308)
+@example(chain=[Stage(1.0, 1e-300)], p_source_w=1e-300)
+@example(chain=[Stage(1e300, 1.0)], p_source_w=1e10)
+@example(chain=[Stage(1.0, 1e200), Stage(1.0, 1e200)], p_source_w=1e-300)
+@example(chain=[Stage(2.0, 1.0)], p_source_w=math.nan)
+@example(chain=[], p_source_w=1.0)
+def test_power_flow_is_its_multipass_form(chain, p_source_w):
+    got = outcome(power_flow, chain, p_source_w)
+    assert got == outcome(multipass_power_flow, chain, p_source_w)
+    if isinstance(got[0], CascadeReport):
+        assert all(type(flow) is StageFlow for flow in got[0].stages)
+
+
+@BIT_FOR_BIT
+@given(
+    group=st.lists(st.builds(Branch, stage=stages | wide_stages, weight=weights), max_size=8),
+    mode=modes,
+)
+@example(
+    group=[Branch(Stage(1.5, 1.0), 0.1), Branch(Stage(3.0, 1.0), 0.2)],
+    mode=CombiningMode.COHERENT,
+)
+@example(
+    group=[Branch(Stage(1.5, 1.0), 1e308), Branch(Stage(2.0, 1.0), 1e308)],
+    mode=CombiningMode.NON_COHERENT,
+)
+@example(group=[Branch(Stage(1.5, 1.0), 0.0)], mode=CombiningMode.NON_COHERENT)
+@example(group=[], mode=CombiningMode.COHERENT)
+def test_combine_branches_is_its_multipass_form(group, mode):
+    assert outcome(combine_branches, group, mode) == outcome(
+        multipass_combine_branches, group, mode
+    )
+
+
+@BIT_FOR_BIT
+@given(
+    outputs=st.lists(
+        st.tuples(weights, st.floats(1.0, allow_infinity=False)), min_size=1, max_size=8
+    ),
+    mode=modes,
+)
+def test_weighted_mean_is_its_multipass_form(outputs, mode):
+    powers, w = [p for p, _ in outputs], [w_j for _, w_j in outputs]
+    assert outcome(_weighted_mean, powers, w, mode) == outcome(
+        multipass_weighted_mean, powers, w, mode
+    )
+
+
+@st.composite
+def transmitters_and_channels(draw):
+    """Transmit powers and an M x N channel matrix; now and then with one
+    row too many or a last row of another length."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    tx = draw(st.lists(any_powers, min_size=m, max_size=m))
+    rows = draw(st.lists(st.lists(any_losses, min_size=n, max_size=n), min_size=m, max_size=m))
+    flaw = draw(st.sampled_from([None, None, "extra row", "ragged row"]))
+    if flaw == "extra row":
+        rows.append(draw(st.lists(any_losses, min_size=n, max_size=n)))
+    elif flaw == "ragged row" and rows:
+        rows[-1] = draw(st.lists(any_losses, max_size=4))
+    return tx, rows
+
+
+@BIT_FOR_BIT
+@given(matrix=transmitters_and_channels(), mode=modes)
+@example(matrix=([1e308, 1e308], [[1.0], [1.0]]), mode=CombiningMode.NON_COHERENT)
+@example(matrix=([1.0, 1.0], [[math.inf], [4.0]]), mode=CombiningMode.COHERENT)
+@example(matrix=([1.0], [[math.nan]]), mode=CombiningMode.NON_COHERENT)
+@example(matrix=([math.nan], [[2.0]]), mode=CombiningMode.NON_COHERENT)
+def test_received_power_matrix_is_its_multipass_form(matrix, mode):
+    tx, rows = matrix
+    assert outcome(received_power_matrix, tx, rows, mode) == outcome(
+        multipass_received_power_matrix, tx, rows, mode
+    )
 
 
 # Zero, subnormal and huge values, and a range where most specs are valid.
