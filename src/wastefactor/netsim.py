@@ -210,10 +210,15 @@ class Layout:
     UE rows, and the first ``k`` rows are the geometry of the first ``k``
     BSs.
 
-    Built by a caller, the coordinates are checked first: a NaN distance
-    would fail every radius test and still win the nearest-BS argmin.
-    :func:`generate_layout` skips that check, because coordinates drawn
-    inside the scenario's finite disk are finite by construction.
+    The ``dy*dy`` terms are added in blocks of whole BS rows, each block
+    allocated on its own (see ``_DY_BLOCK_PAIRS``).
+
+    Built by a caller, each coordinate argument is converted to a float
+    array and checked first: it must have shape ``(n, 2)`` with ``n >= 1``
+    and hold finite values, since a NaN distance would fail every radius
+    test and still win the nearest-BS argmin. :func:`generate_layout` skips
+    those checks, because coordinates drawn inside the scenario's finite
+    disk are finite ``(n, 2)`` arrays by construction.
     """
 
     bs_xy_m: np.ndarray  # (n_bs, 2)
@@ -221,10 +226,15 @@ class Layout:
     sq_distance_m2: np.ndarray = field(init=False, repr=False)  # (n_bs, n_ue), horizontal
 
     def __init__(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
+        checked = []
         for name, xy in (("bs_xy_m", bs_xy_m), ("ue_xy_m", ue_xy_m)):
+            xy = np.asarray(xy, dtype=float)
+            if xy.ndim != 2 or xy.shape[0] < 1 or xy.shape[1] != 2:
+                raise ValueError(f"{name} must have shape (n, 2) with n >= 1, got {xy.shape}")
             if not np.isfinite(xy).all():
                 raise ValueError(f"{name} must hold finite coordinates")
-        self._store(bs_xy_m, ue_xy_m)
+            checked.append(xy)
+        self._store(*checked)
 
     @classmethod
     def _drawn(cls, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> Layout:
@@ -236,15 +246,12 @@ class Layout:
         # dx*dx + dy*dy, dx = ue - bs, with dy*dy in blocks of whole BS rows.
         d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
         d *= d
-        n_bs = len(d)
-        rows = max(1, _DY_BLOCK_PAIRS // max(len(ue_xy_m), 1))
-        dy = np.empty((min(rows, n_bs), len(ue_xy_m)))
-        for start in range(0, n_bs, rows):
-            stop = min(start + rows, n_bs)
-            block = dy[: stop - start]
-            np.subtract(ue_xy_m[:, 1], bs_xy_m[start:stop, 1, None], out=block, dtype=float)
+        rows = max(1, _DY_BLOCK_PAIRS // len(ue_xy_m))
+        for start in range(0, len(d), rows):
+            block = np.subtract(ue_xy_m[:, 1], bs_xy_m[start : start + rows, 1, None], dtype=float)
             block *= block
-            d[start:stop] += block
+            d[start : start + rows] += block
+            del block  # freed before the next block is allocated
         fields = self.__dict__
         fields["bs_xy_m"] = bs_xy_m
         fields["ue_xy_m"] = ue_xy_m
@@ -298,13 +305,27 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius_m: float) -> np.ndarray:
-    """``(n, 2)`` points, each coordinate column contiguous in memory."""
-    r = radius_m * np.sqrt(rng.random(n))
-    theta = 2.0 * np.pi * rng.random(n)
-    xy = np.empty((2, n))
-    np.multiply(r, np.cos(theta), out=xy[0])
-    np.multiply(r, np.sin(theta), out=xy[1])
-    return xy.T
+    """``(n, 2)`` points, each coordinate column contiguous in memory.
+
+    One draw of ``2 * n`` doubles, the n radii and then the n angles: the
+    doubles of two ``rng.random(n)`` calls, since Philox is counter-based.
+    """
+    return _disk_points(rng.random(2 * n).reshape(2, n), radius_m).T
+
+
+def _disk_points(u: np.ndarray, radius_m: float) -> np.ndarray:
+    """``(2, n)`` x and y rows from a ``(2, n)`` block of uniform doubles,
+    radii in row 0 and angles in row 1, which it overwrites:
+    ``r = radius_m * sqrt(u0)``, ``theta = 2 pi u1``, ``(r cos, r sin)``."""
+    r, theta = u
+    np.sqrt(r, out=r)
+    r *= radius_m
+    theta *= 2.0 * np.pi
+    xy = np.empty(u.shape)
+    np.cos(theta, out=xy[0])
+    np.sin(theta, out=xy[1])
+    xy *= r
+    return xy
 
 
 def generate_layout(scenario: Scenario) -> Layout:
@@ -324,10 +345,8 @@ def generate_layout(scenario: Scenario) -> Layout:
     min_sep_sq = scenario.min_bs_separation_m ** 2
     attempts = 0
     while True:
-        u = rng.random((4 * scenario.n_bs, 2))
-        r = scenario.region_radius_m * np.sqrt(u[:, 0])
-        theta = 2.0 * np.pi * u[:, 1]
-        for x, y in zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()):
+        candidates = _disk_points(rng.random((4 * scenario.n_bs, 2)).T, scenario.region_radius_m)
+        for x, y in zip(*candidates.tolist()):
             attempts += 1
             if attempts > _MAX_PLACEMENT_ATTEMPTS:
                 raise RuntimeError(
@@ -398,16 +417,24 @@ def effective_loss_matrix(
     """
     link_budget = scenario.link_budget
     band = link_budget.band
+    height_sq = link_budget.height_delta_m ** 2
     loss = layout.sq_distance_m2.take(links.cell)
-    loss += link_budget.height_delta_m ** 2
-    np.maximum(loss, 1.0, out=loss)
+    loss += height_sq
+    if height_sq < 1.0:  # otherwise every d3 ** 2 is at least 1
+        np.maximum(loss, 1.0, out=loss)
     np.power(loss, band.ple / 2.0, out=loss)
     loss *= link_budget.loss_scale
     if scenario.apply_shadowing and band.sigma_db > 0.0:
         z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
-        shadow = z[links.ue, links.bs]
+        ue_major = links.ue * links.n_bs
+        ue_major += links.bs
+        shadow = z.take(ue_major)
         shadow *= band.sigma_db * math.log(10.0) / 10.0
         loss *= np.exp(shadow, out=shadow)
+    elif link_budget.loss_scale * max(height_sq, 1.0) ** (band.ple / 2.0) >= 1.0 + 1e-9:
+        # The lowest loss any d3 gives clears 1 by more than the rounding of
+        # the power and the product: no link is below the floor.
+        return loss, 0
     n_clamped = int(np.count_nonzero(loss < 1.0))
     return np.maximum(loss, 1.0, out=loss), n_clamped
 
@@ -438,8 +465,9 @@ class Links:
             raise ValueError(f"serving mask must be a 2-D boolean array, got {kind}")
         by_bs = mask.T
         self.n_bs, self.n_ue = by_bs.shape
-        self.cell = np.flatnonzero(by_bs)
-        self.bs, self.ue = np.divmod(self.cell, self.n_ue)
+        self.cell = by_bs.reshape(-1).nonzero()[0]
+        self.bs = self.cell // self.n_ue
+        self.ue = self.cell - self.bs * self.n_ue
 
     def __len__(self) -> int:
         return self.cell.size
@@ -479,13 +507,15 @@ def power_control(link_loss_w: np.ndarray, links: Links, scenario: Scenario) -> 
     with np.errstate(divide="ignore", over="ignore"):
         inv_l = 1.0 / link_loss_w
         if scenario.power_allocation == "equal":
-            denom = links.per_ue(inv_l)
-            per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            p_tx = per_ue[links.ue]
+            # A UE with a link has a sum > 0; the others are never gathered.
+            p_tx = (target / links.per_ue(inv_l))[links.ue]
         else:
             denom = links.per_ue(np.square(inv_l))
-            scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            p_tx = scale[links.ue] * inv_l
+            scale = target / denom
+            if not denom.all():  # squares that underflowed, or UEs with no link
+                scale[denom == 0.0] = 0.0
+            p_tx = scale[links.ue]
+            p_tx *= inv_l
         n_capped = int(np.count_nonzero(p_tx > cap_w))
         np.minimum(p_tx, cap_w, out=p_tx)
 
@@ -499,7 +529,9 @@ def power_control(link_loss_w: np.ndarray, links: Links, scenario: Scenario) -> 
             bs_load = links.per_bs(p_tx)
 
         p_rx_ue = links.per_ue(np.multiply(p_tx, inv_l, out=inv_l))
-        snr_db = 10.0 * np.log10(p_rx_ue / noise_w)
+        snr_db = p_rx_ue / noise_w
+        np.log10(snr_db, out=snr_db)
+        snr_db *= 10.0
     return PowerControlResult(
         p_tx_w=p_tx,
         p_tx_bs_w=bs_load,
@@ -524,7 +556,9 @@ def _p5(x: np.ndarray) -> float:
     virtual = (n - 1) * 0.05
     lo = math.floor(virtual)
     t = virtual - lo
-    a, b = np.partition(x, sorted({-1, 0, lo, lo + 1}))[lo : lo + 2].tolist()
+    y = x.copy()
+    y.partition(sorted({-1, 0, lo, lo + 1}))
+    a, b = y[lo : lo + 2].tolist()
     d = b - a
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
@@ -547,21 +581,25 @@ def evaluate_links(
             f"serving mask has shape {(links.n_ue, links.n_bs)} but the scenario declares "
             f"{scenario.n_ue} UEs and {scenario.n_bs} BSs"
         )
-    if np.shape(link_loss_w) != (len(links),):
+    link_loss_w = np.asarray(link_loss_w, dtype=float)
+    if link_loss_w.shape != (len(links),):
         raise ValueError(
-            f"link losses have shape {np.shape(link_loss_w)} but the serving mask "
+            f"link losses have shape {link_loss_w.shape} but the serving mask "
             f"holds {len(links)} links; pass one loss per link, l_eff_w[links.ue, links.bs]"
         )
-    if len(links) and not (link_loss_w.min() >= 1.0 and link_loss_w.max() < math.inf):  # NaN fails
-        lo, hi = link_loss_w.min(), link_loss_w.max()
-        raise ValueError(f"link losses must be finite and >= 1 (the W = 1 floor); got {lo} to {hi}")
+    if len(links):
+        lo, hi = np.minimum.reduce(link_loss_w), np.maximum.reduce(link_loss_w)
+        if not (lo >= 1.0 and hi < math.inf):  # NaN fails
+            raise ValueError(
+                f"link losses must be finite and >= 1 (the W = 1 floor); got {lo} to {hi}"
+            )
     pc = power_control(link_loss_w, links, scenario)
 
-    total_rx = float(pc.p_rx_ue_w.sum())
+    total_rx = float(np.add.reduce(pc.p_rx_ue_w))
     if total_rx <= 0.0:
         raise ValueError("no UE receives any power; cannot reference a system W")
     # Per BS first: the same bits in either link order.
-    p_tx_total = float(pc.p_tx_bs_w.sum())
+    p_tx_total = float(np.add.reduce(pc.p_tx_bs_w))
     # Each branch cascade is core.refer(w_bs, l, 1 / l) = w_bs * l, and the
     # MISO groups and the sink's first stage are received-power-weighted
     # means, so the first stage is w_bs * P_tx / P_rx. Losses >= 1 give
@@ -597,7 +635,7 @@ def evaluate_links(
     audit_rel_error = abs(bottom_up - p_path) / p_path
 
     served = pc.p_rx_ue_w > 0.0
-    n_unserved = int(np.count_nonzero(~served))
+    n_unserved = scenario.n_ue - int(np.count_nonzero(served))
     snr_served = pc.snr_db[served]
     meeting = np.count_nonzero(pc.snr_db >= scenario.target_snr_db - 1e-9)
     return DropResult(
@@ -606,7 +644,7 @@ def evaluate_links(
         p_total_per_km2_w=float(p_total_per_km2),
         p_signal_path_per_km2_w=float(p_path_per_km2),
         p_non_path_per_km2_w=float(p_non_path_per_km2),
-        mean_snr_db=float(snr_served.sum() / snr_served.size),
+        mean_snr_db=float(np.add.reduce(snr_served) / snr_served.size),
         p5_snr_db=_p5(snr_served),
         frac_ue_meeting_target=float(meeting / scenario.n_ue),
         audit_rel_error=float(audit_rel_error),

@@ -1,10 +1,14 @@
 import collections
 import concurrent.futures
 import dataclasses
+import hashlib
+import json
 import math
 import pickle
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from wastefactor.netsim import (
     generate_layout,
     power_control,
     run_campaign,
+    write_campaign_csvs,
 )
 from wastefactor.units import db_to_linear, dbm_to_watts, linear_to_db
 
@@ -227,6 +232,36 @@ class TestLayout:
         xy[name][0, 1] = bad
         with pytest.raises(ValueError, match=f"{name} must hold finite coordinates"):
             Layout(**xy)
+
+    @pytest.mark.parametrize(
+        "name, bad, shape",
+        [
+            # A third column was dropped: a 2-BS, 4-UE drop scored 32.47 dB.
+            ("bs_xy_m", np.zeros((2, 3)), (2, 3)),
+            # A 1-D array raised a raw IndexError.
+            ("bs_xy_m", np.zeros(2), (2,)),
+            ("ue_xy_m", np.zeros(4), (4,)),
+            # No BS built, then failed in assign_serving_sets' minimum.
+            ("bs_xy_m", np.zeros((0, 2)), (0, 2)),
+            ("ue_xy_m", np.zeros((0, 2)), (0, 2)),
+            ("ue_xy_m", np.zeros((4, 2, 1)), (4, 2, 1)),
+        ],
+        ids=["three-columns", "1-D-bs", "1-D-ue", "no-bs", "no-ue", "3-D"],
+    )
+    def test_coordinates_must_be_n_by_2(self, name, bad, shape):
+        xy = {"bs_xy_m": np.array([[0.0, 0.0], [600.0, 0.0]]), "ue_xy_m": np.zeros((4, 2))}
+        xy[name] = bad
+        message = rf"{name} must have shape \(n, 2\) with n >= 1, got {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            Layout(**xy)
+
+    def test_nested_lists_are_coordinates(self):
+        # They once raised TypeError: list indices must be integers.
+        bs, ue = [[0, 0], [600.5, -3]], [[3, 4], [100.25, 7], [-5, 9.5]]
+        listed = Layout(bs_xy_m=bs, ue_xy_m=ue)
+        built = Layout(bs_xy_m=np.array(bs, dtype=float), ue_xy_m=np.array(ue, dtype=float))
+        assert listed.sq_distance_m2.tobytes() == built.sq_distance_m2.tobytes()
+        assert listed.bs_xy_m.tolist() == bs and listed.ue_xy_m.tolist() == ue
 
     def test_infeasible_placement_raises(self):
         sc = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
@@ -648,6 +683,21 @@ class TestEvaluateLinks:
         # A dense loss matrix is not one loss per link.
         with pytest.raises(ValueError, match="holds 2 links"):
             evaluate_links(sc, Links(np.eye(2, dtype=bool)), np.ones((2, 2)))
+
+    def test_losses_are_converted_to_float64(self):
+        # A list once raised AttributeError on .min(), and float32 losses
+        # were scored in float32: 17.058034535457306 dB, not ...579334173.
+        sc = Scenario(n_ue=2, n_bs=1, frequency_hz=28e9)
+        links = Links(np.ones((2, 1), dtype=bool))
+        expected = evaluate_links(sc, links, np.array([10.0, 20.0]))
+        assert expected.wf_system_db == 17.058034579334173
+        for losses in ([10.0, 20.0], [10, 20], np.array([10.0, 20.0], dtype=np.float32)):
+            assert result_bits(evaluate_links(sc, links, losses)) == result_bits(expected)
+
+    def test_a_list_of_impossible_losses_is_rejected(self):
+        sc = Scenario(n_ue=2, n_bs=1, frequency_hz=28e9)
+        with pytest.raises(ValueError, match=r"finite and >= 1 .*got 0.5 to 20.0"):
+            evaluate_links(sc, Links(np.ones((2, 1), dtype=bool)), [0.5, 20.0])
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, 0.5, math.nan, math.inf])
     def test_impossible_link_losses_rejected(self, bad):
@@ -1277,19 +1327,32 @@ class TestDropMemory:
     )
     def test_peak_is_at_most_three_dense_arrays(self, overrides):
         sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20, **overrides)
-        evaluate_drop(sc)  # caches and lazy imports load outside the measurement
+        assert self.peak_in_dense_arrays(sc, evaluate_drop, sc) <= 3.0
+
+    def test_layout_holds_one_dy_block_at_a_time(self):
+        # The distances, one 10-row dy block and numpy's iterator buffers
+        # peak at 2.31 dense arrays; a second live block took it to 2.81.
+        sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20)
+        layout = generate_layout(sc)
+        xy = layout.bs_xy_m, layout.ue_xy_m
+        assert self.peak_in_dense_arrays(sc, Layout, *xy) <= 2.5
+
+    @staticmethod
+    def peak_in_dense_arrays(sc, function, *args):
+        """Peak memory of ``function(*args)`` over one (n_ue, n_bs) float array."""
+        function(*args)  # caches and lazy imports load outside the measurement
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            evaluate_drop(sc)
+            function(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if started:
                 tracemalloc.stop()
-        assert (peak - before) / (sc.n_ue * sc.n_bs * 8) <= 3.0
+        return (peak - before) / (sc.n_ue * sc.n_bs * 8)
 
 
 SCENARIO_FIELDS = [
@@ -1557,3 +1620,23 @@ class TestCampaign:
             drops, _ = run_campaign(base, campaign, jobs=1)
             assert len(drops) == 2 * 3
             assert calls == {name: len(drops) for name in names}
+
+    # The two seed-0 grids of the benchmark, whose CSV digests it records.
+    RECORDED_GRIDS = {
+        "reference_campaign": (Scenario(), CampaignSpec()),
+        "small_drops": (
+            Scenario(n_ue=64, apply_shadowing=True, power_allocation="proportional"),
+            CampaignSpec(n_seeds=100),
+        ),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(RECORDED_GRIDS))
+    def test_seed_zero_grids_match_the_recorded_digests(self, workload, tmp_path):
+        base, campaign = self.RECORDED_GRIDS[workload]
+        drops, aggregates = run_campaign(base, campaign, jobs=1)
+        write_campaign_csvs(drops, aggregates, tmp_path)
+        digests_json = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        recorded = json.loads(digests_json.read_text(encoding="utf-8"))[workload]
+        assert {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in recorded
+        } == recorded

@@ -9,22 +9,25 @@ return what their former multi-pass forms return, bit for bit, and raise
 what those raise, message for message; a device spec that
 constructs converts to a finite stage; both radios compose their devices
 by one chain rule, bit for bit; every drop conserves energy
-and ends no better than the UE's own waste factor. Two properties of the
+and ends no better than the UE's own waste factor. Properties of the
 simulator itself ride along: its p5 SNR shortcut equals
-``np.percentile`` bit for bit, and campaign output does not depend on the
-worker count.
+``np.percentile`` bit for bit, campaign output does not depend on the
+worker count, and the drop kernels give the bytes and ``DropResult``
+reprs of their former multipass forms.
 """
 
 import dataclasses
 import math
 import sys
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wastefactor import mismatch_loss_db
+from wastefactor import mismatch_loss_db, netsim
 from wastefactor.channel import BAND_PRESETS
 from wastefactor.components import (
     Adc,
@@ -47,12 +50,24 @@ from wastefactor.core import CascadeReport, Stage, StageFlow, cascade, power_flo
 from wastefactor.netsim import (
     DIRECTIONAL,
     OMNI,
+    STREAM_BS_LAYOUT,
+    STREAM_SHADOWING,
+    STREAM_UE_LAYOUT,
     CampaignSpec,
+    DropResult,
+    Links,
+    PowerControlResult,
     Scenario,
     _p5,
+    _substream,
     aggregate_csv_lines,
+    assign_serving_sets,
     drop_csv_lines,
+    effective_loss_matrix,
     evaluate_drop,
+    evaluate_links,
+    generate_layout,
+    power_control,
     run_campaign,
 )
 from wastefactor.parallel import (
@@ -524,3 +539,260 @@ def test_campaign_output_is_independent_of_worker_count(base, campaign):
         outputs.append((drop_csv_lines(drops), aggregate_csv_lines(aggregates)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+# The drop kernels as they were before each dropped its extra passes, kept
+# here as references: the layout drew two arrays of doubles and the BS
+# candidates in fresh temporaries, dy*dy went through one reused scratch
+# block, the links came from flatnonzero and divmod, every loss was clamped
+# and counted, and power control divided under a where= mask. The kernels
+# must give the same bytes and every drop the same DropResult repr.
+
+
+def multipass_uniform_disk(rng, n, radius_m):
+    r = radius_m * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    xy = np.empty((2, n))
+    np.multiply(r, np.cos(theta), out=xy[0])
+    np.multiply(r, np.sin(theta), out=xy[1])
+    return xy.T
+
+
+def multipass_layout(scenario):
+    """UE and BS positions and the number of BS candidate blocks drawn."""
+    ue_xy = multipass_uniform_disk(
+        _substream(scenario.seed, STREAM_UE_LAYOUT), scenario.n_ue, scenario.region_radius_m
+    )
+    rng = _substream(scenario.seed, STREAM_BS_LAYOUT)
+    accepted, blocks = [], 0
+    min_sep_sq = scenario.min_bs_separation_m ** 2
+    while len(accepted) < scenario.n_bs:
+        blocks += 1
+        u = rng.random((4 * scenario.n_bs, 2))
+        r = scenario.region_radius_m * np.sqrt(u[:, 0])
+        theta = 2.0 * np.pi * u[:, 1]
+        for x, y in zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()):
+            if all((x - px) * (x - px) + (y - py) * (y - py) >= min_sep_sq for px, py in accepted):
+                accepted.append((x, y))
+                if len(accepted) == scenario.n_bs:
+                    break
+    return np.array(accepted), ue_xy, blocks
+
+
+def multipass_sq_distance(bs_xy_m, ue_xy_m):
+    d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
+    d *= d
+    n_bs = len(d)
+    rows = max(1, 10_240 // max(len(ue_xy_m), 1))
+    dy = np.empty((min(rows, n_bs), len(ue_xy_m)))
+    for start in range(0, n_bs, rows):
+        stop = min(start + rows, n_bs)
+        block = dy[: stop - start]
+        np.subtract(ue_xy_m[:, 1], bs_xy_m[start:stop, 1, None], out=block, dtype=float)
+        block *= block
+        d[start:stop] += block
+    return d
+
+
+class MultipassLinks(Links):
+    def __init__(self, serving_mask):
+        by_bs = serving_mask.T
+        self.n_bs, self.n_ue = by_bs.shape
+        self.cell = np.flatnonzero(by_bs)
+        self.bs, self.ue = np.divmod(self.cell, self.n_ue)
+
+
+def multipass_effective_loss(scenario, sq_distance_m2, links):
+    link_budget = scenario.link_budget
+    band = link_budget.band
+    loss = sq_distance_m2.take(links.cell)
+    loss += link_budget.height_delta_m ** 2
+    np.maximum(loss, 1.0, out=loss)
+    np.power(loss, band.ple / 2.0, out=loss)
+    loss *= link_budget.loss_scale
+    if scenario.apply_shadowing and band.sigma_db > 0.0:
+        z = _substream(scenario.seed, STREAM_SHADOWING).standard_normal((links.n_ue, links.n_bs))
+        shadow = z[links.ue, links.bs]
+        shadow *= band.sigma_db * math.log(10.0) / 10.0
+        loss *= np.exp(shadow, out=shadow)
+    n_clamped = int(np.count_nonzero(loss < 1.0))
+    return np.maximum(loss, 1.0, out=loss), n_clamped
+
+
+def multipass_power_control(link_loss_w, links, scenario):
+    link_budget = scenario.link_budget
+    noise_w, target = link_budget.noise_power_w, link_budget.target_rx_power_w
+    cap_w, budget_w = link_budget.per_link_cap_w, link_budget.per_bs_budget_w
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_l = 1.0 / link_loss_w
+        if scenario.power_allocation == "equal":
+            denom = links.per_ue(inv_l)
+            per_ue = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            p_tx = per_ue[links.ue]
+        else:
+            denom = links.per_ue(np.square(inv_l))
+            scale = np.divide(target, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            p_tx = scale[links.ue] * inv_l
+        n_capped = int(np.count_nonzero(p_tx > cap_w))
+        np.minimum(p_tx, cap_w, out=p_tx)
+        bs_load = links.per_bs(p_tx)
+        over_budget = bs_load > budget_w
+        n_budget_limited = 0
+        if over_budget.any():
+            bs_scale = np.where(over_budget, budget_w / np.maximum(bs_load, 1e-300), 1.0)
+            n_budget_limited = int(np.count_nonzero(bs_scale < 1.0))
+            p_tx *= bs_scale[links.bs]
+            bs_load = links.per_bs(p_tx)
+        p_rx_ue = links.per_ue(np.multiply(p_tx, inv_l, out=inv_l))
+        snr_db = 10.0 * np.log10(p_rx_ue / noise_w)
+    return PowerControlResult(p_tx, bs_load, p_rx_ue, snr_db, n_capped, n_budget_limited)
+
+
+def array_bits(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def multipass_scored(scenario, links, link_loss_w, n_clamped):
+    """``evaluate_links``' outcome with the multipass power control."""
+    with mock.patch.object(netsim, "power_control", multipass_power_control):
+        return outcome(evaluate_links, scenario, links, link_loss_w, n_clamped)
+
+
+class Reached(NamedTuple):
+    """What a drop's multipass reference went through."""
+
+    blocks: int            # BS candidate blocks drawn
+    sq: np.ndarray         # squared horizontal distances, BS-major
+    links: Links
+    scored: tuple          # outcome() of the drop
+
+
+def check_drop_kernels(scenario):
+    """Each drop kernel against its multipass form, then the whole drop."""
+    layout = generate_layout(scenario)
+    bs_xy, ue_xy, blocks = multipass_layout(scenario)
+    assert array_bits(layout.bs_xy_m, layout.ue_xy_m) == array_bits(bs_xy, ue_xy)
+    sq = multipass_sq_distance(bs_xy, ue_xy)
+    assert array_bits(layout.sq_distance_m2) == array_bits(sq)
+    mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
+    links, reference = Links(mask), MultipassLinks(mask)
+    assert array_bits(links.cell, links.bs, links.ue) == array_bits(
+        reference.cell, reference.bs, reference.ue
+    )
+    loss, n_clamped = effective_loss_matrix(scenario, layout, links)
+    expected_loss, expected_clamped = multipass_effective_loss(scenario, sq, reference)
+    assert (array_bits(loss), n_clamped) == (array_bits(expected_loss), expected_clamped)
+    expected = multipass_scored(scenario, reference, expected_loss, expected_clamped)
+    assert outcome(evaluate_drop, scenario) == expected
+    return Reached(blocks, sq, reference, expected)
+
+
+# Cells past 10 240 UE-BS pairs take several dy blocks; separations of
+# 0.3 region radii often need a second candidate block; in a 10 m region,
+# BSs at or near the UE height give d3 ** 2 below 1 or a loss floor below 1
+# at 17 and 28 GHz directional, so links clamp.
+@st.composite
+def drop_scenarios(draw):
+    region_radius_m = draw(st.sampled_from([10.0, 1000.0]))
+    return Scenario(
+        frequency_hz=draw(st.sampled_from(sorted(BAND_PRESETS))),
+        antenna_mode=draw(st.sampled_from([OMNI, DIRECTIONAL])),
+        n_bs=draw(st.integers(1, 20)),
+        n_ue=draw(st.integers(1, 64) | st.sampled_from([600, 1024])),
+        region_radius_m=region_radius_m,
+        bs_height_m=draw(st.sampled_from([1.5, 2.0, 2.3, 2.5, 15.0])),
+        min_bs_separation_m=draw(st.sampled_from([0.0, 0.2, 0.3])) * region_radius_m,
+        fallback_nearest=draw(st.booleans()),
+        power_allocation=draw(st.sampled_from(["equal", "proportional"])),
+        apply_shadowing=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=drop_scenarios())
+def test_drop_kernels_are_their_multipass_forms(scenario):
+    check_drop_kernels(scenario)
+
+
+def clamped(reached):
+    result = reached.scored[0]
+    return isinstance(result, DropResult) and result.n_clamped_links > 0
+
+
+# Each edge the seed-0 grids never reach, with a check that the case
+# reaches it.
+DROP_EDGES = {
+    "no-fallback": (
+        Scenario(n_ue=64, n_bs=3, fallback_nearest=False, power_allocation="proportional"),
+        lambda reached: np.bincount(reached.links.ue, minlength=64).min() == 0,
+    ),
+    "ue-at-bs-height": (
+        Scenario(frequency_hz=28e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=1.5,
+                 min_bs_separation_m=2.0),
+        lambda reached: reached.sq.min() < 1.0 and clamped(reached),  # d3 ** 2 < 1
+    ),
+    "17-ghz-floor-below-1": (
+        Scenario(frequency_hz=17e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=2.0,
+                 min_bs_separation_m=2.0, power_allocation="proportional"),
+        clamped,
+    ),
+    "28-ghz-floor-below-1": (
+        Scenario(frequency_hz=28e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=2.5,
+                 min_bs_separation_m=2.0, fallback_nearest=False),
+        clamped,
+    ),
+    "several-dy-blocks": (
+        Scenario(n_ue=4000, n_bs=7, frequency_hz=28e9),
+        lambda reached: reached.sq.size > 2 * 10_240,
+    ),
+    "second-candidate-block": (
+        Scenario(n_ue=16, n_bs=2, region_radius_m=100.0, min_bs_separation_m=190.0),
+        lambda reached: reached.blocks >= 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(DROP_EDGES))
+def test_drop_edges_are_their_multipass_forms(edge):
+    scenario, reaches = DROP_EDGES[edge]
+    assert reaches(check_drop_kernels(scenario))
+
+
+@st.composite
+def link_realizations(draw):
+    """Random serving masks, some UEs with no link, and losses up to the
+    float limit: past 1e154, 1 / l squared underflows to 0."""
+    n_ue, n_bs = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    mask = draw(arrays(bool, (n_ue, n_bs)))
+    losses = st.floats(1.0, 1e308) | st.sampled_from([1.0, 1e154, 1e160, 1e300, 1.7e308])
+    link_loss = draw(arrays(np.float64, int(mask.sum()), elements=losses))
+    scenario = Scenario(
+        frequency_hz=28e9,
+        n_ue=n_ue,
+        n_bs=n_bs,
+        power_allocation=draw(st.sampled_from(["equal", "proportional"])),
+        per_bs_budget_dbm=draw(st.sampled_from([50.0, 10.0])),
+    )
+    return scenario, mask, link_loss
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=link_realizations())
+@example(
+    case=(
+        Scenario(n_ue=3, n_bs=2, power_allocation="proportional"),
+        np.array([[True, False], [True, True], [False, False]]),
+        np.array([1e300, 1e5, 1e300]),
+    )
+)
+def test_power_control_is_its_multipass_form(case):
+    scenario, mask, link_loss = case
+    links, reference = Links(mask), MultipassLinks(mask)
+    got = power_control(link_loss, links, scenario)
+    expected = multipass_power_control(link_loss, reference, scenario)
+    assert array_bits(*got[:4]) == array_bits(*expected[:4])
+    assert got[4:] == expected[4:]
+    assert outcome(evaluate_links, scenario, links, link_loss, 0) == multipass_scored(
+        scenario, reference, link_loss, 0
+    )
