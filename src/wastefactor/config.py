@@ -410,7 +410,9 @@ def wf_c_sweep_from_config(doc: ConfigDocument) -> list[float]:
             f"{doc.path}: wf_c_db_step must be >= {_MIN_SWEEP_STEP_DB} dB, got {step}; "
             f"the CSV prints wf_c_db to {_MIN_SWEEP_STEP_DB} dB"
         )
-    sweep = [start + k * step for k in range(int(round(n_steps)) + 1)]
+    # A stop between grid points ends the sweep below it; 1e-9 of a step
+    # absorbs the rounding of (stop - start) / step.
+    sweep = [start + k * step for k in range(math.floor(n_steps + 1e-9) + 1)]
     # A step of 0.01 dB or more can still round two neighbours to one cell:
     # 3.905 and 3.915 both print as 3.91.
     for before, after in zip(sweep, sweep[1:]):

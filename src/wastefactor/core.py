@@ -59,10 +59,6 @@ class Stage:
         """Waste figure: 10 log10(W)."""
         return linear_to_db(self.w)
 
-    @property
-    def gain_db(self) -> float:
-        return linear_to_db(self.g)
-
     @classmethod
     def from_loss_db(cls, loss_db: float, label: str = "") -> "Stage":
         """Passive element: W equals the loss L and the gain is 1/L."""

@@ -62,11 +62,6 @@ _MAX_PLACEMENT_ATTEMPTS = 100_000
 # leaves 82.5 dB for a shadowing draw: a 9-sigma draw of every band preset
 # fits (9 * 8.98 = 80.8 dB at 28 GHz), and a test keeps it so.
 _MAX_PATH_LOSS_DB = 3000.0
-# Layout adds dy*dy in blocks of at most this many UE-BS pairs (80 KiB): a
-# whole dy array beside the result left a 1024-UE, 20-BS drop's heap a few
-# KiB under glibc's dynamic trim threshold, so whether each such drop gave
-# memory back to the OS and faulted it in again hung on the heap's layout.
-_DY_BLOCK_PAIRS = 10_240
 
 
 class LinkBudget(NamedTuple):
@@ -210,15 +205,13 @@ class Layout:
     UE rows, and the first ``k`` rows are the geometry of the first ``k``
     BSs.
 
-    The ``dy*dy`` terms are added in blocks of whole BS rows, each block
-    allocated on its own (see ``_DY_BLOCK_PAIRS``).
-
-    Built by a caller, each coordinate argument is converted to a float
+    Built by a caller, each coordinate argument is copied into a float
     array and checked first: it must have shape ``(n, 2)`` with ``n >= 1``
     and hold finite values, since a NaN distance would fail every radius
-    test and still win the nearest-BS argmin. :func:`generate_layout` skips
-    those checks, because coordinates drawn inside the scenario's finite
-    disk are finite ``(n, 2)`` arrays by construction.
+    test and still win the nearest-BS argmin. The copy keeps a later write
+    to the caller's array out of the frozen layout. :func:`generate_layout`
+    skips the copy and the checks, because coordinates drawn inside the
+    scenario's finite disk are finite ``(n, 2)`` arrays it owns.
     """
 
     bs_xy_m: np.ndarray  # (n_bs, 2)
@@ -228,7 +221,7 @@ class Layout:
     def __init__(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
         checked = []
         for name, xy in (("bs_xy_m", bs_xy_m), ("ue_xy_m", ue_xy_m)):
-            xy = np.asarray(xy, dtype=float)
+            xy = np.array(xy, dtype=float)
             if xy.ndim != 2 or xy.shape[0] < 1 or xy.shape[1] != 2:
                 raise ValueError(f"{name} must have shape (n, 2) with n >= 1, got {xy.shape}")
             if not np.isfinite(xy).all():
@@ -243,15 +236,11 @@ class Layout:
         return layout
 
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
-        # dx*dx + dy*dy, dx = ue - bs, with dy*dy in blocks of whole BS rows.
         d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
         d *= d
-        rows = max(1, _DY_BLOCK_PAIRS // len(ue_xy_m))
-        for start in range(0, len(d), rows):
-            block = np.subtract(ue_xy_m[:, 1], bs_xy_m[start : start + rows, 1, None], dtype=float)
-            block *= block
-            d[start : start + rows] += block
-            del block  # freed before the next block is allocated
+        dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
+        dy *= dy
+        d += dy
         fields = self.__dict__
         fields["bs_xy_m"] = bs_xy_m
         fields["ue_xy_m"] = ue_xy_m
@@ -661,7 +650,6 @@ def evaluate_drop(scenario: Scenario) -> DropResult:
     mask = assign_serving_sets(layout, scenario.serving_radius_m, scenario.fallback_nearest)
     links = Links(mask)  # mask.T is the layout's BS-major array: no copy
     link_loss_w, n_clamped = effective_loss_matrix(scenario, layout, links)
-    del layout  # frees the squared distances before power control
     return evaluate_links(scenario, links, link_loss_w, n_clamped_links=n_clamped)
 
 
@@ -684,6 +672,15 @@ class CampaignSpec:
         require_integers(self)
         if not self.frequencies_hz or not self.antenna_modes or not self.n_bs_values:
             raise ValueError("campaign grid axes must be non-empty")
+        for axis, values, named in (("frequency", self.frequencies_hz, lambda f: f"{f / 1e9:g} GHz"),
+                                    ("antenna mode", self.antenna_modes, str),
+                                    ("BS count", self.n_bs_values, str)):
+            seen = set()
+            for value in values:
+                if value in seen:  # its cells would run twice and write their rows twice
+                    raise ValueError(f"the {axis} axis repeats {named(value)}; "
+                                     "each grid value may appear once")
+                seen.add(value)
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         first, last = self.base_seed, self.base_seed + self.n_seeds - 1

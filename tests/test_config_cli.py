@@ -313,6 +313,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="step"):
             wf_c_sweep_from_config(load_config(path))
 
+    @pytest.mark.parametrize("stop, sweep", [(61.5, [60.0, 61.0]), (60.6, [60.0])])
+    def test_stop_between_points_ends_below_it(self, tmp_path, stop, sweep):
+        # These once added a point past the stop: 62.00, then 61.00.
+        path = tmp_path / "s.ini"
+        path.write_text(f"[sweep]\nwf_c_db_start = 60\nwf_c_db_stop = {stop}\nwf_c_db_step = 1\n")
+        assert wf_c_sweep_from_config(load_config(path)) == sweep
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(start=st.floats(-200.0, 200.0), span=st.floats(0.0, 400.0),
+           step=st.floats(0.02, 50.0))
+    def test_sweep_ends_within_one_step_of_its_stop(self, start, span, step):
+        # A 0.02 dB step keeps neighbours in distinct 0.01 dB cells.
+        stop = start + span
+        doc = cfg.ConfigDocument(Path("s.ini"), {"sweep": {
+            "wf_c_db_start": start, "wf_c_db_stop": stop, "wf_c_db_step": step}})
+        sweep = wf_c_sweep_from_config(doc)
+        assert sweep[0] == start
+        assert sweep[-1] <= stop + 1e-6 * step
+        assert stop - sweep[-1] < step
+
     def test_channel_section_gives_single_point(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text(
@@ -506,6 +526,11 @@ class TestSweepAxisValues:
             ("antenna_modes = foo", "antenna_mode must be 'omni' or 'directional', got 'foo'"),
             ("n_bs = 0", "n_bs must be in [1, 20], got 0"),
             ("n_bs = 21", "n_bs must be in [1, 20], got 21"),
+            # Each of these once wrote every row of its cells twice.
+            ("frequencies_ghz = 28, 28", "the frequency axis repeats 28 GHz"),
+            ("frequencies_ghz = 3.5, 28, 3.5", "the frequency axis repeats 3.5 GHz"),
+            ("antenna_modes = omni, omni", "the antenna mode axis repeats omni"),
+            ("n_bs = 1, 1", "the BS count axis repeats 1"),
         ],
     )
     def test_simulate_exits_2_naming_sweep(self, capsys, tmp_path, line, message):
@@ -1371,10 +1396,11 @@ FUZZ_BY_PARSER = {
 # Each holds values that run, then values that fail.
 FUZZ_SIZES = {
     ("scenario", "n_ue"): (["1", "3", "16"], ["0", "-1", "2.5"]),
-    ("sweep", "n_bs"): (["1", "2", "1, 3"], ["0", "21", "2.5"]),
+    ("sweep", "n_bs"): (["1", "2", "1, 3"], ["0", "21", "2.5", "1, 1"]),
     ("sweep", "seeds"): (["1", "2"], ["0", "-1"]),
-    ("sweep", "frequencies_ghz"): (["3.5", "28", "17, 3.5"], ["5", "1e308", "0", "-28"]),
-    ("sweep", "antenna_modes"): (["omni", "directional", "omni, directional"], ["sector"]),
+    ("sweep", "frequencies_ghz"): (["3.5", "28", "17, 3.5"], ["5", "1e308", "0", "-28", "28, 28"]),
+    ("sweep", "antenna_modes"): (["omni", "directional", "omni, directional"],
+                                 ["sector", "omni, omni"]),
     ("sweep", "wf_c_db_start"): (["-10", "0", "60", "120"], []),
     ("sweep", "wf_c_db_stop"): (["-10", "0", "60", "120"], ["1e308"]),
     ("sweep", "wf_c_db_step"): (["1", "7.5", "1e308"], ["0", "-1", "5e-324", "1e-300"]),

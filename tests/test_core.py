@@ -77,12 +77,12 @@ class TestStage:
     def test_db_accessors(self):
         stage = Stage(w=10.0, g=100.0)
         assert stage.wf_db == pytest.approx(10.0)
-        assert stage.gain_db == pytest.approx(20.0)
+        assert stage.g == 100.0
 
     def test_ideal(self):
         stage = Stage(w=1.0, g=db_to_linear(7.0))
         assert stage.w == 1.0
-        assert stage.gain_db == pytest.approx(7.0)
+        assert stage.g == pytest.approx(10.0 ** 0.7)
 
 
 class TestCascade:

@@ -212,7 +212,7 @@ class TestLayout:
         assert five.sq_distance_m2.tobytes() == ten.sq_distance_m2[:5].tobytes()
 
     def test_squared_distances_are_bs_major(self):
-        # dy*dy in one block of BS rows, then in 10 + 5 and 2 + 2 + 2 + 1.
+        # One whole dy array at each shape, the elementwise dx*dx + dy*dy.
         for n_ue, n_bs in [(SMALL.n_ue, SMALL.n_bs), (1024, 15), (4000, 7)]:
             layout = generate_layout(dataclasses.replace(SMALL, n_ue=n_ue, n_bs=n_bs))
             sq = layout.sq_distance_m2
@@ -262,6 +262,18 @@ class TestLayout:
         built = Layout(bs_xy_m=np.array(bs, dtype=float), ue_xy_m=np.array(ue, dtype=float))
         assert listed.sq_distance_m2.tobytes() == built.sq_distance_m2.tobytes()
         assert listed.bs_xy_m.tolist() == bs and listed.ue_xy_m.tolist() == ue
+
+    def test_caller_writes_do_not_reach_the_layout(self):
+        # The float64 arrays were once kept as given, so this write moved
+        # the BS while the stored distance stayed 25.
+        bs, ue = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
+        layout = Layout(bs, ue)
+        bs[0, 0] = 100.0
+        ue[0, 1] = -7.0
+        assert layout.bs_xy_m is not bs and layout.ue_xy_m is not ue
+        assert layout.bs_xy_m.tolist() == [[0.0, 0.0]]
+        assert layout.ue_xy_m.tolist() == [[3.0, 4.0]]
+        assert layout.sq_distance_m2.tolist() == [[25.0]]
 
     def test_infeasible_placement_raises(self):
         sc = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
@@ -1316,9 +1328,11 @@ class TestNetsimRecords:
 
 class TestDropMemory:
     """A reference-size drop keeps at most three dense (n_ue, n_bs) float
-    arrays alive at once; it peaks at 2.45 (2.57 with shadowing on). With
-    a whole dy work array the layout peaked at 2.95, the dense in-place
-    kernel at 3.8, its np.where form at 7.4."""
+    arrays alive at once. It peaks at 2.94, shadowing on or off, in the
+    layout: the squared distances, the whole dy array and numpy's buffers
+    for the broadcast subtraction. Adding dy in blocks held it at 2.44
+    (2.57 with shadowing on); the dense in-place kernel peaked at 3.8, its
+    np.where form at 7.4."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1328,14 +1342,6 @@ class TestDropMemory:
     def test_peak_is_at_most_three_dense_arrays(self, overrides):
         sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20, **overrides)
         assert self.peak_in_dense_arrays(sc, evaluate_drop, sc) <= 3.0
-
-    def test_layout_holds_one_dy_block_at_a_time(self):
-        # The distances, one 10-row dy block and numpy's iterator buffers
-        # peak at 2.31 dense arrays; a second live block took it to 2.81.
-        sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20)
-        layout = generate_layout(sc)
-        xy = layout.bs_xy_m, layout.ue_xy_m
-        assert self.peak_in_dense_arrays(sc, Layout, *xy) <= 2.5
 
     @staticmethod
     def peak_in_dense_arrays(sc, function, *args):
