@@ -34,16 +34,6 @@ from .netsim import run_campaign, write_campaign_csvs
 from .units import linear_to_db
 
 
-def _die_config(message: str) -> int:
-    print(f"config error: {message}", file=sys.stderr)
-    return 2
-
-
-def _die_runtime(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _seed_override() -> int | None:
     raw = os.environ.get("WF_SEED")
     if raw is None:
@@ -64,10 +54,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _num(value: float) -> str:
-    return f"{value:.10g}"
-
-
 def _print_json(payload) -> None:
     import json  # only --format json pays its import
 
@@ -80,7 +66,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return _num(value) if isinstance(value, float) else str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _print_csv(records: list[dict]) -> None:
@@ -267,9 +253,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except cfg.ConfigError as exc:
-        return _die_config(str(exc))
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        return _die_runtime(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,8 +12,12 @@ Defaults are not restated here. A key left out of ``[scenario]`` keeps the
 or :func:`~wastefactor.components.reference_ue_spec`, and one left out of
 ``[sweep]`` keeps the :class:`~wastefactor.netsim.CampaignSpec` default, so
 empty sections reproduce the reference setup. Each of these four sections is
-a key -> field-path table into its dataclass, parsed by the field's type and
-applied by one builder, :func:`_override`. ``[sweep]`` owns the grid axes
+a key -> field-path table into its dataclass, derived from its fields by one
+rule (:func:`_field_keys`: a field's name, or ``<device>_<field>`` into a
+nested device spec, with a few renames and exclusions), parsed by the
+field's type and applied by one builder, :func:`_override`. Every error a
+value or a spec raises reaches the user as ``<file>: <where>: <error>``
+through one boundary, :func:`_invalid`. ``[sweep]`` owns the grid axes
 (frequency, antenna mode, BS count), so ``[scenario]`` has no key for the
 fields the grid sets in every cell.
 """
@@ -21,11 +25,12 @@ fields the grid sets in every cell.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_args, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, get_args, get_type_hints
 
 from .channel import PathLossModel, band_preset, effective_channel, path_loss_db
 from .core import Stage
@@ -39,6 +44,15 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the file location."""
+
+
+@contextlib.contextmanager
+def _invalid(path: Path, where: str) -> Iterator[None]:
+    """Raise a ValueError from the block as ``<path>: <where>: <error>``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {where}: {exc}") from exc
 
 
 _BOOL_VALUES = {
@@ -106,9 +120,18 @@ def _leaf_type(cls: type, path: str) -> type:
 
 
 def _field_keys(cls: type, renames: dict[str, str], without: tuple[str, ...]) -> dict[str, str]:
-    """Key -> field of ``cls``: the field's name unless ``renames`` gives
-    another; the fields in ``without`` get no key."""
-    return {renames.get(f.name, f.name): f.name for f in fields(cls) if f.name not in without}
+    """Key -> field path into ``cls``. A field whose type is a dataclass
+    gives one key per field of it, ``<field>_<leaf>`` for path
+    ``<field>.<leaf>``; any other field gives its name. ``renames`` maps a
+    path to another key; the paths in ``without`` get no key."""
+    keys = {}
+    for f in fields(cls):
+        kind = _leaf_type(cls, f.name)
+        paths = [f"{f.name}.{g.name}" for g in fields(kind)] if is_dataclass(kind) else [f.name]
+        for path in paths:
+            if path not in without:
+                keys[renames.get(path, path.replace(".", "_"))] = path
+    return keys
 
 
 # Each dataclass-backed section is a key -> field-path table into its
@@ -124,39 +147,25 @@ _SWEEP_KEYS = _field_keys(
     {"frequencies_hz": "frequencies_ghz", "n_bs_values": "n_bs", "n_seeds": "seeds"},
     ("base_seed",),
 )
+# [ru]/[ue] keep the short antenna keys, and [ue] sets no FoM-based LNA.
+_RADIO_RENAMES = {
+    "antenna.radiation_efficiency": "antenna_efficiency",
+    "antenna.include_mismatch": "include_mismatch",
+}
+_RADIO_WITHOUT = ("lna.fom", "lna.snr_in", "lna.p_additive_noise_w")
 
-# [ru]/[ue] key -> field path into RuSpec/UeSpec.
-_RU_KEYS = {
-    "dac_efficiency": "dac.efficiency",
-    "mixer_conversion_loss_db": "mixer.conversion_loss_db",
-    "mixer_insertion_loss_db": "mixer.insertion_loss_db",
-    "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
-    "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
-    "pa_pae": "pa.pae",
-    "pa_gain_db": "pa.gain_db",
-    "pa_quiescent_w": "pa.quiescent_w",
-    "antenna_efficiency": "antenna.radiation_efficiency",
-    "antenna_vswr": "antenna.vswr",
-    "include_mismatch": "antenna.include_mismatch",
-    "n_tx": "n_tx",
-    "lo_power_w": "lo_power_w",
-}
-_UE_KEYS = {
-    "antenna_efficiency": "antenna.radiation_efficiency",
-    "antenna_vswr": "antenna.vswr",
-    "include_mismatch": "antenna.include_mismatch",
-    "lna_gain_db": "lna.gain_db",
-    "lna_quiescent_w": "lna.quiescent_w",
-    "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
-    "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
-    "mixer_conversion_loss_db": "mixer.conversion_loss_db",
-    "mixer_insertion_loss_db": "mixer.insertion_loss_db",
-    "adc_fom_j": "adc.fom_j",
-    "adc_sample_rate_hz": "adc.sample_rate_hz",
-    "adc_bits": "adc.bits",
-    "n_rx": "n_rx",
-    "lo_power_w": "lo_power_w",
-}
+
+def _radio_spec(section: str) -> type:
+    from .components import RuSpec, UeSpec
+
+    return {"ru": RuSpec, "ue": UeSpec}[section]
+
+
+@functools.cache
+def _radio_keys(section: str) -> dict[str, str]:
+    """[ru]/[ue] key -> field path into RuSpec/UeSpec."""
+    return _field_keys(_radio_spec(section), _RADIO_RENAMES, _RADIO_WITHOUT)
+
 
 # Keys whose unit differs from their field's -> factor to the field's unit.
 _UNIT_FACTORS = {"bandwidth_mhz": 1e6, "frequencies_ghz": 1e9}
@@ -166,9 +175,9 @@ def _parsers(cls: type, keys: dict[str, str]) -> dict[str, Callable[[str], Any]]
     return {key: _PARSER_BY_TYPE[_leaf_type(cls, path)] for key, path in keys.items()}
 
 
-# section -> key -> parser. [ru] and [ue] parse by the field types of the
-# device specs, so their parsers are built on first use (see _section_schema)
-# and a command that reads neither never imports the components module.
+# section -> key -> parser. [ru] and [ue] derive their keys and parsers from
+# the device specs, so both are built on first use (see _section_schema) and
+# a command that reads neither never imports the components module.
 _SCHEMA: dict[str, dict[str, Callable[[str], Any]] | None] = {
     "cascade": {
         "source_power_w": _parse_float,
@@ -198,10 +207,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]] | None] = {
 def _section_schema(section: str) -> dict[str, Callable[[str], Any]]:
     schema = _SCHEMA[section]
     if schema is None:
-        from .components import RuSpec, UeSpec
-
-        cls, keys = {"ru": (RuSpec, _RU_KEYS), "ue": (UeSpec, _UE_KEYS)}[section]
-        schema = _SCHEMA[section] = _parsers(cls, keys)
+        schema = _SCHEMA[section] = _parsers(_radio_spec(section), _radio_keys(section))
     return schema
 
 
@@ -243,12 +249,8 @@ def load_config(path: str | Path) -> ConfigDocument:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; known keys: {known}"
                 )
-            try:
+            with _invalid(path, f"bad value for {key!r} in [{section}]"):
                 values[key] = schema[key](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: bad value for {key!r} in [{section}]: {exc}"
-                ) from exc
         sections[section] = values
     return ConfigDocument(path=path, sections=sections)
 
@@ -289,10 +291,8 @@ def ru_spec_from_config(doc: ConfigDocument) -> RuSpec:
     """RU spec from [ru]; missing keys keep the reference RU's values."""
     from .components import reference_ru_spec
 
-    try:
-        return _override(reference_ru_spec(), _RU_KEYS, doc.sections.get("ru", {}))
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: invalid [ru]: {exc}") from exc
+    with _invalid(doc.path, "invalid [ru]"):
+        return _override(reference_ru_spec(), _radio_keys("ru"), doc.sections.get("ru", {}))
 
 
 def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
@@ -300,7 +300,7 @@ def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
     from .components import Adc, reference_ue_spec
 
     values = doc.sections.get("ue", {})
-    try:
+    with _invalid(doc.path, "invalid [ue]"):
         base = reference_ue_spec()
         # The reference UE has no ADC; adc_fom_j adds one with Adc's defaults,
         # whose fom_j _override then sets.
@@ -308,9 +308,7 @@ def ue_spec_from_config(doc: ConfigDocument) -> UeSpec:
             base = replace(base, adc=Adc(fom_j=0.0))
         elif any(key.startswith("adc_") for key in values):
             raise ValueError("adc_sample_rate_hz and adc_bits need adc_fom_j")
-        return _override(base, _UE_KEYS, values)
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: invalid [ue]: {exc}") from exc
+        return _override(base, _radio_keys("ue"), values)
 
 
 def scenario_from_config(doc: ConfigDocument, seed_override: int | None = None) -> Scenario:
@@ -318,10 +316,8 @@ def scenario_from_config(doc: ConfigDocument, seed_override: int | None = None) 
     values = dict(doc.sections.get("scenario", {}))
     if seed_override is not None:
         values["seed"] = seed_override
-    try:
+    with _invalid(doc.path, "invalid [scenario]"):
         return _override(Scenario(), _SCENARIO_KEYS, values)
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: invalid [scenario]: {exc}") from exc
 
 
 def campaign_from_config(
@@ -341,11 +337,9 @@ def campaign_from_config(
     values = {key: value for key, value in sweep.items() if key in _SWEEP_KEYS}
     if seeds_override is not None:
         values["seeds"] = seeds_override
-    try:
+    with _invalid(doc.path, "invalid [sweep]"):
         campaign = _override(CampaignSpec(), _SWEEP_KEYS, values, base_seed=base.seed)
         campaign_scenarios(base, campaign)
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: invalid [sweep]: {exc}") from exc
     return campaign
 
 
@@ -357,7 +351,7 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
     # Without a frequency the link sits in the simulator's reference band.
     frequency_hz = Scenario.frequency_hz if frequency_ghz is None else frequency_ghz * 1e9
     ple = channel.get("ple")
-    try:
+    with _invalid(doc.path, "invalid [channel]"):
         if ple is not None:
             model = PathLossModel(frequency_hz=frequency_hz, ple=ple)
         else:
@@ -368,8 +362,6 @@ def channel_wf_from_config(doc: ConfigDocument) -> float:
         pl_db = path_loss_db(model, channel.get("distance_m", 100.0))
         gains_db = channel.get("g_tx_db", 0.0), channel.get("g_rx_db", 0.0)
         return effective_channel(pl_db, *gains_db).wf_db
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: invalid [channel]: {exc}") from exc
 
 
 # The default 60-120 dB channel sweep takes 60 steps.
@@ -439,25 +431,21 @@ def _key_value_lines(
     for line in lines:
         name, *tokens = line.split()
         values: dict[str, float] = {}
-        for token in tokens:
-            key, equals, raw = token.partition("=")
-            if not equals:
-                raise ConfigError(
-                    f"{doc.path}: {kind} {name!r}: expected key=value, got {token!r}"
-                )
-            if key not in known:
-                raise ConfigError(
-                    f"{doc.path}: {kind} {name!r}: unknown key {key!r}; "
-                    f"known keys: {', '.join(sorted(known))}"
-                )
-            if key in values:
-                raise ConfigError(f"{doc.path}: {kind} {name!r}: repeated key {key!r}")
-            try:
-                values[key] = _parse_float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{doc.path}: {kind} {name!r}: bad number {raw!r} for {key!r}"
-                ) from None
+        with _invalid(doc.path, f"{kind} {name!r}"):
+            for token in tokens:
+                key, equals, raw = token.partition("=")
+                if not equals:
+                    raise ValueError(f"expected key=value, got {token!r}")
+                if key not in known:
+                    raise ValueError(
+                        f"unknown key {key!r}; known keys: {', '.join(sorted(known))}"
+                    )
+                if key in values:
+                    raise ValueError(f"repeated key {key!r}")
+                try:
+                    values[key] = _parse_float(raw)
+                except ValueError:
+                    raise ValueError(f"bad number {raw!r} for {key!r}") from None
         parsed.append((name, values))
     return parsed
 
@@ -478,7 +466,7 @@ def stages_from_config(doc: ConfigDocument) -> tuple[list[Stage], float]:
 
 
 def _build_stage(doc: ConfigDocument, label: str, values: dict[str, float]) -> Stage:
-    try:
+    with _invalid(doc.path, f"stage {label!r}"):
         if "loss_db" in values:
             if len(values) > 1:
                 raise ValueError("loss_db cannot be combined with other keys")
@@ -492,8 +480,6 @@ def _build_stage(doc: ConfigDocument, label: str, values: dict[str, float]) -> S
         if w is None or g is None:
             raise ValueError("need w (or w_db) and g (or gain_db), or loss_db alone")
         return Stage(w=w, g=g, label=label)
-    except ValueError as exc:
-        raise ConfigError(f"{doc.path}: stage {label!r}: {exc}") from exc
 
 
 def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReading]]:
@@ -503,9 +489,7 @@ def readings_from_config(doc: ConfigDocument) -> list[tuple[str, EquipmentReadin
     known = {f.name for f in fields(EquipmentReading)}
     readings = []
     for name, values in _key_value_lines(doc, "metrics", "readings", "reading", known):
-        try:
+        with _invalid(doc.path, f"reading {name!r}"):
             reading = EquipmentReading(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{doc.path}: reading {name!r}: {exc}") from exc
         readings.append((name, reading))
     return readings

@@ -152,10 +152,13 @@ def load_power_log(path: str | Path) -> list[PowerSample]:
             )
         signal = _parse_cell(row[signal_idx], path, line_no, header[signal_idx])
         total = _parse_cell(row[total_idx], path, line_no, header[total_idx])
-        if signal_dbm:
-            signal = dbm_to_watts(signal)
-        if total_dbm:
-            total = dbm_to_watts(total)
+        try:
+            if signal_dbm:
+                signal = dbm_to_watts(signal)
+            if total_dbm:
+                total = dbm_to_watts(total)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         samples.append(PowerSample(p_signal_w=signal, p_total_w=total))
     return samples
 

@@ -822,15 +822,6 @@ DROP_CSV_COLUMNS = (
     "frac_ue_meeting_target",
 )
 
-AGGREGATE_CSV_COLUMNS = (
-    "frequency_ghz",
-    "antenna_mode",
-    "n_bs",
-    "wf_mean_db",
-    "wf_std_db",
-    "p_total_mean_kw_per_km2",
-)
-
 
 def drop_csv_lines(rows: Iterable[DropRow]) -> list[str]:
     lines = [",".join(DROP_CSV_COLUMNS)]
@@ -846,7 +837,7 @@ def drop_csv_lines(rows: Iterable[DropRow]) -> list[str]:
 
 
 def aggregate_csv_lines(rows: Iterable[AggregateRow]) -> list[str]:
-    lines = [",".join(AGGREGATE_CSV_COLUMNS)]
+    lines = [",".join(AggregateRow._fields)]
     for row in rows:
         lines.append(
             f"{row.frequency_ghz:g},{row.antenna_mode},{row.n_bs},"

@@ -64,6 +64,8 @@ class TestPathLoss:
     def test_validation(self):
         with pytest.raises(ValueError):
             PathLossModel(frequency_hz=1e9, ple=0.0)
+        with pytest.raises(ValueError, match="frequency must be > 0 Hz, got 0"):
+            PathLossModel(frequency_hz=0, ple=2.0)
 
     def test_non_finite_exponent_rejected(self):
         with pytest.raises(ValueError, match="ple must be finite"):
@@ -135,6 +137,8 @@ class TestApertureGain:
             ApertureAntenna(efficiency=0.0, physical_area_m2=1.0)
         with pytest.raises(ValueError):
             ApertureAntenna(efficiency=0.5, physical_area_m2=0.0)
+        with pytest.raises(ValueError, match="frequency must be > 0 Hz, got 0"):
+            aperture_gain_db(self.BS, 0)
 
     def test_non_finite_area_rejected(self):
         with pytest.raises(ValueError, match="physical_area_m2 must be finite"):

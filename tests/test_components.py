@@ -87,6 +87,15 @@ def test_device_specs_reject_non_integer_counts(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("n_tx", 0, "n_tx must be >= 1, got 0"), ("lo_power_w", -1.0, "LO power must be >= 0 W")],
+)
+def test_ru_values_out_of_range_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(reference_ru_spec(), **{field: value})
+
+
 class TestVswrHelpers:
     def test_reflection_coefficient(self):
         assert reflection_coefficient(1.0) == 0.0
@@ -189,7 +198,7 @@ class TestActiveDevices:
     def test_pa_is_given_by_pae_and_gain(self):
         assert [f.name for f in dataclasses.fields(PowerAmplifier)] == ["pae", "gain_db", "quiescent_w"]
         # The [ru] section keeps its keys and the fields they set.
-        assert config._RU_KEYS == {
+        assert config._radio_keys("ru") == {
             "dac_efficiency": "dac.efficiency",
             "mixer_conversion_loss_db": "mixer.conversion_loss_db",
             "mixer_insertion_loss_db": "mixer.insertion_loss_db",
@@ -202,6 +211,26 @@ class TestActiveDevices:
             "antenna_vswr": "antenna.vswr",
             "include_mismatch": "antenna.include_mismatch",
             "n_tx": "n_tx",
+            "lo_power_w": "lo_power_w",
+        }
+
+    def test_ue_section_keeps_its_keys(self):
+        # Derived from UeSpec's fields: a renamed device field must not
+        # rename an INI key, and [ue] sets no FoM-based LNA.
+        assert config._radio_keys("ue") == {
+            "antenna_efficiency": "antenna.radiation_efficiency",
+            "antenna_vswr": "antenna.vswr",
+            "include_mismatch": "antenna.include_mismatch",
+            "lna_gain_db": "lna.gain_db",
+            "lna_quiescent_w": "lna.quiescent_w",
+            "phase_shifter_insertion_loss_db": "phase_shifter.insertion_loss_db",
+            "phase_shifter_reflection_loss_db": "phase_shifter.reflection_loss_db",
+            "mixer_conversion_loss_db": "mixer.conversion_loss_db",
+            "mixer_insertion_loss_db": "mixer.insertion_loss_db",
+            "adc_fom_j": "adc.fom_j",
+            "adc_sample_rate_hz": "adc.sample_rate_hz",
+            "adc_bits": "adc.bits",
+            "n_rx": "n_rx",
             "lo_power_w": "lo_power_w",
         }
 
@@ -289,6 +318,8 @@ class TestWalkerPae:
             pae_from_walker(0.5, 1.0, 10.0, 1.0)
         with pytest.raises(ValueError, match="PAE"):
             pae_from_walker(0.0, 1.0, 10.0, 8.0)
+        with pytest.raises(ValueError, match="PA powers must be > 0 W"):
+            pae_from_walker(0.5, 0.0, 10.0, 8.0)
 
     @pytest.mark.parametrize(
         "args, name",

@@ -102,6 +102,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
 
+    def test_malformed_file(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("n_ue = 4\n")
+        with pytest.raises(ConfigError, match="bad.ini: malformed config: File contains no section"):
+            load_config(path)
+
     def test_semantic_errors_carry_section_location(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[ru]\ndac_efficiency = 1.3\n")
@@ -280,6 +286,7 @@ class TestConfigParsing:
         [
             ("[cascade]\nstages =\n    pa w=4 w=5 g=5\n", "stage 'pa': repeated key 'w'"),
             ("[cascade]\nstages =\n    pa w=4 g5\n", "stage 'pa': expected key=value, got 'g5'"),
+            ("[cascade]\nstages =\n    pa w=4 g=five\n", "stage 'pa': bad number 'five' for 'g'"),
             (
                 "[metrics]\nreadings =\n    RU p_signal_w=1 p_signal_w=2\n",
                 "reading 'RU': repeated key 'p_signal_w'",
@@ -289,7 +296,7 @@ class TestConfigParsing:
                 "reading 'RU': expected key=value, got 'p_signal_w'",
             ),
         ],
-        ids=["stage-repeated", "stage-bare", "reading-repeated", "reading-bare"],
+        ids=["stage-repeated", "stage-bare", "stage-bad-number", "reading-repeated", "reading-bare"],
     )
     def test_key_value_lines_reject_repeats_and_bare_tokens(self, tmp_path, text, message):
         path = tmp_path / "c.ini"
@@ -311,6 +318,9 @@ class TestConfigParsing:
         assert wf_c_sweep_from_config(load_config(path)) == [60.0, 61.0, 62.0]
         path.write_text("[sweep]\nwf_c_db_step = -1\n")
         with pytest.raises(ConfigError, match="step"):
+            wf_c_sweep_from_config(load_config(path))
+        path.write_text("[sweep]\nwf_c_db_start = 62\nwf_c_db_stop = 60\n")
+        with pytest.raises(ConfigError, match="s.ini: wf_c_db_stop must be >= wf_c_db_start"):
             wf_c_sweep_from_config(load_config(path))
 
     @pytest.mark.parametrize("stop, sweep", [(61.5, [60.0, 61.0]), (60.6, [60.0])])

@@ -84,6 +84,9 @@ class TestFitWasteFactor:
             [PowerSample(0.0, 10.0), PowerSample(5.0, 33.0), PowerSample(9.0, 44.0)]
         )
         assert noisy.r_squared < 1.0 - 1e-9
+        # Equal totals leave no variance to explain: the flat line fits exactly.
+        flat = fit_waste_factor(line_samples(0.0, 50.0, [0.0, 5.0, 9.0]))
+        assert (flat.w, flat.p_non_path_w, flat.r_squared) == (0.0, 50.0, 1.0)
 
     def test_unphysical_fits_flagged_not_clamped(self):
         falling = fit_waste_factor([PowerSample(0.0, 100.0), PowerSample(10.0, 90.0)])
@@ -191,6 +194,35 @@ class TestLoadPowerLog:
             load_power_log(path)
         path.write_text("p_total_w\n140\n")
         with pytest.raises(ValueError, match="missing column p_signal_w"):
+            load_power_log(path)
+        path.write_text("p_signal_w\n0\n")
+        with pytest.raises(ValueError, match="missing column p_total_w or p_total_dbm"):
+            load_power_log(path)
+        path.write_text("p_signal_w,p_signal_dbm,p_total_w\n0,0,140\n")
+        with pytest.raises(ValueError, match="duplicate signal-power column 'p_signal_dbm'"):
+            load_power_log(path)
+        path.write_text("p_signal_w,p_total_w,p_total_w\n0,140,140\n")
+        with pytest.raises(ValueError, match="duplicate total-power column 'p_total_w'"):
+            load_power_log(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p_signal_dbm,p_total_w\n10,2\n4000,3\n", "p_signal_w,p_total_dbm\n2,10\n3,4000\n"],
+        ids=["p_signal_dbm", "p_total_dbm"],
+    )
+    def test_overflowing_dbm_cell_names_its_line(self, tmp_path, text):
+        # This once named neither the file nor the line.
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(
+            ValueError, match=r"log\.csv:3: 4000\.0 dBm is too large to convert to linear units"
+        ):
+            load_power_log(path)
+
+    def test_both_cells_parse_before_either_converts(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("p_signal_dbm,p_total_w\n4000,bogus\n")
+        with pytest.raises(ValueError, match=r"log\.csv:2: non-numeric value 'bogus'"):
             load_power_log(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -66,6 +66,8 @@ class TestStandardMetrics:
         assert ee_bs(0.0, 100.0) == 0.0
         with pytest.raises(ValueError):
             ee_bs(10.0, 0.0)
+        with pytest.raises(ValueError, match="data volume must be >= 0 GB, got -1.0"):
+            ee_bs(-1.0, 100.0)
 
     def test_ee_ru_identical_for_different_waste(self):
         # The standard ratio cannot tell the two radio units apart...

@@ -127,6 +127,11 @@ class TestScenario:
             # With an explicit path-loss exponent, once overflowed the
             # linear loss on its negative directional antenna gains.
             ({"frequency_hz": 1e-141}, "no path-loss preset"),
+            # Boundary checks of the rest of the drop's inputs.
+            ({"serving_radius_m": 0.0}, "region and serving radii must be > 0 m"),
+            ({"w_bs": 0.5}, "device waste factors must be >= 1"),
+            ({"p_non_path_ue_w": -1.0}, "non-path powers must be >= 0 W"),
+            ({"seed": 2 ** 64}, "seed must be a 64-bit unsigned integer"),
         ],
     )
     def test_values_that_break_the_drop_are_rejected(self, overrides, message):
