@@ -21,10 +21,14 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 THERMAL_NOISE_DBM_PER_HZ = -174.0  # 290 K reference
 
 
+def _require_hz(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0 Hz, got {value}")
+
+
 def fspl_1m_db(frequency_hz: float) -> float:
     """Free-space path loss at the 1 m close-in anchor: 20 log10(4 pi f / c)."""
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be > 0 Hz, got {frequency_hz}")
+    _require_hz("frequency_hz", frequency_hz)
     return 20.0 * math.log10(4.0 * math.pi * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
@@ -103,8 +107,7 @@ UE_APERTURE = ApertureAntenna(efficiency=0.8, physical_area_m2=9.0e-4)
 
 def aperture_gain_db(antenna: ApertureAntenna, frequency_hz: float) -> float:
     """Directive gain 10 log10(4 pi eta A_p / lambda^2)."""
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be > 0 Hz, got {frequency_hz}")
+    _require_hz("frequency_hz", frequency_hz)
     wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
     return 10.0 * math.log10(
         4.0 * math.pi * antenna.effective_aperture_m2 / (wavelength * wavelength)
@@ -129,6 +132,7 @@ def effective_channel(
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Receiver noise floor: -174 dBm/Hz + 10 log10(BW) + NF."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0 Hz, got {bandwidth_hz}")
+    _require_hz("bandwidth_hz", bandwidth_hz)
+    if not math.isfinite(noise_figure_db):
+        raise ValueError(f"noise_figure_db must be finite, got {noise_figure_db}")
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db

@@ -62,6 +62,17 @@ _MAX_PLACEMENT_ATTEMPTS = 100_000
 # leaves 82.5 dB for a shadowing draw: a 9-sigma draw of every band preset
 # fits (9 * 8.98 = 80.8 dB at 28 GHz), and a test keeps it so.
 _MAX_PATH_LOSS_DB = 3000.0
+# From this many UE-BS pairs up, a layout runs its two broadcast subtractions
+# with numpy's ufunc buffer shrunk to one UE row, and squares dy in a scratch
+# array kept per thread, so it allocates one dense array, its own squared
+# distances. At numpy's default of 8192 elements the buffer spans several
+# rows and numpy copies the BS column into it: a 20 x 1024 subtraction took
+# 16 us instead of 5 us and allocated 0.8 of a dense array (numpy 2.4.6).
+# Below the threshold the shrunk form gained little or lost: 5 x 512 broke
+# even, and 2 x 1024, 20 x 64 and 1 x 1024 ran 1.5-1.7x slower. Rows of a
+# few UEs under hundreds of BSs, which only a caller's Layout can have, also
+# run slower in it.
+_DENSE_PAIRS = 4096
 
 
 class LinkBudget(NamedTuple):
@@ -212,6 +223,10 @@ class Layout:
     to the caller's array out of the frozen layout. :func:`generate_layout`
     skips the copy and the checks, because coordinates drawn inside the
     scenario's finite disk are finite ``(n, 2)`` arrays it owns.
+
+    A layout of ``_DENSE_PAIRS`` or more UE-BS pairs squares its ``dy``
+    in scratch memory kept per thread: one float array the size of the
+    largest such layout the thread has built, reused by the next.
     """
 
     bs_xy_m: np.ndarray  # (n_bs, 2)
@@ -236,9 +251,29 @@ class Layout:
         return layout
 
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
-        d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
-        d *= d
-        dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
+        n_bs, n_ue = len(bs_xy_m), len(ue_xy_m)
+        n_pairs = n_bs * n_ue
+        if n_pairs < _DENSE_PAIRS:
+            d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
+            d *= d
+            dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
+        else:
+            scratch = getattr(_THREAD, "dy", None)
+            if scratch is None or scratch.size < n_pairs:
+                scratch = _THREAD.dy = np.empty(n_pairs)
+            dy = scratch[:n_pairs].reshape(n_bs, n_ue)
+            d = np.empty((n_bs, n_ue))
+            # One UE row rounded down to a multiple of 16, which numpy 2.4
+            # requires, from 16 up to numpy's default of 8192 (numpy 1.x takes
+            # nothing past 1e7). The finally restores the caller's size:
+            # numpy 1.x's errstate would not.
+            callers_bufsize = np.setbufsize(16 * min(max(n_ue // 16, 1), 512))
+            try:
+                np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], out=d)
+                np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], out=dy)
+            finally:
+                np.setbufsize(callers_bufsize)
+            d *= d
         dy *= dy
         d += dy
         fields = self.__dict__

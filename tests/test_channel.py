@@ -30,8 +30,10 @@ class TestFspl:
         assert fspl_1m_db(frequency) == pytest.approx(0.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fspl_1m_db(0.0)
+        # inf once gave an infinite loss, NaN a NaN one.
+        for frequency_hz in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"frequency_hz must be finite and > 0 Hz, got {frequency_hz}"):
+                fspl_1m_db(frequency_hz)
 
 
 class TestPathLoss:
@@ -137,8 +139,10 @@ class TestApertureGain:
             ApertureAntenna(efficiency=0.0, physical_area_m2=1.0)
         with pytest.raises(ValueError):
             ApertureAntenna(efficiency=0.5, physical_area_m2=0.0)
-        with pytest.raises(ValueError, match="frequency must be > 0 Hz, got 0"):
-            aperture_gain_db(self.BS, 0)
+        # inf once raised ZeroDivisionError and NaN gave a NaN gain.
+        for frequency_hz in (0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"frequency_hz must be finite and > 0 Hz, got {frequency_hz}"):
+                aperture_gain_db(self.BS, frequency_hz)
 
     def test_non_finite_area_rejected(self):
         with pytest.raises(ValueError, match="physical_area_m2 must be finite"):
@@ -184,5 +188,10 @@ class TestNoisePower:
         assert noise_power_dbm(20e6, 9.0) == pytest.approx(-91.99, abs=5e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            noise_power_dbm(0.0)
+        # Each NaN and infinity below once gave a NaN or infinite noise floor.
+        for bandwidth_hz in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"bandwidth_hz must be finite and > 0 Hz, got {bandwidth_hz}"):
+                noise_power_dbm(bandwidth_hz)
+        for noise_figure_db in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"noise_figure_db must be finite, got {noise_figure_db}"):
+                noise_power_dbm(1e6, noise_figure_db)

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -284,6 +285,46 @@ class TestLayout:
         sc = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
         with pytest.raises(RuntimeError, match="could not place"):
             generate_layout(sc)
+
+
+DENSE = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20)
+
+
+def dense_drop_bits(scenario):
+    return generate_layout(scenario).sq_distance_m2.tobytes(), result_bits(evaluate_drop(scenario))
+
+
+class TestDenseLayout:
+    """From ``_DENSE_PAIRS`` UE-BS pairs up, a layout runs its broadcast
+    subtractions under a shrunk numpy buffer and squares dy in a scratch
+    array kept per thread."""
+
+    @pytest.mark.parametrize("caller_bufsize", [None, 4096], ids=["default", "4096"])
+    def test_caller_bufsize_is_kept(self, caller_bufsize):
+        default = np.getbufsize()
+        drawn = generate_layout(DENSE)
+        with np.errstate():
+            if caller_bufsize is not None:
+                np.setbufsize(caller_bufsize)
+            expected = np.getbufsize()
+            for call in (lambda: Layout(drawn.bs_xy_m, drawn.ue_xy_m),
+                         lambda: generate_layout(DENSE), lambda: evaluate_drop(DENSE)):
+                call()
+                assert np.getbufsize() == expected
+        assert np.getbufsize() == default
+
+    def test_drop_in_a_new_thread_matches_the_main_thread(self):
+        # The new thread starts with no scratch and numpy's default buffer,
+        # and draws its own scratch: threads racing on one would mix rows.
+        threaded = []
+        thread = threading.Thread(
+            target=lambda: threaded.append((dense_drop_bits(DENSE), netsim._THREAD.dy)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        (bits, scratch), = threaded
+        assert bits == dense_drop_bits(DENSE)
+        assert scratch is not netsim._THREAD.dy
 
 
 class TestServingSets:
@@ -575,10 +616,11 @@ class TestSubstreams:
         assert draws[0] == draws[1]
 
     def test_threaded_drops_match_serial(self):
-        # A generator shared across threads interleaves their draws.
+        # A generator shared across threads interleaves their draws, and a
+        # dy scratch shared by dense layouts (1024 x 10) their rows.
         scenarios = [
-            Scenario(n_ue=256, n_bs=10, frequency_hz=28e9, apply_shadowing=True, seed=seed)
-            for seed in range(64)
+            Scenario(n_ue=n_ue, n_bs=10, frequency_hz=28e9, apply_shadowing=True, seed=seed)
+            for seed in range(64) for n_ue in (256, 1024)
         ]
         serial = [result_bits(evaluate_drop(s)) for s in scenarios]
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -1333,11 +1375,14 @@ class TestNetsimRecords:
 
 class TestDropMemory:
     """A reference-size drop keeps at most three dense (n_ue, n_bs) float
-    arrays alive at once. It peaks at 2.94, shadowing on or off, in the
-    layout: the squared distances, the whole dy array and numpy's buffers
-    for the broadcast subtraction. Adding dy in blocks held it at 2.44
-    (2.57 with shadowing on); the dense in-place kernel peaked at 3.8, its
-    np.where form at 7.4."""
+    arrays alive at once. Its layout allocates one, the squared distances,
+    and peaks at 1.14 with the drawn coordinates and numpy's one-row
+    buffers: the dy it squares lives in a scratch array kept per thread,
+    one (n_bs, n_ue) float array. The whole drop then peaks at 1.82, and at
+    2.57 with proportional allocation and shadowing on. A fresh dy array
+    and numpy's default buffers made the layout peak at 2.94; adding dy in
+    blocks held it at 2.44 (2.57 with shadowing on); the dense in-place
+    kernel peaked at 3.8, its np.where form at 7.4."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1347,6 +1392,9 @@ class TestDropMemory:
     def test_peak_is_at_most_three_dense_arrays(self, overrides):
         sc = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20, **overrides)
         assert self.peak_in_dense_arrays(sc, evaluate_drop, sc) <= 3.0
+
+    def test_dense_layout_allocates_one_dense_array(self):
+        assert self.peak_in_dense_arrays(DENSE, generate_layout, DENSE) <= 1.25
 
     @staticmethod
     def peak_in_dense_arrays(sc, function, *args):

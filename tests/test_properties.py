@@ -19,6 +19,7 @@ reprs of their former multipass forms.
 import dataclasses
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 from unittest import mock
 
@@ -53,6 +54,7 @@ from wastefactor.netsim import (
     STREAM_BS_LAYOUT,
     STREAM_SHADOWING,
     STREAM_UE_LAYOUT,
+    _DENSE_PAIRS,
     CampaignSpec,
     DropResult,
     Links,
@@ -665,6 +667,7 @@ class Reached(NamedTuple):
     sq: np.ndarray         # squared horizontal distances, BS-major
     links: Links
     scored: tuple          # outcome() of the drop
+    scratch: int           # floats in this thread's dense-layout dy scratch
 
 
 def check_drop_kernels(scenario):
@@ -684,7 +687,8 @@ def check_drop_kernels(scenario):
     assert (array_bits(loss), n_clamped) == (array_bits(expected_loss), expected_clamped)
     expected = multipass_scored(scenario, reference, expected_loss, expected_clamped)
     assert outcome(evaluate_drop, scenario) == expected
-    return Reached(blocks, sq, reference, expected)
+    scratch = getattr(netsim._THREAD, "dy", None)
+    return Reached(blocks, sq, reference, expected, 0 if scratch is None else scratch.size)
 
 
 # Cells past 10 240 UE-BS pairs take several dy blocks; separations of
@@ -720,43 +724,87 @@ def clamped(reached):
     return isinstance(result, DropResult) and result.n_clamped_links > 0
 
 
+DENSE = Scenario(frequency_hz=28e9, n_ue=1024, n_bs=20)
+
+
+class Edge(NamedTuple):
+    scenario: Scenario
+    reaches: object                 # Reached -> bool: the case reaches its edge
+    built_first: Scenario | None = None  # laid out first on the same thread
+
+
 # Each edge the seed-0 grids never reach, with a check that the case
-# reaches it.
+# reaches it. Past _DENSE_PAIRS UE-BS pairs a layout squares dy in a
+# per-thread scratch under a shrunk numpy buffer; each edge runs on a fresh
+# thread, whose scratch starts empty.
 DROP_EDGES = {
-    "no-fallback": (
+    "no-fallback": Edge(
         Scenario(n_ue=64, n_bs=3, fallback_nearest=False, power_allocation="proportional"),
         lambda reached: np.bincount(reached.links.ue, minlength=64).min() == 0,
     ),
-    "ue-at-bs-height": (
+    "ue-at-bs-height": Edge(
         Scenario(frequency_hz=28e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=1.5,
                  min_bs_separation_m=2.0),
         lambda reached: reached.sq.min() < 1.0 and clamped(reached),  # d3 ** 2 < 1
     ),
-    "17-ghz-floor-below-1": (
+    "17-ghz-floor-below-1": Edge(
         Scenario(frequency_hz=17e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=2.0,
                  min_bs_separation_m=2.0, power_allocation="proportional"),
         clamped,
     ),
-    "28-ghz-floor-below-1": (
+    "28-ghz-floor-below-1": Edge(
         Scenario(frequency_hz=28e9, n_ue=64, n_bs=5, region_radius_m=10.0, bs_height_m=2.5,
                  min_bs_separation_m=2.0, fallback_nearest=False),
         clamped,
     ),
-    "several-dy-blocks": (
+    "several-dy-blocks": Edge(
         Scenario(n_ue=4000, n_bs=7, frequency_hz=28e9),
         lambda reached: reached.sq.size > 2 * 10_240,
     ),
-    "second-candidate-block": (
+    "second-candidate-block": Edge(
         Scenario(n_ue=16, n_bs=2, region_radius_m=100.0, min_bs_separation_m=190.0),
         lambda reached: reached.blocks >= 2,
+    ),
+    "below-dense-threshold": Edge(
+        Scenario(n_ue=819, n_bs=5),
+        lambda reached: reached.sq.size == _DENSE_PAIRS - 1 and reached.scratch == 0,
+    ),
+    "at-dense-threshold": Edge(
+        Scenario(n_ue=1024, n_bs=4),
+        lambda reached: reached.sq.size == _DENSE_PAIRS == reached.scratch,
+    ),
+    "above-dense-threshold": Edge(
+        Scenario(n_ue=241, n_bs=17),
+        lambda reached: reached.sq.size == _DENSE_PAIRS + 1 == reached.scratch,
+    ),
+    # 600 is no multiple of 16, numpy's rule for a buffer size.
+    "dense-600-ue-rows": Edge(
+        Scenario(n_ue=600, n_bs=7), lambda reached: reached.scratch == 4200
+    ),
+    # One row longer than numpy's default buffer of 8192.
+    "dense-one-bs": Edge(
+        Scenario(n_ue=10_000, n_bs=1), lambda reached: reached.scratch == 10_000
+    ),
+    "dense-after-larger": Edge(
+        DENSE, lambda reached: reached.scratch == 30_000, Scenario(n_ue=1500, n_bs=20)
+    ),
+    "dense-after-smaller": Edge(
+        DENSE, lambda reached: reached.scratch == 20_480, Scenario(n_ue=1024, n_bs=5)
     ),
 }
 
 
 @pytest.mark.parametrize("edge", sorted(DROP_EDGES))
 def test_drop_edges_are_their_multipass_forms(edge):
-    scenario, reaches = DROP_EDGES[edge]
-    assert reaches(check_drop_kernels(scenario))
+    scenario, reaches, built_first = DROP_EDGES[edge]
+
+    def check():
+        if built_first is not None:
+            generate_layout(built_first)
+        return check_drop_kernels(scenario)
+
+    with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+        assert reaches(fresh_thread.submit(check).result(timeout=120))
 
 
 @st.composite
