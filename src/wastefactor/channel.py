@@ -26,10 +26,18 @@ def _require_hz(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0 Hz, got {value}")
 
 
+def _in_float_range(frequency_hz: float, quantity: str, value: float) -> float:
+    if not 0.0 < value < math.inf:  # a finite frequency far from 1 Hz can take it out
+        raise ValueError(f"frequency_hz = {frequency_hz} takes the {quantity} out of float range, "
+                         f"got {value}")
+    return value
+
+
 def fspl_1m_db(frequency_hz: float) -> float:
     """Free-space path loss at the 1 m close-in anchor: 20 log10(4 pi f / c)."""
     _require_hz("frequency_hz", frequency_hz)
-    return 20.0 * math.log10(4.0 * math.pi * frequency_hz / SPEED_OF_LIGHT_M_S)
+    ratio = 4.0 * math.pi * frequency_hz / SPEED_OF_LIGHT_M_S
+    return 20.0 * math.log10(_in_float_range(frequency_hz, "ratio 4 pi f / c", ratio))
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,9 @@ def aperture_gain_db(antenna: ApertureAntenna, frequency_hz: float) -> float:
     """Directive gain 10 log10(4 pi eta A_p / lambda^2)."""
     _require_hz("frequency_hz", frequency_hz)
     wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
-    return 10.0 * math.log10(
-        4.0 * math.pi * antenna.effective_aperture_m2 / (wavelength * wavelength)
-    )
+    squared = _in_float_range(frequency_hz, "squared wavelength", wavelength * wavelength)
+    gain = 4.0 * math.pi * antenna.effective_aperture_m2 / squared
+    return 10.0 * math.log10(_in_float_range(frequency_hz, "aperture gain", gain))
 
 
 def effective_channel(

@@ -267,8 +267,6 @@ class GenericPassive:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.loss_db < 0.0:
-            raise ValueError(f"passive loss must be >= 0 dB, got {self.loss_db}")
         _keep(self, Stage.from_loss_db(self.loss_db, "passive"))
 
 

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, get_args,
 
 from .channel import PathLossModel, band_preset, effective_channel, path_loss_db
 from .core import Stage
-from .netsim import CampaignSpec, Scenario, campaign_scenarios
+from .netsim import CampaignSpec, Scenario, _grid_cells
 from .units import db_to_linear
 
 if TYPE_CHECKING:
@@ -339,7 +339,7 @@ def campaign_from_config(
         values["seeds"] = seeds_override
     with _invalid(doc.path, "invalid [sweep]"):
         campaign = _override(CampaignSpec(), _SWEEP_KEYS, values, base_seed=base.seed)
-        campaign_scenarios(base, campaign)
+        list(_grid_cells(base, campaign))  # checks every cell; run_campaign adds the seeds
     return campaign
 
 

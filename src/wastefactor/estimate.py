@@ -17,8 +17,13 @@ from typing import NamedTuple, Sequence
 
 from .units import dbm_to_watts, require_finite
 
-_SIGNAL_COLUMNS = {"p_signal_w": False, "p_signal_dbm": True}
-_TOTAL_COLUMNS = {"p_total_w": False, "p_total_dbm": True}
+# Each accepted column: the logged power it holds and whether it is in dBm.
+_COLUMNS = {
+    "p_signal_w": ("signal", False),
+    "p_signal_dbm": ("signal", True),
+    "p_total_w": ("total", False),
+    "p_total_dbm": ("total", True),
+}
 
 
 @dataclass(frozen=True)
@@ -87,37 +92,26 @@ def fit_waste_factor(samples: Sequence[PowerSample]) -> WasteFit:
         r_squared = 1.0 if ss_res <= 1e-18 else 0.0
     else:
         r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return WasteFit(
-        w=slope,
-        p_non_path_w=intercept,
-        r_squared=r_squared,
-        n_samples=n,
-        physical=slope >= 1.0 and intercept >= 0.0,
-    )
+    return WasteFit(w=slope, p_non_path_w=intercept, r_squared=r_squared, n_samples=n,
+                    physical=slope >= 1.0 and intercept >= 0.0)
 
 
-def _parse_header(fields: Sequence[str], path: Path) -> tuple[int, bool, int, bool]:
-    signal_idx = signal_dbm = total_idx = total_dbm = None
+def _parse_header(fields: Sequence[str], path: Path) -> list[tuple[int, bool]]:
+    """The (index, in dBm) pair of the signal column, then of the total column."""
+    found = {}
     for idx, name in enumerate(fields):
         key = name.strip().lower()
-        if key in _SIGNAL_COLUMNS:
-            if signal_idx is not None:
-                raise ValueError(f"{path}: duplicate signal-power column {name!r}")
-            signal_idx, signal_dbm = idx, _SIGNAL_COLUMNS[key]
-        elif key in _TOTAL_COLUMNS:
-            if total_idx is not None:
-                raise ValueError(f"{path}: duplicate total-power column {name!r}")
-            total_idx, total_dbm = idx, _TOTAL_COLUMNS[key]
-        else:
-            raise ValueError(
-                f"{path}: unknown column {name!r}; accepted columns are "
-                "p_signal_w|p_signal_dbm and p_total_w|p_total_dbm"
-            )
-    if signal_idx is None:
-        raise ValueError(f"{path}: missing column p_signal_w or p_signal_dbm")
-    if total_idx is None:
-        raise ValueError(f"{path}: missing column p_total_w or p_total_dbm")
-    return signal_idx, signal_dbm, total_idx, total_dbm
+        if key not in _COLUMNS:
+            raise ValueError(f"{path}: unknown column {name!r}; accepted columns are "
+                             "p_signal_w|p_signal_dbm and p_total_w|p_total_dbm")
+        quantity, in_dbm = _COLUMNS[key]
+        if quantity in found:
+            raise ValueError(f"{path}: duplicate {quantity}-power column {name!r}")
+        found[quantity] = idx, in_dbm
+    for quantity in ("signal", "total"):
+        if quantity not in found:
+            raise ValueError(f"{path}: missing column p_{quantity}_w or p_{quantity}_dbm")
+    return [found["signal"], found["total"]]
 
 
 def load_power_log(path: str | Path) -> list[PowerSample]:
@@ -140,36 +134,29 @@ def load_power_log(path: str | Path) -> list[PowerSample]:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file (no header row)")
-    (line_no, header), data = rows[0], rows[1:]
-    signal_idx, signal_dbm, total_idx, total_dbm = _parse_header(header, path)
+    (_, header), data = rows[0], rows[1:]
+    columns = _parse_header(header, path)
     if not data:
         raise ValueError(f"{path}: no data rows after the header")
     samples = []
     for line_no, row in data:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        signal = _parse_cell(row[signal_idx], path, line_no, header[signal_idx])
-        total = _parse_cell(row[total_idx], path, line_no, header[total_idx])
         try:
-            if signal_dbm:
-                signal = dbm_to_watts(signal)
-            if total_dbm:
-                total = dbm_to_watts(total)
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            # Both cells parse before either converts.
+            cells = [(_parse_cell(row[idx], header[idx]), in_dbm) for idx, in_dbm in columns]
+            signal, total = (dbm_to_watts(v) if in_dbm else v for v, in_dbm in cells)
+            samples.append(PowerSample(p_signal_w=signal, p_total_w=total))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
-        samples.append(PowerSample(p_signal_w=signal, p_total_w=total))
     return samples
 
 
-def _parse_cell(cell: str, path: Path, line_no: int, column: str) -> float:
+def _parse_cell(cell: str, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise ValueError(
-            f"{path}:{line_no}: non-numeric value {cell!r} in column {column!r}"
-        ) from None
+        raise ValueError(f"non-numeric value {cell!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{path}:{line_no}: non-finite value {cell!r} in column {column!r}")
+        raise ValueError(f"non-finite value {cell!r} in column {column!r}")
     return value

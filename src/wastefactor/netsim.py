@@ -40,7 +40,7 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,17 +62,17 @@ _MAX_PLACEMENT_ATTEMPTS = 100_000
 # leaves 82.5 dB for a shadowing draw: a 9-sigma draw of every band preset
 # fits (9 * 8.98 = 80.8 dB at 28 GHz), and a test keeps it so.
 _MAX_PATH_LOSS_DB = 3000.0
-# From this many UE-BS pairs up, a layout runs its two broadcast subtractions
-# with numpy's ufunc buffer shrunk to one UE row, and squares dy in a scratch
-# array kept per thread, so it allocates one dense array, its own squared
-# distances. At numpy's default of 8192 elements the buffer spans several
+# A layout of at least this many UE-BS pairs, BSs and UEs per row runs its
+# two broadcast subtractions with numpy's ufunc buffer shrunk to one UE row
+# and squares dy in a scratch array kept per thread, so it allocates one
+# dense array. At numpy's default of 8192 elements the buffer spans several
 # rows and numpy copies the BS column into it: a 20 x 1024 subtraction took
-# 16 us instead of 5 us and allocated 0.8 of a dense array (numpy 2.4.6).
-# Below the threshold the shrunk form gained little or lost: 5 x 512 broke
-# even, and 2 x 1024, 20 x 64 and 1 x 1024 ran 1.5-1.7x slower. Rows of a
-# few UEs under hundreds of BSs, which only a caller's Layout can have, also
-# run slower in it.
+# 16 us instead of 5 us (numpy 2.4.6). Fewer pairs, 1-3 BSs or shorter rows
+# ran up to 3x slower in the shrunk form (BSs x UEs: 1 x 4096, 2 x 2048,
+# 20 x 64 and 1000 x 8 among them).
 _DENSE_PAIRS = 4096
+_DENSE_MIN_BS = 4
+_DENSE_MIN_ROW = 96
 
 
 class LinkBudget(NamedTuple):
@@ -224,9 +224,9 @@ class Layout:
     skips the copy and the checks, because coordinates drawn inside the
     scenario's finite disk are finite ``(n, 2)`` arrays it owns.
 
-    A layout of ``_DENSE_PAIRS`` or more UE-BS pairs squares its ``dy``
-    in scratch memory kept per thread: one float array the size of the
-    largest such layout the thread has built, reused by the next.
+    A layout that reaches every ``_DENSE_*`` bound squares its ``dy`` in scratch
+    memory kept per thread: one float array the size of the largest such
+    layout the thread has built, reused by the next.
     """
 
     bs_xy_m: np.ndarray  # (n_bs, 2)
@@ -253,7 +253,7 @@ class Layout:
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
         n_bs, n_ue = len(bs_xy_m), len(ue_xy_m)
         n_pairs = n_bs * n_ue
-        if n_pairs < _DENSE_PAIRS:
+        if n_pairs < _DENSE_PAIRS or n_bs < _DENSE_MIN_BS or n_ue < _DENSE_MIN_ROW:
             d = np.subtract(ue_xy_m[:, 0], bs_xy_m[:, 0, None], dtype=float)
             d *= d
             dy = np.subtract(ue_xy_m[:, 1], bs_xy_m[:, 1, None], dtype=float)
@@ -750,33 +750,36 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     Each cell is ``base`` with ``frequency_hz``, ``antenna_mode``, ``n_bs``
     and ``seed`` set from the grid and, in omni cells, ``per_link_cap_dbm``
     set to the campaign's omni cap; every other field of ``base`` carries
-    over.
-
-    This is where a grid's cells are checked: each (frequency, mode, n_bs)
-    cell is built once from ``base`` with the first seed, so ``Scenario``'s
-    rules run on the real cell, and a ``ValueError`` names the failing
-    cell. ``CampaignSpec`` has already checked the seed range and the omni
-    cap. The seed variants are copies with only ``seed`` set: they share
-    the cell's ``link_budget``.
+    over. The seed variants of a cell :func:`_grid_cells` checked are
+    copies with only ``seed`` set: they share the cell's ``link_budget``.
     """
     first = campaign.base_seed
     cells = []
+    for cell in _grid_cells(base, campaign):
+        for seed in range(first, first + campaign.n_seeds):
+            copy = object.__new__(Scenario)
+            copy.__dict__.update(cell.__dict__, seed=seed)
+            cells.append(copy)
+    return cells
+
+
+def _grid_cells(base: Scenario, campaign: CampaignSpec) -> Iterator[Scenario]:
+    """Where a grid's cells are checked: each (frequency, mode, n_bs) cell
+    is built once from ``base`` with the first seed, so ``Scenario``'s rules
+    run on the real cell, and a ``ValueError`` names the failing cell.
+    ``CampaignSpec`` has already checked the seed range and the omni cap."""
     for frequency_hz in campaign.frequencies_hz:
         for mode in campaign.antenna_modes:
             cap = campaign.omni_per_link_cap_dbm if mode == OMNI else base.per_link_cap_dbm
             for n_bs in campaign.n_bs_values:
                 try:
                     cell = replace(base, frequency_hz=frequency_hz, antenna_mode=mode, n_bs=n_bs,
-                                   per_link_cap_dbm=cap, seed=first)
+                                   per_link_cap_dbm=cap, seed=campaign.base_seed)
                 except ValueError as exc:
                     raise ValueError(
                         f"{exc}; in the {frequency_hz/1e9:g} GHz {mode} {n_bs}-BS grid cell"
                     ) from None
-                for seed in range(first, first + campaign.n_seeds):
-                    copy = object.__new__(Scenario)
-                    copy.__dict__.update(cell.__dict__, seed=seed)
-                    cells.append(copy)
-    return cells
+                yield cell
 
 
 def run_campaign(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ class TestFspl:
         # inf once gave an infinite loss, NaN a NaN one.
         for frequency_hz in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"frequency_hz must be finite and > 0 Hz, got {frequency_hz}"):
+                fspl_1m_db(frequency_hz)
+        # 4 pi f / c once overflowed to an infinite loss, or underflowed to 0
+        # and failed as a math domain error.
+        for frequency_hz, value in ((1e308, "inf"), (1e-320, "0.0")):
+            message = f"frequency_hz = {frequency_hz} takes the ratio 4 pi f / c out of float range"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
                 fspl_1m_db(frequency_hz)
 
 
@@ -143,6 +150,13 @@ class TestApertureGain:
         for frequency_hz in (0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"frequency_hz must be finite and > 0 Hz, got {frequency_hz}"):
                 aperture_gain_db(self.BS, frequency_hz)
+        # The squared wavelength once underflowed to 0 (ZeroDivisionError) or
+        # overflowed to inf (a math domain error).
+        for antenna, frequency_hz, value in ((self.BS, 1e200, "0.0"),
+                                             (UE_APERTURE, 1e-300, "inf")):
+            message = f"frequency_hz = {frequency_hz} takes the squared wavelength out of float range"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
+                aperture_gain_db(antenna, frequency_hz)
 
     def test_non_finite_area_rejected(self):
         with pytest.raises(ValueError, match="physical_area_m2 must be finite"):

@@ -145,7 +145,7 @@ class TestPassiveDevices:
             Mixer(conversion_loss_db=-1.0)
         with pytest.raises(ValueError):
             PhaseShifter(insertion_loss_db=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^passive loss must be >= 0 dB, got -3\.0$"):
             GenericPassive(loss_db=-3.0)
 
 

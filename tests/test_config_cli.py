@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -201,6 +202,21 @@ class TestConfigParsing:
         assert campaign.n_seeds == 4
         overridden = campaign_from_config(load_config(path), seeds_override=2)
         assert overridden.n_seeds == 2
+
+    def test_grid_check_keeps_no_seed_copies(self, tmp_path):
+        # The check once built every drop's Scenario copy and threw it away:
+        # 20 000 of them here.
+        path = tmp_path / "sw.ini"
+        path.write_text("[sweep]\nfrequencies_ghz = 28\nantenna_modes = omni\nn_bs = 1\nseeds = 20000\n")
+        doc = load_config(path)
+        tracemalloc.start()
+        try:
+            campaign = campaign_from_config(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert campaign.n_seeds == 20000
+        assert peak < 1_000_000
 
     def test_ue_adc_from_fom(self, tmp_path):
         path = tmp_path / "ue.ini"

@@ -219,6 +219,17 @@ class TestLoadPowerLog:
         ):
             load_power_log(path)
 
+    @pytest.mark.parametrize(
+        "text", ["p_signal_w,p_total_w\n1,2\n-2,9\n", "p_total_w,p_signal_w\n2,1\n-9,2\n"],
+        ids=["p_signal_w", "p_total_w"],
+    )
+    def test_negative_power_names_its_line(self, tmp_path, text):
+        # This once named neither the file nor the line.
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"^.*log\.csv:3: logged powers must be >= 0 W$"):
+            load_power_log(path)
+
     def test_both_cells_parse_before_either_converts(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("p_signal_dbm,p_total_w\n4000,bogus\n")

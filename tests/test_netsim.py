@@ -295,9 +295,10 @@ def dense_drop_bits(scenario):
 
 
 class TestDenseLayout:
-    """From ``_DENSE_PAIRS`` UE-BS pairs up, a layout runs its broadcast
-    subtractions under a shrunk numpy buffer and squares dy in a scratch
-    array kept per thread."""
+    """From ``_DENSE_PAIRS`` UE-BS pairs, ``_DENSE_MIN_BS`` BSs and rows of
+    ``_DENSE_MIN_ROW`` UEs up, a layout runs its broadcast subtractions
+    under a shrunk numpy buffer and squares dy in a scratch array kept per
+    thread."""
 
     @pytest.mark.parametrize("caller_bufsize", [None, 4096], ids=["default", "4096"])
     def test_caller_bufsize_is_kept(self, caller_bufsize):

@@ -54,9 +54,12 @@ from wastefactor.netsim import (
     STREAM_BS_LAYOUT,
     STREAM_SHADOWING,
     STREAM_UE_LAYOUT,
+    _DENSE_MIN_BS,
+    _DENSE_MIN_ROW,
     _DENSE_PAIRS,
     CampaignSpec,
     DropResult,
+    Layout,
     Links,
     PowerControlResult,
     Scenario,
@@ -734,9 +737,10 @@ class Edge(NamedTuple):
 
 
 # Each edge the seed-0 grids never reach, with a check that the case
-# reaches it. Past _DENSE_PAIRS UE-BS pairs a layout squares dy in a
-# per-thread scratch under a shrunk numpy buffer; each edge runs on a fresh
-# thread, whose scratch starts empty.
+# reaches it. From _DENSE_PAIRS UE-BS pairs, _DENSE_MIN_BS BSs and rows of
+# _DENSE_MIN_ROW UEs up a layout squares dy in a per-thread scratch under a
+# shrunk numpy buffer; each edge runs on a fresh thread, whose scratch
+# starts empty.
 DROP_EDGES = {
     "no-fallback": Edge(
         Scenario(n_ue=64, n_bs=3, fallback_nearest=False, power_allocation="proportional"),
@@ -769,9 +773,14 @@ DROP_EDGES = {
         Scenario(n_ue=819, n_bs=5),
         lambda reached: reached.sq.size == _DENSE_PAIRS - 1 and reached.scratch == 0,
     ),
+    # At the pair and the BS-count thresholds at once.
     "at-dense-threshold": Edge(
-        Scenario(n_ue=1024, n_bs=4),
+        Scenario(n_ue=1024, n_bs=_DENSE_MIN_BS),
         lambda reached: reached.sq.size == _DENSE_PAIRS == reached.scratch,
+    ),
+    "below-dense-bs-count": Edge(
+        Scenario(n_ue=2048, n_bs=_DENSE_MIN_BS - 1),
+        lambda reached: reached.sq.size > _DENSE_PAIRS and reached.scratch == 0,
     ),
     "above-dense-threshold": Edge(
         Scenario(n_ue=241, n_bs=17),
@@ -781,9 +790,16 @@ DROP_EDGES = {
     "dense-600-ue-rows": Edge(
         Scenario(n_ue=600, n_bs=7), lambda reached: reached.scratch == 4200
     ),
+    # Shapes past _DENSE_PAIRS where the shrunk buffer lost.
+    "plain-one-bs": Edge(
+        Scenario(n_ue=4096, n_bs=1), lambda reached: reached.scratch == 0
+    ),
+    "plain-two-bs": Edge(
+        Scenario(n_ue=2048, n_bs=2), lambda reached: reached.scratch == 0
+    ),
     # One row longer than numpy's default buffer of 8192.
-    "dense-one-bs": Edge(
-        Scenario(n_ue=10_000, n_bs=1), lambda reached: reached.scratch == 10_000
+    "dense-long-rows": Edge(
+        Scenario(n_ue=10_000, n_bs=_DENSE_MIN_BS), lambda reached: reached.scratch == 40_000
     ),
     "dense-after-larger": Edge(
         DENSE, lambda reached: reached.scratch == 30_000, Scenario(n_ue=1500, n_bs=20)
@@ -805,6 +821,28 @@ def test_drop_edges_are_their_multipass_forms(edge):
 
     with ThreadPoolExecutor(max_workers=1) as fresh_thread:
         assert reaches(fresh_thread.submit(check).result(timeout=120))
+
+
+# No Scenario reaches the row-length threshold (n_bs <= 20), so these
+# layouts are a caller's: BSs x UEs, and whether the dense path takes them.
+# Short rows under many BSs lost in the dense path.
+@pytest.mark.parametrize(
+    "n_bs, n_ue, dense",
+    [(1000, 8, False), (50, _DENSE_MIN_ROW - 1, False), (50, _DENSE_MIN_ROW, True)],
+)
+def test_caller_layouts_are_their_multipass_form(n_bs, n_ue, dense):
+    rng = np.random.default_rng(n_bs * n_ue)
+    bs_xy, ue_xy = rng.uniform(-1e3, 1e3, (n_bs, 2)), rng.uniform(-1e3, 1e3, (n_ue, 2))
+
+    def build():
+        sq = Layout(bs_xy, ue_xy).sq_distance_m2
+        return sq, getattr(netsim._THREAD, "dy", None)
+
+    with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+        sq, scratch = fresh_thread.submit(build).result(timeout=60)
+    assert array_bits(sq) == array_bits(multipass_sq_distance(bs_xy, ue_xy))
+    assert n_bs * n_ue >= _DENSE_PAIRS
+    assert (scratch is not None and scratch.size == n_bs * n_ue) == dense
 
 
 @st.composite
