@@ -222,7 +222,11 @@ class Layout:
     test and still win the nearest-BS argmin. The copy keeps a later write
     to the caller's array out of the frozen layout. :func:`generate_layout`
     skips the copy and the checks, because coordinates drawn inside the
-    scenario's finite disk are finite ``(n, 2)`` arrays it owns.
+    scenario's finite disk are finite ``(n, 2)`` arrays it owns. Its
+    layouts are shared: each thread keeps the last one it drew and hands
+    it, or views of its first rows, to later calls. So the three arrays of
+    a drawn layout are read-only, and a write into one raises
+    ``ValueError``. A caller's layout is never kept.
 
     A layout that reaches every ``_DENSE_*`` bound squares its ``dy`` in scratch
     memory kept per thread: one float array the size of the largest such
@@ -248,6 +252,8 @@ class Layout:
     def _drawn(cls, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> Layout:
         layout = object.__new__(cls)
         layout._store(bs_xy_m, ue_xy_m)
+        for xy in layout.__dict__.values():
+            xy.setflags(write=False)  # what flags.writeable = False does, at half its cost
         return layout
 
     def _store(self, bs_xy_m: np.ndarray, ue_xy_m: np.ndarray) -> None:
@@ -301,6 +307,7 @@ class DropResult(NamedTuple):
 
 
 _THREAD = threading.local()
+_NO_LAYOUT = (None, None)  # the per-thread layout cache's empty (key, layout) entry
 _ZEROS4 = (0, 0, 0, 0)
 
 
@@ -359,11 +366,40 @@ def generate_layout(scenario: Scenario) -> Layout:
     (radius, angle) pairs, each pair the two doubles one
     ``_uniform_disk(rng, 1, R)`` call would draw, and are accepted one by
     one in draw order; unused candidates at the end of the last block
-    feed nothing else.
+    feed nothing else. So the layout of ``k`` BSs is the first ``k`` BSs of
+    any larger layout of the same seed, and its squared distances are the
+    first ``k`` rows of that layout's.
+
+    Each thread keeps the last layout it drew, keyed by what a layout
+    depends on: the seed, ``n_ue``, ``region_radius_m`` and
+    ``min_bs_separation_m``. A call with that key and at most the kept BS
+    count returns the kept layout, or one whose arrays are views of its
+    first ``n_bs`` rows; with more BSs it keeps the UEs and draws the BSs
+    again. Any other call draws anew, and drops the kept layout before it
+    allocates. A drawn layout's arrays are read-only, since later calls
+    share them.
     """
-    ue_xy = _uniform_disk(
-        _substream(scenario.seed, STREAM_UE_LAYOUT), scenario.n_ue, scenario.region_radius_m
-    )
+    key = (scenario.seed, scenario.n_ue, scenario.region_radius_m, scenario.min_bs_separation_m)
+    kept_key, kept = getattr(_THREAD, "layout", _NO_LAYOUT)
+    ue_xy = None
+    if kept_key == key:
+        n_kept = len(kept.bs_xy_m)
+        n_bs = scenario.n_bs
+        if n_bs == n_kept:
+            return kept
+        if n_bs < n_kept:
+            view = object.__new__(Layout)
+            view.__dict__.update(bs_xy_m=kept.bs_xy_m[:n_bs], ue_xy_m=kept.ue_xy_m,
+                                 sq_distance_m2=kept.sq_distance_m2[:n_bs])
+            return view
+        ue_xy = kept.ue_xy_m
+    # Let the kept layout go before allocating: a miss peaks as a cold drop does.
+    _THREAD.layout = _NO_LAYOUT
+    del kept
+    if ue_xy is None:
+        ue_xy = _uniform_disk(
+            _substream(scenario.seed, STREAM_UE_LAYOUT), scenario.n_ue, scenario.region_radius_m
+        )
     rng = _substream(scenario.seed, STREAM_BS_LAYOUT)
     accepted: list[tuple[float, float]] = []
     min_sep_sq = scenario.min_bs_separation_m ** 2
@@ -386,7 +422,9 @@ def generate_layout(scenario: Scenario) -> Layout:
             else:
                 accepted.append((x, y))
                 if len(accepted) == scenario.n_bs:
-                    return Layout._drawn(np.array(accepted), ue_xy)
+                    layout = Layout._drawn(np.array(accepted), ue_xy)
+                    _THREAD.layout = key, layout
+                    return layout
 
 
 def assign_serving_sets(
@@ -791,24 +829,35 @@ def run_campaign(
     and seed in every cell, and its per-link cap in omni cells; see
     :func:`campaign_scenarios`.
 
+    The drops run seed by seed, and within a seed by BS count, largest
+    first (ties in grid order), so each seed's layout is drawn once and its
+    smaller BS counts are views of it (:func:`generate_layout`).
     ``jobs`` is the worker count, ``None`` for ``os.cpu_count()``; 1 runs
-    the drops in the calling process. Results are keyed and merged in grid
-    order, so the output is identical for any worker count.
+    the drops in the calling process, and a pool takes them in the same
+    order, in chunks. Results are merged back in grid order, so the output
+    is identical for any worker count.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif not (isinstance(jobs, numbers.Integral) and jobs >= 1):
         raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
     scenarios = campaign_scenarios(base, campaign)
+    # Seeds are the grid's inner axis: cell c's drops are scenarios[c : c + n_seeds].
+    n_seeds = campaign.n_seeds
+    cells = sorted(range(0, len(scenarios), n_seeds), key=lambda c: -scenarios[c].n_bs)
+    walked = [scenarios[c + k] for k in range(n_seeds) for c in cells]
     if jobs == 1 or len(scenarios) == 1:
-        results = [evaluate_drop(s) for s in scenarios]
+        walked_results = [evaluate_drop(s) for s in walked]
     else:
         # Imported here: multiprocessing costs every serial run its import time.
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = max(1, len(scenarios) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-            results = list(pool.map(evaluate_drop, scenarios, chunksize=chunksize))
+            walked_results = list(pool.map(evaluate_drop, walked, chunksize=chunksize))
+    results = [None] * len(scenarios)
+    for nth, c in enumerate(cells):
+        results[c : c + n_seeds] = walked_results[nth :: len(cells)]
     rows = [
         DropRow(
             frequency_ghz=s.frequency_hz / 1e9,
@@ -820,8 +869,8 @@ def run_campaign(
         for s, r in zip(scenarios, results)
     ]
     aggregates = []
-    for start in range(0, len(rows), campaign.n_seeds):
-        group = rows[start : start + campaign.n_seeds]
+    for start in range(0, len(rows), n_seeds):
+        group = rows[start : start + n_seeds]
         w_linear = np.array([row.result.w_system for row in group])
         wf_db = np.array([row.result.wf_system_db for row in group])
         p_total = np.array([row.result.p_total_per_km2_w for row in group])

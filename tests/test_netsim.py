@@ -51,6 +51,11 @@ from wastefactor.units import db_to_linear, dbm_to_watts, linear_to_db
 SMALL = Scenario(n_ue=64, n_bs=5, frequency_hz=28e9, seed=3)
 
 
+def empty_layout_cache():
+    """Forget this thread's kept layout: the next generate_layout draws anew."""
+    netsim._THREAD.layout = netsim._NO_LAYOUT
+
+
 class TestScenario:
     def test_reference_defaults(self):
         sc = Scenario()
@@ -217,6 +222,16 @@ class TestLayout:
         # BS-major geometry: the first rows are the smaller layout's.
         assert five.sq_distance_m2.tobytes() == ten.sq_distance_m2[:5].tobytes()
 
+    def test_fewer_bs_of_a_kept_layout_are_views(self):
+        many = generate_layout(dataclasses.replace(SMALL, n_bs=20))
+        assert generate_layout(dataclasses.replace(SMALL, n_bs=20, frequency_hz=3.5e9)) is many
+        few = generate_layout(dataclasses.replace(SMALL, n_bs=5))
+        assert few.ue_xy_m is many.ue_xy_m
+        for name in ("bs_xy_m", "sq_distance_m2"):
+            view = getattr(few, name)
+            assert view.base is getattr(many, name) and view.flags.c_contiguous
+            assert len(view) == 5
+
     def test_squared_distances_are_bs_major(self):
         # One whole dy array at each shape, the elementwise dx*dx + dy*dy.
         for n_ue, n_bs in [(SMALL.n_ue, SMALL.n_bs), (1024, 15), (4000, 7)]:
@@ -310,6 +325,7 @@ class TestDenseLayout:
             expected = np.getbufsize()
             for call in (lambda: Layout(drawn.bs_xy_m, drawn.ue_xy_m),
                          lambda: generate_layout(DENSE), lambda: evaluate_drop(DENSE)):
+                empty_layout_cache()  # a kept layout would skip the dense path
                 call()
                 assert np.getbufsize() == expected
         assert np.getbufsize() == default
@@ -1397,14 +1413,49 @@ class TestDropMemory:
     def test_dense_layout_allocates_one_dense_array(self):
         assert self.peak_in_dense_arrays(DENSE, generate_layout, DENSE) <= 1.25
 
-    @staticmethod
-    def peak_in_dense_arrays(sc, function, *args):
-        """Peak memory of ``function(*args)`` over one (n_ue, n_bs) float array."""
-        function(*args)  # caches and lazy imports load outside the measurement
+    @pytest.mark.parametrize("n_bs", [20, 5], ids=["kept", "view"])
+    def test_a_kept_layout_allocates_nothing_dense(self, n_bs):
+        scenario = dataclasses.replace(DENSE, n_bs=n_bs)
+        assert self.peak_in_dense_arrays(DENSE, generate_layout, scenario, kept=DENSE) < 0.05
+
+    @pytest.mark.parametrize("kept", [{"seed": 1}, {"n_bs": 5}], ids=["other-seed", "fewer-bs"])
+    def test_a_miss_frees_the_kept_layout_first(self, kept):
+        # Within the cold bound less the kept squared distances, which go
+        # before the new layout allocates.
+        kept = dataclasses.replace(DENSE, **kept)
+        bound = 1.25 - kept.n_bs / DENSE.n_bs
+        assert self.peak_in_dense_arrays(DENSE, generate_layout, DENSE, kept=kept) <= bound
+
+    def test_a_thread_keeps_one_layout(self):
+        # The scratch dy and lazy imports load before tracing starts.
+        evaluate_drop(DENSE)
+        empty_layout_cache()
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
+            evaluate_drop(DENSE)
+            kept, _ = tracemalloc.get_traced_memory()
+            evaluate_drop(Scenario(n_ue=64, n_bs=1))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert (kept - after) / (DENSE.n_ue * DENSE.n_bs * 8) >= 0.9
+
+    @staticmethod
+    def peak_in_dense_arrays(sc, function, *args, kept=None):
+        """Peak memory of ``function(*args)`` over one (n_ue, n_bs) float
+        array, with the layout of ``kept`` in this thread's layout cache, or
+        none."""
+        function(*args)  # caches and lazy imports load outside the measurement
+        empty_layout_cache()  # else the measured call reuses the warm-up's layout
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            if kept is not None:  # traced, so that freeing it counts
+                generate_layout(kept)
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             function(*args)
@@ -1680,6 +1731,27 @@ class TestCampaign:
             drops, _ = run_campaign(base, campaign, jobs=1)
             assert len(drops) == 2 * 3
             assert calls == {name: len(drops) for name in names}
+
+    def test_run_campaign_draws_each_seeds_ues_once(self, monkeypatch):
+        # Seed by seed, 20 BSs first: the 1- and 5-BS cells of a seed, and
+        # its other band's, reuse that seed's 20-BS layout, so the seed's
+        # UEs and its BSs are each drawn once.
+        campaign = dataclasses.replace(self.CAMPAIGN, frequencies_hz=(3.5e9, 28e9),
+                                       n_bs_values=(1, 5, 20), n_seeds=2)
+        cold = []
+        for scenario in campaign_scenarios(self.BASE, campaign):
+            empty_layout_cache()
+            cold.append(result_bits(evaluate_drop(scenario)))
+        empty_layout_cache()
+        disks, bs_draws = [], []
+        monkeypatch.setattr(netsim, "_uniform_disk",
+                            lambda rng, n, radius_m: disks.append(n) or _uniform_disk(rng, n, radius_m))
+        monkeypatch.setattr(netsim, "_substream", lambda seed, stream: (
+            stream == STREAM_BS_LAYOUT and bs_draws.append(seed)) or _substream(seed, stream))
+        drops, _ = run_campaign(self.BASE, campaign, jobs=1)
+        assert disks == [self.BASE.n_ue] * campaign.n_seeds
+        assert bs_draws == [campaign.base_seed + k for k in range(campaign.n_seeds)]
+        assert [result_bits(row.result) for row in drops] == cold
 
     # The two seed-0 grids of the benchmark, whose CSV digests it records.
     RECORDED_GRIDS = {

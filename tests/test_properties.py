@@ -823,6 +823,66 @@ def test_drop_edges_are_their_multipass_forms(edge):
         assert reaches(fresh_thread.submit(check).result(timeout=120))
 
 
+def empty_layout_cache():
+    """Forget this thread's kept layout: the next generate_layout draws anew."""
+    netsim._THREAD.layout = netsim._NO_LAYOUT
+
+
+# A thread keeps the last layout it drew and serves calls of the same seed,
+# UE count, region and separation from it. Whatever ran before, a layout
+# and a drop must be those drawn from an empty cache. In a 150 m region
+# with 290 m separation 1 BS fits and 20 never do.
+INFEASIBLE = Scenario(n_ue=4, n_bs=20, region_radius_m=150.0, min_bs_separation_m=290.0)
+
+
+def layout_bits(scenario):
+    layout = generate_layout(scenario)
+    arrays = (layout.bs_xy_m, layout.ue_xy_m, layout.sq_distance_m2)
+    for xy in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            xy[...] = 0.0
+    return array_bits(*arrays)
+
+
+@st.composite
+def layout_calls(draw):
+    """One layout or drop call, on one of two seeds."""
+    seed = draw(st.sampled_from([0, 7]))
+    if draw(st.integers(0, 9)) == 0:
+        scenario = dataclasses.replace(INFEASIBLE, n_bs=draw(st.sampled_from([1, 20])), seed=seed)
+    else:
+        region_radius_m, min_bs_separation_m = draw(
+            st.sampled_from([(1000.0, 200.0), (1000.0, 0.0), (500.0, 100.0)]))
+        scenario = Scenario(
+            frequency_hz=draw(st.sampled_from(sorted(BAND_PRESETS))),
+            n_bs=draw(st.integers(1, 20)),
+            n_ue=draw(st.sampled_from([1, 64, 1024])),
+            region_radius_m=region_radius_m,
+            min_bs_separation_m=min_bs_separation_m,
+            seed=seed,
+        )
+    return draw(st.sampled_from([layout_bits, evaluate_drop])), scenario
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(layout_calls(), min_size=1, max_size=8))
+# Kept, views of the kept, more BSs on kept UEs, then a failed placement
+# after a kept layout of its own key.
+@example(calls=[(evaluate_drop, dataclasses.replace(DENSE, n_bs=5)), (layout_bits, DENSE),
+                (evaluate_drop, dataclasses.replace(DENSE, n_bs=1)),
+                (evaluate_drop, dataclasses.replace(DENSE, frequency_hz=3.5e9)),
+                (layout_bits, dataclasses.replace(INFEASIBLE, n_bs=1)),
+                (layout_bits, INFEASIBLE),
+                (evaluate_drop, dataclasses.replace(INFEASIBLE, n_bs=1))])
+def test_kept_layouts_are_drawn_layouts(calls):
+    drawn = []
+    for call, scenario in calls:
+        empty_layout_cache()
+        drawn.append(outcome(call, scenario))
+    empty_layout_cache()
+    assert [outcome(call, scenario) for call, scenario in calls] == drawn
+
+
 # No Scenario reaches the row-length threshold (n_bs <= 20), so these
 # layouts are a caller's: BSs x UEs, and whether the dense path takes them.
 # Short rows under many BSs lost in the dense path.
