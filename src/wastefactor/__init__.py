@@ -35,7 +35,7 @@ _EXPORTS_BY_MODULE = {
     ),
     "netsim": (
         "CampaignSpec DropResult Layout Links Scenario assign_serving_sets "
-        "evaluate_drop evaluate_links generate_layout run_campaign"
+        "campaign_scenarios evaluate_drop evaluate_links generate_layout run_campaign"
     ),
 }
 _EXPORTS = {

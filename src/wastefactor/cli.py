@@ -39,9 +39,12 @@ def _seed_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw, 10)
+        seed = int(raw, 10)
     except ValueError:
         raise cfg.ConfigError(f"WF_SEED must be an integer, got {raw!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise cfg.ConfigError(f"WF_SEED must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _positive_int(text: str) -> int:

@@ -782,6 +782,14 @@ class AggregateRow(NamedTuple):
     p_total_mean_kw_per_km2: float
 
 
+def _seeded(cell: Scenario, seed: int) -> Scenario:
+    """``cell`` with only ``seed`` set: a copy that shares the checked
+    cell's ``link_budget`` and runs no check again."""
+    copy = object.__new__(Scenario)
+    copy.__dict__.update(cell.__dict__, seed=seed)
+    return copy
+
+
 def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]:
     """Grid cells in deterministic order (frequency, mode, n_bs, seed).
 
@@ -791,14 +799,8 @@ def campaign_scenarios(base: Scenario, campaign: CampaignSpec) -> list[Scenario]
     over. The seed variants of a cell :func:`_grid_cells` checked are
     copies with only ``seed`` set: they share the cell's ``link_budget``.
     """
-    first = campaign.base_seed
-    cells = []
-    for cell in _grid_cells(base, campaign):
-        for seed in range(first, first + campaign.n_seeds):
-            copy = object.__new__(Scenario)
-            copy.__dict__.update(cell.__dict__, seed=seed)
-            cells.append(copy)
-    return cells
+    seeds = range(campaign.base_seed, campaign.base_seed + campaign.n_seeds)
+    return [_seeded(cell, seed) for cell in _grid_cells(base, campaign) for seed in seeds]
 
 
 def _grid_cells(base: Scenario, campaign: CampaignSpec) -> Iterator[Scenario]:
@@ -834,63 +836,45 @@ def run_campaign(
     smaller BS counts are views of it (:func:`generate_layout`).
     ``jobs`` is the worker count, ``None`` for ``os.cpu_count()``; 1 runs
     the drops in the calling process, and a pool takes them in the same
-    order, in chunks. Results are merged back in grid order, so the output
-    is identical for any worker count.
+    order, in chunks. Each cell's rows and aggregate are built from its own
+    results, in grid order, so the output is identical for any worker count.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif not (isinstance(jobs, numbers.Integral) and jobs >= 1):
         raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
-    scenarios = campaign_scenarios(base, campaign)
-    # Seeds are the grid's inner axis: cell c's drops are scenarios[c : c + n_seeds].
-    n_seeds = campaign.n_seeds
-    cells = sorted(range(0, len(scenarios), n_seeds), key=lambda c: -scenarios[c].n_bs)
-    walked = [scenarios[c + k] for k in range(n_seeds) for c in cells]
-    if jobs == 1 or len(scenarios) == 1:
-        walked_results = [evaluate_drop(s) for s in walked]
+    cells = list(_grid_cells(base, campaign))
+    seeds = range(campaign.base_seed, campaign.base_seed + campaign.n_seeds)
+    walk = sorted(range(len(cells)), key=lambda c: -cells[c].n_bs)  # stable: ties in grid order
+    drops = [_seeded(cells[c], seed) for seed in seeds for c in walk]
+    if jobs == 1 or len(drops) == 1:
+        results = [evaluate_drop(s) for s in drops]
     else:
         # Imported here: multiprocessing costs every serial run its import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(scenarios) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-            walked_results = list(pool.map(evaluate_drop, walked, chunksize=chunksize))
-    results = [None] * len(scenarios)
-    for nth, c in enumerate(cells):
-        results[c : c + n_seeds] = walked_results[nth :: len(cells)]
-    rows = [
-        DropRow(
-            frequency_ghz=s.frequency_hz / 1e9,
-            antenna_mode=s.antenna_mode,
-            n_bs=s.n_bs,
-            seed=s.seed,
-            result=r,
-        )
-        for s, r in zip(scenarios, results)
-    ]
-    aggregates = []
-    for start in range(0, len(rows), n_seeds):
-        group = rows[start : start + n_seeds]
-        w_linear = np.array([row.result.w_system for row in group])
-        wf_db = np.array([row.result.wf_system_db for row in group])
-        p_total = np.array([row.result.p_total_per_km2_w for row in group])
-        head = group[0]
+        chunksize = max(1, len(drops) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(drops))) as pool:
+            results = list(pool.map(evaluate_drop, drops, chunksize=chunksize))
+    rows, aggregates = [], []
+    for c, cell in enumerate(cells):
+        cell_results = results[walk.index(c) :: len(cells)]  # its seeds, in order
+        labels = (cell.frequency_hz / 1e9, cell.antenna_mode, cell.n_bs)
+        rows += [DropRow(*labels, seed, r) for seed, r in zip(seeds, cell_results)]
         with np.errstate(over="ignore"):  # a sum past the float range is caught below
-            w_mean = float(np.mean(w_linear))
-            p_total_mean = float(np.mean(p_total))
+            w_mean = float(np.mean([r.w_system for r in cell_results]))
+            p_total_mean = float(np.mean([r.p_total_per_km2_w for r in cell_results]))
         if not (math.isfinite(w_mean) and math.isfinite(p_total_mean)):
             raise ValueError(
                 f"the seed means of W ({w_mean}) and of the total power ({p_total_mean} W/km^2) "
-                f"at {head.frequency_ghz:g} GHz, {head.antenna_mode}, {head.n_bs} BSs "
+                f"at {labels[0]:g} GHz, {cell.antenna_mode}, {cell.n_bs} BSs "
                 "must be finite; the scenario's waste factors overflow a float"
             )
         aggregates.append(
             AggregateRow(
-                frequency_ghz=head.frequency_ghz,
-                antenna_mode=head.antenna_mode,
-                n_bs=head.n_bs,
+                *labels,
                 wf_mean_db=10.0 * math.log10(w_mean),
-                wf_std_db=float(np.std(wf_db)),
+                wf_std_db=float(np.std([r.wf_system_db for r in cell_results])),
                 p_total_mean_kw_per_km2=p_total_mean / 1000.0,
             )
         )

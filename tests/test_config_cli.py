@@ -635,6 +635,20 @@ class TestSweepAxisValues:
         assert self.SEED_RANGE_MESSAGE in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("wf_seed", ["-1", "18446744073709551616"])
+    def test_wf_seed_outside_64_bits_names_wf_seed(self, capsys, tmp_path, monkeypatch, wf_seed):
+        # Each once blamed [scenario], a section that set no seed.
+        monkeypatch.setenv("WF_SEED", wf_seed)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", str(CONFIGS / "simulate_small.ini"),
+            "--jobs", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: WF_SEED must be a 64-bit unsigned integer, got {wf_seed}\n"
+        assert not out_dir.exists()
+
 
 class TestCascadeCommand:
     def test_demo_table_ends_with_total(self, capsys):

@@ -12,10 +12,12 @@ by one chain rule, bit for bit; every drop conserves energy
 and ends no better than the UE's own waste factor. Properties of the
 simulator itself ride along: its p5 SNR shortcut equals
 ``np.percentile`` bit for bit, campaign output does not depend on the
-worker count, and the drop kernels give the bytes and ``DropResult``
+worker count, a campaign's rows are its cold drops in grid order for
+any order of its BS axis, and the drop kernels give the bytes and ``DropResult``
 reprs of their former multipass forms.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -59,6 +61,7 @@ from wastefactor.netsim import (
     _DENSE_PAIRS,
     CampaignSpec,
     DropResult,
+    DropRow,
     Layout,
     Links,
     PowerControlResult,
@@ -67,6 +70,7 @@ from wastefactor.netsim import (
     _substream,
     aggregate_csv_lines,
     assign_serving_sets,
+    campaign_scenarios,
     drop_csv_lines,
     effective_loss_matrix,
     evaluate_drop,
@@ -544,6 +548,61 @@ def test_campaign_output_is_independent_of_worker_count(base, campaign):
         outputs.append((drop_csv_lines(drops), aggregate_csv_lines(aggregates)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+class SerialPool:
+    """A ``ProcessPoolExecutor`` stand-in that maps in the calling process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+# BS axes in any order, so the walk's largest-first sort reorders them.
+unsorted_campaigns = st.builds(
+    CampaignSpec,
+    frequencies_hz=distinct(st.sampled_from(sorted(BAND_PRESETS)), 2),
+    antenna_modes=distinct(st.sampled_from([OMNI, DIRECTIONAL]), 2),
+    n_bs_values=distinct(st.integers(1, 20), 3),
+    n_seeds=st.integers(1, 3),
+    base_seed=st.integers(0, 2 ** 64 - 4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(campaign=unsorted_campaigns, n_ue=st.integers(8, 32))
+@example(campaign=CampaignSpec(frequencies_hz=(28e9, 3.5e9), n_bs_values=(20, 1, 5), n_seeds=2),
+         n_ue=16)
+def test_campaign_rows_are_cold_drops_in_grid_order(campaign, n_ue):
+    base = Scenario(n_ue=n_ue)
+    want = []
+    for s in campaign_scenarios(base, campaign):
+        empty_layout_cache()
+        want.append(repr(DropRow(s.frequency_hz / 1e9, s.antenna_mode, s.n_bs, s.seed,
+                                 evaluate_drop(s))))
+    serial = run_campaign(base, campaign, jobs=1)
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SerialPool):
+        pooled = run_campaign(base, campaign, jobs=2)
+    for drops, aggregates in (serial, pooled):
+        assert [repr(row) for row in drops] == want
+        assert len(aggregates) == len(drops) // campaign.n_seeds
+        for aggregate in aggregates:
+            own = [row.result for row in drops if row[:3] == aggregate[:3]]
+            assert len(own) == campaign.n_seeds
+            assert aggregate.wf_mean_db == 10.0 * math.log10(np.mean([r.w_system for r in own]))
+            assert aggregate.wf_std_db == np.std([r.wf_system_db for r in own])
+            assert aggregate.p_total_mean_kw_per_km2 == (
+                np.mean([r.p_total_per_km2_w for r in own]) / 1000.0)
+        # The aggregates follow the rows' cells, in grid order.
+        assert [a[:3] for a in aggregates] == [row[:3] for row in drops[::campaign.n_seeds]]
 
 
 # The drop kernels as they were before each dropped its extra passes, kept
