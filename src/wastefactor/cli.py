@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="INI config; [scenario]/[sweep] sections optional")
     p.add_argument("--seeds", type=_positive_int, default=None, help="seeds per grid cell")
     p.add_argument(
-        "--jobs", type=_positive_int, default=None, help="worker processes (default: CPU count)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (default: 1)"
     )
     p.add_argument("--out", default="campaign_out", help="output directory")
     p.set_defaults(func=cmd_simulate)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import functools
+import io
 import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, get_args,
 from .channel import PathLossModel, band_preset, effective_channel, path_loss_db
 from .core import Stage
 from .netsim import CampaignSpec, Scenario, _grid_cells
-from .units import db_to_linear
+from .units import db_to_linear, read_text
 
 if TYPE_CHECKING:
     from .components import RuSpec, UeSpec
@@ -55,15 +56,9 @@ def _invalid(path: Path, where: str) -> Iterator[None]:
         raise ConfigError(f"{path}: {where}: {exc}") from exc
 
 
-_BOOL_VALUES = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
 def _parse_bool(raw: str) -> bool:
     try:
-        return _BOOL_VALUES[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ValueError(f"expected a boolean, got {raw!r}") from None
 
@@ -228,12 +223,14 @@ def load_config(path: str | Path) -> ConfigDocument:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with path.open(encoding="utf-8") as handle:
-            parser.read_file(handle, source=str(path))
+        # newline=None: line breaks read as they would from the open file.
+        parser.read_file(io.StringIO(read_text(path), newline=None), source=str(path))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: malformed config: {exc}") from exc
+    except ValueError as exc:  # not UTF-8; the message names the line
+        raise ConfigError(str(exc)) from None
     sections: dict[str, dict[str, Any]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:

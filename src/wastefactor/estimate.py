@@ -10,12 +10,13 @@ the internal hardware.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .units import dbm_to_watts, require_finite
+from .units import dbm_to_watts, read_text, require_finite
 
 # Each accepted column: the logged power it holds and whether it is in dBm.
 _COLUMNS = {
@@ -124,14 +125,14 @@ def load_power_log(path: str | Path) -> list[PowerSample]:
     """
     path = Path(path)
     rows = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            for row in reader:
-                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#"):
-                    rows.append((reader.line_num, row))
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    # newline="": the csv reader sees line breaks as it would in the open file.
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#"):
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file (no header row)")
     (_, header), data = rows[0], rows[1:]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -823,7 +822,7 @@ def _grid_cells(base: Scenario, campaign: CampaignSpec) -> Iterator[Scenario]:
 
 
 def run_campaign(
-    base: Scenario, campaign: CampaignSpec, jobs: int | None = None
+    base: Scenario, campaign: CampaignSpec, jobs: int = 1
 ) -> tuple[list[DropRow], list[AggregateRow]]:
     """Evaluate the whole grid, optionally fanning drops across processes.
 
@@ -834,15 +833,13 @@ def run_campaign(
     The drops run seed by seed, and within a seed by BS count, largest
     first (ties in grid order), so each seed's layout is drawn once and its
     smaller BS counts are views of it (:func:`generate_layout`).
-    ``jobs`` is the worker count, ``None`` for ``os.cpu_count()``; 1 runs
-    the drops in the calling process, and a pool takes them in the same
-    order, in chunks. Each cell's rows and aggregate are built from its own
-    results, in grid order, so the output is identical for any worker count.
+    ``jobs`` is the worker count: 1, the default, runs the drops in the
+    calling process, and a pool of up to ``jobs`` workers takes them in the
+    same order, in chunks. Each cell's rows and aggregate are built from its
+    own results, in grid order, so the output is identical for any count.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif not (isinstance(jobs, numbers.Integral) and jobs >= 1):
-        raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     cells = list(_grid_cells(base, campaign))
     seeds = range(campaign.base_seed, campaign.base_seed + campaign.n_seeds)
     walk = sorted(range(len(cells)), key=lambda c: -cells[c].n_bs)  # stable: ties in grid order

@@ -2,7 +2,8 @@
 
 All arithmetic inside the library happens in linear units (dimensionless
 ratios and watts). Decibel forms exist only at I/O boundaries: parsing,
-printing, and the convenience accessors on domain types.
+printing, and the convenience accessors on domain types. Text files come
+in at one boundary too: :func:`read_text`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import dataclasses
 import functools
 import math
 import numbers
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 def _too_large(value: float, unit: str) -> ValueError:
@@ -37,6 +42,21 @@ def dbm_to_watts(value_dbm: float) -> float:
         return 10.0 ** ((value_dbm - 30.0) / 10.0)
     except OverflowError:
         raise _too_large(value_dbm, "dBm") from None
+
+
+def read_text(path: Path) -> str:
+    """A text file's contents, decoded as UTF-8 with or without a
+    byte-order mark. Bytes that are not UTF-8 raise a ValueError that
+    names ``<path>:<line>`` of the first of them."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The slice ends at the bad byte, which is never a line break.
+        line = len(data[: exc.start + 1].splitlines())
+        raise ValueError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 @functools.cache

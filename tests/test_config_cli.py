@@ -109,6 +109,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad.ini: malformed config: File contains no section"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(b"[scenario]\n# caf\xe9\n", 2), (b"[scenario]\r\n\r\nn_ue = 4\xff\r\n", 3)],
+        ids=["latin-1", "crlf"],
+    )
+    def test_undecodable_byte_is_a_config_error_naming_its_line(self, capsys, tmp_path, text, line):
+        # Once exit 1 with a bare 'utf-8' codec error naming no file.
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith(f"config error: {path}:{line}: byte 0x")
+        assert "is not UTF-8" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+    def test_byte_order_mark_reads_like_its_twin(self, tmp_path, name):
+        # Once 'File contains no section headers'.
+        plain = CONFIGS / name
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(bom).sections == load_config(plain).sections
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [(" 1 ", True), (" YeS", True), ("TRUE ", True), ("\toN ", True),
+         (" 0 ", False), (" nO", False), ("False ", False), ("\tOFF ", False), ("maybe", None)],
+    )
+    def test_boolean_spellings(self, raw, value):
+        # configparser's eight spellings, in any case and with spaces.
+        if value is None:
+            with pytest.raises(ValueError, match=r"^expected a boolean, got 'maybe'$"):
+                cfg._parse_bool(raw)
+        else:
+            assert cfg._parse_bool(raw) is value
+
     def test_semantic_errors_carry_section_location(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[ru]\ndac_efficiency = 1.3\n")
@@ -906,6 +943,25 @@ class TestFitCommand:
         assert "log.csv:3: field larger than field limit (131072)" in err
         assert out == ""
 
+    def test_undecodable_byte_is_runtime_error_naming_its_line(self, capsys, tmp_path):
+        # Once a bare 'utf-8' codec error naming no file.
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"p_signal_w,p_total_w\n1,2\n2,4\n3,\xe96\n")
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert code == 1
+        assert err == f"error: {path}:4: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_byte_order_mark_fits_like_its_twin(self, capsys, tmp_path, fmt):
+        # Once "unknown column '\ufeffp_signal_w'".
+        plain = CONFIGS / "ru_power_log.csv"
+        bom = tmp_path / "log.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert run_cli(capsys, "fit", str(bom), "--format", fmt) == run_cli(
+            capsys, "fit", str(plain), "--format", fmt
+        )
+
     def test_overflowing_dbm_row_is_runtime_error(self, capsys, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("p_signal_dbm,p_total_dbm\n10,20\n4000,4010\n")
@@ -1134,6 +1190,27 @@ class TestImportCost:
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
         assert out.split()[-3:] == ["0", "False", "False"]
+
+    def test_simulate_runs_in_the_calling_process_by_default(self, tmp_path):
+        # Without --jobs, simulate once started a pool over every core.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        config = CONFIGS / "simulate_small.ini"
+        out_dir = tmp_path / "out"
+        probe = (
+            "import sys; from wastefactor import cli; "
+            f"code = cli.main(['simulate', {str(config)!r}, '--out', {str(out_dir)!r}]); "
+            "print(code, 'concurrent.futures.process' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.split()[-2:] == ["0", "False"]
+        golden = Path(__file__).resolve().parent / "golden"
+        for name in ("drops", "aggregate"):
+            got = (out_dir / f"{name}.csv").read_bytes()
+            assert got == (golden / f"simulate_small_{name}.csv").read_bytes()
 
     def test_scalar_calculus_leaves_numpy_unloaded(self):
         # The quickstart promises that the scalar calculus never imports

@@ -172,6 +172,29 @@ class TestLoadPowerLog:
         with pytest.raises(ValueError, match=r"log\.csv:4: non-numeric value 'bogus'"):
             load_power_log(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"p_signal_w,p_total_w\n1,2\n2,4\n3,\xe96\n",
+         b"p_signal_w,p_total_w\r\n1,2\r\n2,4\r\n3,\xe96\r\n",
+         b'p_signal_w,p_total_w\n"1\n",2\n\xe9,3\n'],
+        ids=["lf", "crlf", "quoted-cell"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, text):
+        # Once a bare 'utf-8' codec error naming no file or line.
+        path = tmp_path / "log.csv"
+        path.write_bytes(text)
+        with pytest.raises(
+            ValueError, match=r"log\.csv:4: byte 0xe9 is not UTF-8 \(invalid continuation byte\)$"
+        ):
+            load_power_log(path)
+
+    def test_byte_order_mark_reads_like_its_twin(self, tmp_path):
+        text = b"# rack 3\np_signal_dbm,p_total_w\r\n30,210\r\n40,280\r\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_power_log(bom) == load_power_log(plain)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         path = tmp_path / "log.csv"

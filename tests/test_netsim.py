@@ -1616,11 +1616,11 @@ class TestCampaign:
         with pytest.raises(ValueError, match=r"seed means of W \(inf\)"):
             run_campaign(base, self.CAMPAIGN, jobs=1)
 
-    @pytest.mark.parametrize("jobs", [0, -3, 2.5])
-    def test_jobs_must_be_none_or_a_positive_integer(self, jobs):
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, None])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
         # 0 and -3 once ran serially without a word; 2.5 raised a TypeError
-        # from inside the pool.
-        with pytest.raises(ValueError, match=rf"jobs must be None or an integer >= 1, got {jobs}$"):
+        # from inside the pool; None once meant every core.
+        with pytest.raises(ValueError, match=rf"jobs must be an integer >= 1, got {jobs}$"):
             run_campaign(self.BASE, self.CAMPAIGN, jobs=jobs)
 
     def test_parallel_matches_serial(self):
@@ -1629,7 +1629,7 @@ class TestCampaign:
         assert drop_csv_lines(serial[0]) == drop_csv_lines(parallel[0])
         assert aggregate_csv_lines(serial[1]) == aggregate_csv_lines(parallel[1])
 
-    @pytest.mark.parametrize("jobs, workers", [(64, 8), (None, 8), (3, 3)])
+    @pytest.mark.parametrize("jobs, workers", [(64, 8), (3, 3)])
     def test_pool_starts_no_more_workers_than_drops(self, monkeypatch, jobs, workers):
         # Under fork, a pool starts all max_workers processes at its first
         # submit. A serial stand-in records the count; no process starts.
@@ -1649,7 +1649,6 @@ class TestCampaign:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(netsim.os, "cpu_count", lambda: 64)
         drops, aggregates = run_campaign(self.BASE, self.CAMPAIGN, jobs=jobs)
         assert started == [workers]
         serial = run_campaign(self.BASE, self.CAMPAIGN, jobs=1)
